@@ -3,6 +3,8 @@
     koopman-lyap <subcommand> <config> [--output-dir PATH] [--threads N]
 
 Subcommands: run, linearize, eigenfunctions, lyapunov, certify, oracle-check.
+<config> is a file path or, when no such file exists, the name of a bundled
+configuration ("example1", "duffing").
 Exit codes: 0 success, 1 validation error, 2 numeric failure, 3 I/O error.
 
 Heavy imports happen after argument parsing so --threads can cap the BLAS
@@ -44,7 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("config", help="path to a run configuration file")
+        p.add_argument(
+            "config",
+            help="path to a run configuration file, or the name of a bundled one",
+        )
         p.add_argument(
             "--output-dir",
             default=None,
@@ -78,10 +83,16 @@ def main(argv=None) -> int:
         _cap_threads(args.threads)
 
     from . import pipeline
-    from .config import load_config
+    from .config import ConfigError, bundled_config_path, load_config
 
     try:
-        cfg = load_config(args.config)
+        path = args.config
+        if not os.path.exists(path):
+            try:
+                path = bundled_config_path(path)
+            except ConfigError:
+                pass  # load_config reports the missing file (exit code 3)
+        cfg = load_config(path)
         outdir = pipeline.ensure_output_dir(args.output_dir or cfg.output_dir)
 
         if args.command == "run":
@@ -102,14 +113,10 @@ def main(argv=None) -> int:
                     + "  ".join(f"{v: .12g}" for v in w)
                 )
         elif args.command == "eigenfunctions":
-            eigset, rho = pipeline.stage_eigenfunctions(cfg, outdir)
-            print(f"fill distance: {rho:.12g}")
-            for e in eigset:
-                print(
-                    f"eigenvalue {e.lam:.6g}: eta = {e.h.eta_used:.6g}, "
-                    f"condition estimate = {e.h.condition_estimate:.6e} "
-                    f"({e.h.method})"
-                )
+            text = pipeline.eigenfunctions_summary(
+                *pipeline.stage_eigenfunctions(cfg, outdir)
+            )
+            print(text, end="")
         elif args.command == "lyapunov":
             _, diag = pipeline.stage_lyapunov(cfg, outdir)
             print(diag.format_text(), end="")

@@ -22,10 +22,24 @@ b = (-w.G(z_1), .., -w.G(z_n), 0, .., 0). The coefficient layout is therefore
     alpha[n]         value at the origin
     alpha[n+1:n+1+d] partial derivatives at the origin
 
-A is PSD up to roundoff; an optional ridge eta is added to the diagonal
-before solving. Assembly and evaluation are chunked so memory stays flat in
-the number of evaluation points; entries are pure kernel algebra, so chunks
-could be computed concurrently.
+Every entry of A and every value or gradient of h is a contraction of one
+basis block: for a chunk of points x, the values and x-gradients of the
+m = n + 1 + d basis functions (L_b^y k)(x, .). With the Gaussian kernel,
+u = x - z_b, K = k(x, z_b), K0 = k(x, 0) and S = u . f(z_b) / sigma^2 - lambda:
+
+    column            value               x-gradient
+    b < n             K S                 K (f(z_b) - S u) / sigma^2
+    n                 K0                  -x K0 / sigma^2
+    n + 1 + l         x_l K0 / sigma^2    (e_l - x_l x / sigma^2) K0 / sigma^2
+
+u is formed per entry before any sum, and exp is taken once per entry. A PDE
+row of A is grads . f(z_a) - lambda values at x = z_a, the origin rows are
+the block at x = 0, h is values @ alpha and grad h is grads . alpha.
+
+For distinct functionals the Gram matrix is positive definite (Giesl &
+Wendland, SIAM J. Numer. Anal. 45, 2007) and a ridge eta is added to its
+diagonal, so it is solved by Cholesky. Assembly and evaluation are chunked
+so memory stays flat in the number of points.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import ldl, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import cKDTree
 
 from .box import Box
@@ -50,10 +64,8 @@ __all__ = [
     "CollocationSolution",
     "uniform_centers",
     "fill_distance",
-    "pde_kernel",
     "assemble_system",
     "solve",
-    "dump_system",
 ]
 
 _CHUNK = 512
@@ -162,54 +174,52 @@ def fill_distance(centers: np.ndarray, domain: Box, probe_resolution: int = 201)
     return float(np.max(dist))
 
 
-def pde_kernel(problem: CollocationProblem, x, center) -> float:
-    """The PDE functional applied to the second kernel slot:
-    grad_y k(x, z) . f(z) - lambda k(x, z)."""
-    k = problem.kernel
-    z = np.asarray(center, dtype=float)
-    fz = problem.fld.evaluate(z)
-    return float(k.grad_y(x, z) @ fz - problem.lam * k.value(x, z))
+def _field_at_centers(problem: CollocationProblem) -> np.ndarray:
+    Z = problem.centers
+    return problem.fld.evaluate_at(Z) if Z.shape[0] else np.zeros((0, problem.fld.dim))
+
+
+def _basis_block(problem: CollocationProblem, X: np.ndarray, F: np.ndarray):
+    """Values (c, m) and x-gradients (c, m, d) of the m = n + 1 + d basis
+    functions at the c points X; F holds the field at the centers."""
+    Z, lam = problem.centers, problem.lam
+    s2 = problem.kernel.sigma**2
+    n, d = Z.shape
+    c = X.shape[0]
+    values = np.empty((c, n + 1 + d))
+    grads = np.empty((c, n + 1 + d, d))
+
+    U = X[:, None, :] - Z[None, :, :]
+    K = np.exp(np.einsum("cnd,cnd->cn", U, U) / (-2.0 * s2))
+    S = np.einsum("cnd,nd->cn", U, F) / s2 - lam
+    values[:, :n] = K * S
+    grads[:, :n] = (K / s2)[:, :, None] * (F[None, :, :] - S[:, :, None] * U)
+
+    K0 = np.exp(np.einsum("cd,cd->c", X, X) / (-2.0 * s2))
+    values[:, n] = K0
+    values[:, n + 1 :] = X * (K0 / s2)[:, None]
+    grads[:, n] = -X * (K0 / s2)[:, None]
+    grads[:, n + 1 :] = (np.eye(d) - X[:, :, None] * X[:, None, :] / s2) * (
+        K0 / s2
+    )[:, None, None]
+    return values, grads
 
 
 def _assemble_raw(problem: CollocationProblem):
-    k = problem.kernel
     Z = problem.centers
-    n, d = Z.shape[0], problem.fld.dim
+    n, d = Z.shape
     m = n + 1 + d
-    lam = problem.lam
-    origin = np.zeros((1, d))
+    F = _field_at_centers(problem)
 
-    F = problem.fld.evaluate_at(Z) if n else np.zeros((0, d))
     A = np.empty((m, m))
-
     for s in range(0, n, _CHUNK):
         rows = slice(s, min(s + _CHUNK, n))
-        Xa, Fa = Z[rows], F[rows]
+        values, grads = _basis_block(problem, Z[rows], F)
+        A[rows] = np.einsum("cmd,cd->cm", grads, F[rows]) - problem.lam * values
 
-        K = k.value_matrix(Xa, Z)
-        Gx = k.grad_x_matrix(Xa, Z)
-        Gy = k.grad_y_matrix(Xa, Z)
-        H = k.cross_hessian_matrix(Xa, Z)
-        A[rows, :n] = (
-            np.einsum("ad,abde,be->ab", Fa, H, F, optimize=True)
-            - lam * np.einsum("abd,ad->ab", Gx, Fa)
-            - lam * np.einsum("abd,bd->ab", Gy, F)
-            + lam**2 * K
-        )
-
-        K0 = k.value_matrix(Xa, origin)[:, 0]
-        Gx0 = k.grad_x_matrix(Xa, origin)[:, 0]
-        Gy0 = k.grad_y_matrix(Xa, origin)[:, 0]
-        H0 = k.cross_hessian_matrix(Xa, origin)[:, 0]
-        A[rows, n] = np.einsum("ad,ad->a", Gx0, Fa) - lam * K0
-        A[rows, n + 1 :] = np.einsum("aij,ai->aj", H0, Fa) - lam * Gy0
-
-    A[n:, :n] = A[:n, n:].T
-    o = np.zeros(d)
-    A[n, n] = k.value(o, o)
-    A[n, n + 1 :] = k.grad_y(o, o)
-    A[n + 1 :, n] = A[n, n + 1 :]
-    A[n + 1 :, n + 1 :] = k.cross_hessian(o, o)
+    values, grads = _basis_block(problem, np.zeros((1, d)), F)
+    A[n] = values[0]
+    A[n + 1 :] = grads[0].T
     A = 0.5 * (A + A.T)
 
     b = np.zeros(m)
@@ -233,52 +243,6 @@ def assemble_system(problem: CollocationProblem):
     if eta:
         A[np.diag_indices_from(A)] += eta
     return A, b
-
-
-def _ldl_solver(A: np.ndarray):
-    """Factor once, solve many. Returns a solver closure for the symmetric
-    indefinite factorization P L D L^T P^T of A."""
-    lu, dmat, perm = ldl(A, lower=True)
-    L = lu[perm]
-    m = A.shape[0]
-    sub = np.r_[np.diag(dmat, -1), 0.0] if m > 1 else np.zeros(1)
-
-    blocks = []
-    i = 0
-    while i < m:
-        if i + 1 < m and sub[i] != 0.0:
-            blocks.append((i, 2))
-            i += 2
-        else:
-            blocks.append((i, 1))
-            i += 1
-
-    for i, size in blocks:
-        if size == 1 and dmat[i, i] == 0.0:
-            raise np.linalg.LinAlgError("singular diagonal block")
-        if size == 2:
-            det = dmat[i, i] * dmat[i + 1, i + 1] - dmat[i, i + 1] * dmat[i + 1, i]
-            if det == 0.0:
-                raise np.linalg.LinAlgError("singular diagonal block")
-
-    def solve_with_factors(b):
-        y = solve_triangular(L, b[perm], lower=True, unit_diagonal=True)
-        wvec = np.empty_like(y)
-        for i, size in blocks:
-            if size == 1:
-                wvec[i] = y[i] / dmat[i, i]
-            else:
-                a11, a12 = dmat[i, i], dmat[i, i + 1]
-                a21, a22 = dmat[i + 1, i], dmat[i + 1, i + 1]
-                det = a11 * a22 - a12 * a21
-                wvec[i] = (a22 * y[i] - a12 * y[i + 1]) / det
-                wvec[i + 1] = (-a21 * y[i] + a11 * y[i + 1]) / det
-        v = solve_triangular(L.T, wvec, lower=False, unit_diagonal=True)
-        x = np.empty_like(v)
-        x[perm] = v
-        return x
-
-    return solve_with_factors
 
 
 def _invnorm1_estimate(solve_fn, m: int, iters: int = 5) -> float:
@@ -313,38 +277,21 @@ class CollocationSolution:
 
     def __post_init__(self):
         if self.center_field_values is None:
-            Z = self.problem.centers
-            vals = (
-                self.problem.fld.evaluate_at(Z)
-                if Z.shape[0]
-                else np.zeros((0, self.problem.fld.dim))
-            )
-            self.center_field_values = vals
+            self.center_field_values = _field_at_centers(self.problem)
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """h at a batch of points, shape (m, d) -> (m,)."""
-        prob = self.problem
-        k, Z, lam = prob.kernel, prob.centers, prob.lam
-        n, d = Z.shape[0], prob.fld.dim
-        X = np.asarray(X, dtype=float).reshape(-1, d)
-        origin = np.zeros((1, d))
-        a_pde, a_val, a_grad = self.alpha[:n], self.alpha[n], self.alpha[n + 1 :]
-
-        out = np.empty(X.shape[0])
+    def _blocks(self, X: np.ndarray):
         for s in range(0, X.shape[0], _CHUNK):
             rows = slice(s, min(s + _CHUNK, X.shape[0]))
-            Xc = X[rows]
-            acc = np.zeros(Xc.shape[0])
-            if n:
-                K = k.value_matrix(Xc, Z)
-                Gy = k.grad_y_matrix(Xc, Z)
-                k_pde = np.einsum("ajd,jd->aj", Gy, self.center_field_values) - lam * K
-                acc += k_pde @ a_pde
-            acc += a_val * k.value_matrix(Xc, origin)[:, 0]
-            acc += k.grad_y_matrix(Xc, origin)[:, 0] @ a_grad
-            out[rows] = acc
+            yield rows, _basis_block(self.problem, X[rows], self.center_field_values)
+
+    def evaluate_many(self, X: np.ndarray) -> np.ndarray:
+        """h at a batch of points, shape (m, d) -> (m,)."""
+        X = np.asarray(X, dtype=float).reshape(-1, self.problem.fld.dim)
+        out = np.empty(X.shape[0])
+        for rows, (values, _) in self._blocks(X):
+            out[rows] = values @ self.alpha
         return out
 
     def evaluate(self, x) -> float:
@@ -352,30 +299,10 @@ class CollocationSolution:
 
     def gradient_many(self, X: np.ndarray) -> np.ndarray:
         """grad h at a batch of points, shape (m, d) -> (m, d)."""
-        prob = self.problem
-        k, Z, lam = prob.kernel, prob.centers, prob.lam
-        n, d = Z.shape[0], prob.fld.dim
-        X = np.asarray(X, dtype=float).reshape(-1, d)
-        origin = np.zeros((1, d))
-        a_pde, a_val, a_grad = self.alpha[:n], self.alpha[n], self.alpha[n + 1 :]
-
+        X = np.asarray(X, dtype=float).reshape(-1, self.problem.fld.dim)
         out = np.empty_like(X)
-        for s in range(0, X.shape[0], _CHUNK):
-            rows = slice(s, min(s + _CHUNK, X.shape[0]))
-            Xc = X[rows]
-            acc = np.zeros_like(Xc)
-            if n:
-                H = k.cross_hessian_matrix(Xc, Z)
-                Gx = k.grad_x_matrix(Xc, Z)
-                T = (
-                    np.einsum("ajde,je->ajd", H, self.center_field_values)
-                    - lam * Gx
-                )
-                acc += np.einsum("ajd,j->ad", T, a_pde)
-            acc += a_val * k.grad_x_matrix(Xc, origin)[:, 0]
-            H0 = k.cross_hessian_matrix(Xc, origin)[:, 0]
-            acc += H0 @ a_grad
-            out[rows] = acc
+        for rows, (_, grads) in self._blocks(X):
+            out[rows] = np.einsum("cmd,m->cd", grads, self.alpha)
         return out
 
     def gradient(self, x) -> np.ndarray:
@@ -385,9 +312,11 @@ class CollocationSolution:
 def solve(problem: CollocationProblem) -> CollocationSolution:
     """Assemble and solve the Gram system.
 
-    Symmetric indefinite factorization with pivoting first; least squares on
-    factorization failure or a bad residual. Warns (never raises) when the
-    1-norm condition estimate exceeds 1e12.
+    Cholesky factorization of A + eta I first, with the 1-norm condition
+    estimate from Hager's method over the Cholesky solve (deterministic, so
+    reruns stay byte-identical); least squares when the matrix is not
+    numerically positive definite or the residual is bad. Warns (never
+    raises) when the condition estimate exceeds 1e12.
     """
     A_raw, b = _assemble_raw(problem)
     eta = _resolve_eta(problem, A_raw)
@@ -399,11 +328,14 @@ def solve(problem: CollocationProblem) -> CollocationSolution:
 
     alpha = None
     cond = np.inf
-    method = "ldl"
+    method = "cholesky"
     try:
-        solver = _ldl_solver(A)
-        alpha = solver(b)
-        cond = float(np.abs(A).sum(axis=0).max() * _invnorm1_estimate(solver, m))
+        factor = cho_factor(A)
+        alpha = cho_solve(factor, b)
+        cond = float(
+            np.abs(A).sum(axis=0).max()
+            * _invnorm1_estimate(lambda v: cho_solve(factor, v), m)
+        )
         scale = float(
             np.abs(A).sum(axis=1).max() * np.max(np.abs(alpha), initial=0.0)
             + np.max(np.abs(b), initial=0.0)
@@ -439,14 +371,3 @@ def solve(problem: CollocationProblem) -> CollocationSolution:
         condition_estimate=cond,
         method=method,
     )
-
-
-def dump_system(A: np.ndarray, b: np.ndarray, alpha: np.ndarray, directory) -> None:
-    """Write A.csv, b.csv, alpha.csv (headerless, row-major) for debugging."""
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    np.savetxt(directory / "A.csv", np.atleast_2d(A), fmt="%.17g", delimiter=",")
-    np.savetxt(directory / "b.csv", np.atleast_1d(b), fmt="%.17g", delimiter=",")
-    np.savetxt(directory / "alpha.csv", np.atleast_1d(alpha), fmt="%.17g", delimiter=",")

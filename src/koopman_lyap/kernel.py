@@ -9,10 +9,10 @@ With u = x - y:
     d2k / dx dy^T    =  (I / sigma^2 - u u^T / sigma^4) k
 
 The cross Hessian is what second-order functional evaluations of the kernel
-need; for the Gaussian it is symmetric in its two slots. Matrix variants
-evaluate whole blocks at once and are the hot path of Gram assembly; the
-scalar variants are convenience wrappers with the same formulas. All methods
-are pure, so concurrent use is safe.
+need; for the Gaussian it is symmetric in its two slots. These scalar methods
+are the reference for the formulas; the block of all collocation basis
+functions over a chunk of points is built in one place, by
+collocation._basis_block. All methods are pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -57,38 +57,6 @@ class GaussianKernel:
         s2 = self.sigma**2
         return (np.eye(self.dim) / s2 - np.outer(u, u) / s2**2) * self.value(x, y)
 
-    # -- block interface ----------------------------------------------------
-
-    def value_matrix(self, X, Y) -> np.ndarray:
-        """k(x_i, y_j) for X (m, d), Y (n, d); returns (m, n)."""
-        X, Y = self._blocks(X, Y)
-        sq = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)
-        return np.exp(-sq / (2.0 * self.sigma**2))
-
-    def grad_y_matrix(self, X, Y) -> np.ndarray:
-        """(m, n, d) tensor of grad_y k(x_i, y_j)."""
-        X, Y = self._blocks(X, Y)
-        diff = X[:, None, :] - Y[None, :, :]
-        K = np.exp(-np.sum(diff**2, axis=-1) / (2.0 * self.sigma**2))
-        return diff / self.sigma**2 * K[:, :, None]
-
-    def grad_x_matrix(self, X, Y) -> np.ndarray:
-        return -self.grad_y_matrix(X, Y)
-
-    def cross_hessian_matrix(self, X, Y) -> np.ndarray:
-        """(m, n, d, d) tensor of cross Hessians."""
-        X, Y = self._blocks(X, Y)
-        s2 = self.sigma**2
-        diff = X[:, None, :] - Y[None, :, :]
-        K = np.exp(-np.sum(diff**2, axis=-1) / (2.0 * s2))
-        outer = diff[:, :, :, None] * diff[:, :, None, :]
-        eye = np.eye(self.dim)
-        return (eye[None, None] / s2 - outer / s2**2) * K[:, :, None, None]
-
-    def gram(self, X) -> np.ndarray:
-        """Plain kernel Gram matrix of point evaluations (PSD)."""
-        return self.value_matrix(X, X)
-
     # -- validation helpers ---------------------------------------------------
 
     def _pair(self, x, y):
@@ -97,13 +65,6 @@ class GaussianKernel:
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError(f"points must have shape ({self.dim},)")
         return x, y
-
-    def _blocks(self, X, Y):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if X.shape[1] != self.dim or Y.shape[1] != self.dim:
-            raise ValueError(f"point blocks must have {self.dim} columns")
-        return X, Y
 
 
 def make_kernel(family: str, sigma: float, dim: int) -> GaussianKernel:

@@ -34,7 +34,6 @@ from .collocation import (
     fill_distance,
     uniform_centers,
 )
-from .collocation import solve as solve_collocation
 from .config import ConfigError, RunConfig
 from .cpa import certify, build_triangulation, estimate_b_bound
 from .dynamics import (
@@ -49,6 +48,7 @@ from .koopman import (
     ConvergenceConditionError,
     Eigenfunction,
     EigenfunctionSet,
+    build_eigenfunctions,
     path_integral_phi,
 )
 from .lyapunov import LyapunovModel, diagnostics, grid_eval, solve_p
@@ -58,6 +58,7 @@ __all__ = [
     "ensure_output_dir",
     "stage_linearize",
     "stage_eigenfunctions",
+    "eigenfunctions_summary",
     "stage_lyapunov",
     "stage_certify",
     "stage_oracle_check",
@@ -123,36 +124,20 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
 
     np.savetxt(outdir / _CENTERS, centers, fmt="%.17g", delimiter=",")
 
-    eigs = []
-    meta_eigs = []
-    alpha_files = []
-    for i, (lam, w) in enumerate(
-        zip(lin.eigenvalues, lin.left_eigenvectors), start=1
-    ):
-        problem = CollocationProblem(
-            kernel=kern,
-            fld=fld,
-            lin=lin,
-            lam=float(lam),
-            w=w,
-            centers=centers,
-            domain=cfg.domain,
-            eta=cfg.eta,
-        )
-        sol = solve_collocation(problem)
-        name = f"eigenfunction_{i}_alpha.csv"
-        np.savetxt(outdir / name, sol.alpha, fmt="%.17g", delimiter=",")
-        alpha_files.append(name)
-        eigs.append(Eigenfunction(lam=float(lam), w=w, h=sol))
-        meta_eigs.append(
-            {
-                "eigenvalue": float(lam),
-                "left_eigenvector": w.tolist(),
-                "eta_used": sol.eta_used,
-                "condition_estimate": sol.condition_estimate,
-                "method": sol.method,
-            }
-        )
+    eigset = build_eigenfunctions(fld, lin, kern, centers, cfg.domain, cfg.eta)
+    alpha_files = [f"eigenfunction_{i}_alpha.csv" for i in range(1, len(eigset) + 1)]
+    for name, e in zip(alpha_files, eigset):
+        np.savetxt(outdir / name, e.h.alpha, fmt="%.17g", delimiter=",")
+    meta_eigs = [
+        {
+            "eigenvalue": e.lam,
+            "left_eigenvector": e.w.tolist(),
+            "eta_used": e.h.eta_used,
+            "condition_estimate": e.h.condition_estimate,
+            "method": e.h.method,
+        }
+        for e in eigset
+    ]
 
     _write_json(
         outdir / _EIGENFUNCTIONS,
@@ -165,7 +150,19 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
             "eigenfunctions": meta_eigs,
         },
     )
-    return EigenfunctionSet(tuple(eigs)), rho
+    return eigset, rho
+
+
+def eigenfunctions_summary(eigset: EigenfunctionSet, rho: float) -> str:
+    """Text report of the eigenfunctions stage: fill distance, then one line
+    per eigenvalue with its ridge, condition estimate and solver."""
+    lines = [f"fill distance: {rho:.12g}"]
+    for e in eigset:
+        lines.append(
+            f"eigenvalue {e.lam:.6g}: eta = {e.h.eta_used:.6g}, "
+            f"condition estimate = {e.h.condition_estimate:.6e} ({e.h.method})"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def load_eigenfunctions(cfg: RunConfig, outdir: Path):
@@ -389,14 +386,9 @@ def run_pipeline(cfg: RunConfig, output_dir=None) -> dict:
     outdir = ensure_output_dir(output_dir or cfg.output_dir)
     summaries = {}
 
-    eigset, rho = stage_eigenfunctions(cfg, outdir)
-    lines = [f"fill distance: {rho:.12g}"]
-    for e in eigset:
-        lines.append(
-            f"eigenvalue {e.lam:.6g}: eta = {e.h.eta_used:.6g}, "
-            f"condition estimate = {e.h.condition_estimate:.6e} ({e.h.method})"
-        )
-    summaries["eigenfunctions"] = "\n".join(lines) + "\n"
+    summaries["eigenfunctions"] = eigenfunctions_summary(
+        *stage_eigenfunctions(cfg, outdir)
+    )
 
     model, diag = stage_lyapunov(cfg, outdir)
     summaries["lyapunov"] = diag.format_text()

@@ -220,6 +220,11 @@ def test_exit_code_missing_config(capsys):
     capsys.readouterr()
 
 
+def test_bundled_config_by_name(tmp_path, capsys):
+    assert cli.main(["linearize", "example1", "--output-dir", str(tmp_path)]) == 0
+    assert "eigenvalues: -2  -3" in capsys.readouterr().out
+
+
 def test_classify_error_mapping():
     assert classify_error(ConfigError("x")) == 1
     assert classify_error(TypeError("x")) == 1

@@ -6,10 +6,9 @@ from koopman_lyap.collocation import (
     CollocationError,
     CollocationProblem,
     IllConditionedWarning,
+    _basis_block,
     assemble_system,
-    dump_system,
     fill_distance,
-    pde_kernel,
     solve,
     uniform_centers,
 )
@@ -163,20 +162,22 @@ def test_dimension_mismatch_rejected(setup):
 
 def test_pde_functional_at_its_own_center(setup):
     prob = _problem(setup, 1)
-    for z in prob.centers[::7]:
-        assert pde_kernel(prob, z, z) == pytest.approx(-prob.lam, abs=1e-15)
+    F = prob.fld.evaluate_at(prob.centers)
+    for j in range(0, prob.n_centers, 7):
+        values, _ = _basis_block(prob, prob.centers[j : j + 1], F)
+        assert values[0, j] == pytest.approx(-prob.lam, abs=1e-15)
 
 
 def test_pde_functional_matches_finite_difference(setup):
-    prob = _problem(setup, 1)
-    k = prob.kernel
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        x = rng.uniform(-2, 2, size=2)
-        z = rng.uniform(-2, 2, size=2)
-        fd = fd_gradient(lambda v: k.value(x, v), z) @ prob.fld.evaluate(z) \
-            - prob.lam * k.value(x, z)
-        assert rel_err(fd, pde_kernel(prob, x, z)) <= 1e-6
+    prob = _problem(setup, 1, centers=rng.uniform(-2, 2, size=(20, 2)))
+    k = prob.kernel
+    F = prob.fld.evaluate_at(prob.centers)
+    X = rng.uniform(-2, 2, size=(20, 2))
+    values, _ = _basis_block(prob, X, F)
+    for i, (x, z) in enumerate(zip(X, prob.centers)):
+        fd = fd_gradient(lambda v: k.value(x, v), z) @ F[i] - prob.lam * k.value(x, z)
+        assert rel_err(fd, values[i, i]) <= 1e-6
 
 
 def test_empty_problem_gives_corner_block(setup):
@@ -189,6 +190,36 @@ def test_empty_problem_gives_corner_block(setup):
     sol = solve(prob)
     np.testing.assert_array_equal(sol.alpha, np.zeros(3))
     assert sol.evaluate(np.array([0.5, 0.5])) == 0.0
+
+
+def test_assembly_matches_scalar_reference(setup):
+    # A[a, b] = L_a^x L_b^y k entry by entry from the scalar kernel methods
+    prob = _problem(setup, 1)
+    k, lam = prob.kernel, prob.lam
+    Z, F = prob.centers, prob.fld.evaluate_at(prob.centers)
+    n = prob.n_centers
+    o = np.zeros(2)
+    ref = np.empty((prob.size, prob.size))
+    for a in range(n):
+        za, fa = Z[a], F[a]
+        for b in range(n):
+            zb, fb = Z[b], F[b]
+            ref[a, b] = (
+                fa @ k.cross_hessian(za, zb) @ fb
+                - lam * k.grad_x(za, zb) @ fa
+                - lam * k.grad_y(za, zb) @ fb
+                + lam**2 * k.value(za, zb)
+            )
+        ref[a, n] = k.grad_x(za, o) @ fa - lam * k.value(za, o)
+        ref[a, n + 1 :] = fa @ k.cross_hessian(za, o) - lam * k.grad_y(za, o)
+        ref[n, a] = k.grad_y(o, za) @ fa - lam * k.value(o, za)
+        ref[n + 1 :, a] = k.cross_hessian(o, za) @ fa - lam * k.grad_x(o, za)
+    ref[n, n] = k.value(o, o)
+    ref[n, n + 1 :] = ref[n + 1 :, n] = k.grad_y(o, o)
+    ref[n + 1 :, n + 1 :] = k.cross_hessian(o, o)
+
+    A, _ = assemble_system(prob)
+    assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_gram_matrix_symmetric_and_near_psd(setup):
@@ -240,7 +271,7 @@ def solved(setup):
 
 
 def test_solver_used_factorization(solved):
-    assert solved.method == "ldl"
+    assert solved.method == "cholesky"
     assert np.isfinite(solved.condition_estimate)
     assert solved.condition_estimate > 0
 
@@ -303,12 +334,17 @@ def test_ill_conditioned_solve_warns(setup):
     assert np.all(np.isfinite(sol.alpha))
 
 
-def test_dump_system_roundtrip(setup, tmp_path):
-    prob = _problem(setup, 1)
-    A, b = assemble_system(prob)
-    alpha = solve(prob).alpha
-    dump_system(A, b, alpha, tmp_path)
-    for name, ref in (("A.csv", A), ("b.csv", b), ("alpha.csv", alpha)):
-        back = np.loadtxt(tmp_path / name, delimiter=",")
-        # 17 significant digits round-trip doubles exactly
-        np.testing.assert_array_equal(back, ref)
+def test_cholesky_failure_falls_back_to_lstsq(setup):
+    # a wide kernel on a dense grid without ridge is not numerically
+    # positive definite, so the factorization fails
+    fld, lin, domain, _, _ = setup
+    prob = CollocationProblem(
+        kernel=GaussianKernel(sigma=3.0, dim=2),
+        fld=fld, lin=lin,
+        lam=float(lin.eigenvalues[1]), w=lin.left_eigenvectors[1],
+        centers=uniform_centers(domain, 10), domain=domain, eta=0.0,
+    )
+    with pytest.warns(IllConditionedWarning, match="condition estimate"):
+        sol = solve(prob)
+    assert sol.method == "lstsq"
+    assert np.all(np.isfinite(sol.alpha))

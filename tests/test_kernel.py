@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from koopman_lyap.box import Box
+from koopman_lyap.collocation import CollocationProblem, _basis_block
+from koopman_lyap.dynamics import linearize
+from koopman_lyap.expr import parse_vector_field
 from koopman_lyap.kernel import GaussianKernel, make_kernel
 
 from fdtools import fd_gradient, fd_jacobian, rel_err
@@ -87,43 +91,42 @@ def test_derivatives_match_finite_differences(k3):
         assert rel_err(fd_h, k3.cross_hessian(x, y)) <= 1e-6
 
 
-# --- block forms -------------------------------------------------------------
-
-
-def test_gram_symmetric_and_near_psd(k3):
-    X = np.random.default_rng(4).uniform(-5, 5, size=(50, 2))
-    G = k3.gram(X)
-    assert G.shape == (50, 50)
-    assert np.max(np.abs(G - G.T)) <= 1e-14
-    np.testing.assert_array_equal(np.diag(G), np.ones(50))
-    eigs = np.linalg.eigvalsh(G)
-    assert eigs.min() >= -1e-10 * 50
+# --- collocation basis block ---------------------------------------------------
 
 
 def test_block_forms_match_scalar(k3):
+    # the one block engine against the scalar reference formulas
+    fld = parse_vector_field(["-2*x1", "-3*(x2 - x1^2)"])
+    lin = linearize(fld)
     rng = np.random.default_rng(5)
+    Z = rng.uniform(-4, 4, size=(4, 2))
+    prob = CollocationProblem(
+        kernel=k3, fld=fld, lin=lin, lam=float(lin.eigenvalues[1]),
+        w=lin.left_eigenvectors[1], centers=Z,
+        domain=Box(np.array([-4.0, -4.0]), np.array([4.0, 4.0])),
+    )
+    F = fld.evaluate_at(Z)
     X = rng.uniform(-4, 4, size=(6, 2))
-    Y = rng.uniform(-4, 4, size=(4, 2))
-    V = k3.value_matrix(X, Y)
-    Gy = k3.grad_y_matrix(X, Y)
-    Gx = k3.grad_x_matrix(X, Y)
-    H = k3.cross_hessian_matrix(X, Y)
-    assert V.shape == (6, 4)
-    assert Gy.shape == (6, 4, 2)
-    assert H.shape == (6, 4, 2, 2)
-    for i in range(6):
-        for j in range(4):
-            assert V[i, j] == pytest.approx(k3.value(X[i], Y[j]), rel=1e-15)
-            np.testing.assert_allclose(Gy[i, j], k3.grad_y(X[i], Y[j]), atol=1e-16)
-            np.testing.assert_allclose(Gx[i, j], k3.grad_x(X[i], Y[j]), atol=1e-16)
-            np.testing.assert_allclose(H[i, j], k3.cross_hessian(X[i], Y[j]), atol=1e-16)
+    values, grads = _basis_block(prob, X, F)
+    assert values.shape == (6, 7)
+    assert grads.shape == (6, 7, 2)
+    o = np.zeros(2)
+    for i, x in enumerate(X):
+        for j, z in enumerate(Z):
+            ref = k3.grad_y(x, z) @ F[j] - prob.lam * k3.value(x, z)
+            assert values[i, j] == pytest.approx(ref, rel=1e-14, abs=1e-16)
+        assert values[i, 4] == pytest.approx(k3.value(x, o), rel=1e-15)
+        np.testing.assert_allclose(values[i, 5:], k3.grad_y(x, o), rtol=1e-14, atol=1e-16)
+
+        def block_values(v):
+            return _basis_block(prob, v[None, :], F)[0][0]
+
+        assert rel_err(fd_jacobian(block_values, x), grads[i]) <= 1e-6
 
 
 def test_shape_validation(k3):
     with pytest.raises(ValueError, match="shape"):
         k3.value(np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError, match="columns"):
-        k3.value_matrix(np.zeros((4, 3)), np.zeros((4, 3)))
 
 
 def test_constructor_validation():
