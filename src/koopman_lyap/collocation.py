@@ -179,25 +179,31 @@ def _field_at_centers(problem: CollocationProblem) -> np.ndarray:
     return problem.fld.evaluate_at(Z) if Z.shape[0] else np.zeros((0, problem.fld.dim))
 
 
-def _basis_block(problem: CollocationProblem, X: np.ndarray, F: np.ndarray):
+def _basis_block(
+    problem: CollocationProblem, X: np.ndarray, F: np.ndarray, gradients: bool = True
+):
     """Values (c, m) and x-gradients (c, m, d) of the m = n + 1 + d basis
-    functions at the c points X; F holds the field at the centers."""
+    functions at the c points X; F holds the field at the centers. Without
+    gradients the (c, m, d) tensor is never formed and None is returned
+    in its place."""
     Z, lam = problem.centers, problem.lam
     s2 = problem.kernel.sigma**2
     n, d = Z.shape
     c = X.shape[0]
     values = np.empty((c, n + 1 + d))
-    grads = np.empty((c, n + 1 + d, d))
+    grads = np.empty((c, n + 1 + d, d)) if gradients else None
 
     U = X[:, None, :] - Z[None, :, :]
     K = np.exp(np.einsum("cnd,cnd->cn", U, U) / (-2.0 * s2))
     S = np.einsum("cnd,nd->cn", U, F) / s2 - lam
     values[:, :n] = K * S
-    grads[:, :n] = (K / s2)[:, :, None] * (F[None, :, :] - S[:, :, None] * U)
-
     K0 = np.exp(np.einsum("cd,cd->c", X, X) / (-2.0 * s2))
     values[:, n] = K0
     values[:, n + 1 :] = X * (K0 / s2)[:, None]
+    if not gradients:
+        return values, None
+
+    grads[:, :n] = (K / s2)[:, :, None] * (F[None, :, :] - S[:, :, None] * U)
     grads[:, n] = -X * (K0 / s2)[:, None]
     grads[:, n + 1 :] = (np.eye(d) - X[:, :, None] * X[:, None, :] / s2) * (
         K0 / s2
@@ -281,32 +287,28 @@ class CollocationSolution:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _blocks(self, X: np.ndarray):
+    def _evaluate(self, X: np.ndarray, gradients: bool):
+        X = np.asarray(X, dtype=float).reshape(-1, self.problem.fld.dim)
+        h = np.empty(X.shape[0])
+        grad = np.empty_like(X) if gradients else None
         for s in range(0, X.shape[0], _CHUNK):
             rows = slice(s, min(s + _CHUNK, X.shape[0]))
-            yield rows, _basis_block(self.problem, X[rows], self.center_field_values)
+            values, grads = _basis_block(
+                self.problem, X[rows], self.center_field_values, gradients
+            )
+            h[rows] = values @ self.alpha
+            if gradients:
+                grad[rows] = np.einsum("cmd,m->cd", grads, self.alpha)
+        return h, grad
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """h at a batch of points, shape (m, d) -> (m,)."""
-        X = np.asarray(X, dtype=float).reshape(-1, self.problem.fld.dim)
-        out = np.empty(X.shape[0])
-        for rows, (values, _) in self._blocks(X):
-            out[rows] = values @ self.alpha
-        return out
+        """h at a batch of points, shape (c, d) -> (c,); no gradients formed."""
+        return self._evaluate(X, gradients=False)[0]
 
-    def evaluate(self, x) -> float:
-        return float(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def gradient_many(self, X: np.ndarray) -> np.ndarray:
-        """grad h at a batch of points, shape (m, d) -> (m, d)."""
-        X = np.asarray(X, dtype=float).reshape(-1, self.problem.fld.dim)
-        out = np.empty_like(X)
-        for rows, (_, grads) in self._blocks(X):
-            out[rows] = np.einsum("cmd,m->cd", grads, self.alpha)
-        return out
-
-    def gradient(self, x) -> np.ndarray:
-        return self.gradient_many(np.asarray(x, dtype=float)[None, :])[0]
+    def evaluate_with_gradient(self, X: np.ndarray):
+        """h and grad h at a batch of points, shape (c, d) -> ((c,), (c, d)),
+        both contracted from one basis block per chunk."""
+        return self._evaluate(X, gradients=True)
 
 
 def solve(problem: CollocationProblem) -> CollocationSolution:

@@ -42,10 +42,8 @@ __all__ = [
     "CPAError",
     "Triangulation",
     "build_triangulation",
-    "simplex_gradient",
     "BBound",
     "estimate_b_bound",
-    "curvature_correction",
     "CertificationReport",
     "certify",
 ]
@@ -147,20 +145,6 @@ def _simplex_gradients(tri: Triangulation, vertex_values: np.ndarray) -> np.ndar
     return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
 
 
-def simplex_gradient(
-    tri: Triangulation, simplex_index: int, vertex_values: np.ndarray
-) -> np.ndarray:
-    """Gradient of the affine interpolant on one simplex."""
-    vals = np.asarray(vertex_values, dtype=float)
-    if vals.shape != (tri.n_vertices,):
-        raise CPAError(f"vertex_values must have shape ({tri.n_vertices},)")
-    idx = tri.simplices[simplex_index]
-    pts = tri.vertices[idx]
-    M = pts[1:] - pts[0]
-    rhs = vals[idx][1:] - vals[idx][0]
-    return np.linalg.solve(M, rhs)
-
-
 @dataclass(frozen=True)
 class BBound:
     """Elementwise bound on the second partials of the field components."""
@@ -225,18 +209,6 @@ def _curvature_corrections(tri: Triangulation, b: BBound) -> np.ndarray:
     quad = np.einsum("sir,ru,siu->si", D, B, D)
     lin = np.einsum("sir,r->si", D, B.sum(axis=1))
     return 0.5 * (quad + lin * D[:, :, -1])
-
-
-def curvature_correction(
-    tri: Triangulation, simplex_index: int, vertex_i: int, b: BBound
-) -> float:
-    """Interpolation-error margin E_{nu,i} for one (simplex, vertex) pair."""
-    B = b.matrix
-    idx = tri.simplices[simplex_index]
-    delta = np.abs(tri.vertices[idx[vertex_i]] - tri.vertices[idx[0]])
-    quad = float(delta @ B @ delta)
-    lin = float(B.sum(axis=1) @ delta) * float(delta[-1])
-    return 0.5 * (quad + lin)
 
 
 @dataclass(frozen=True)

@@ -44,28 +44,30 @@ class ConvergenceConditionError(DynamicsError):
 
 @dataclass(frozen=True)
 class Eigenfunction:
-    """phi(x) = w . x + h(x). h only needs evaluate/gradient (plus the _many
-    batch forms for grids), so closed-form substitutes slot in for testing."""
+    """phi(x) = w . x + h(x), evaluated in batches of points X of shape (c, d).
+
+    h needs two methods: ``evaluate_many(X)`` returning h, shape (c,), and
+    ``evaluate_with_gradient(X)`` returning (h, grad h), shapes (c,) and
+    (c, d). A CollocationSolution provides both; closed-form substitutes
+    slot in for testing.
+    """
 
     lam: float
     w: np.ndarray
     h: CollocationSolution
 
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.w @ x + self.h.evaluate(x))
-
-    def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.w + self.h.gradient(x)
-
     def value_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         return X @ self.w + self.h.evaluate_many(X)
 
-    def gradient_many(self, X: np.ndarray) -> np.ndarray:
+    def evaluate_with_gradient(self, X: np.ndarray):
+        """phi and grad phi at a batch of points, from one evaluation of h."""
         X = np.asarray(X, dtype=float)
-        return self.w[None, :] + self.h.gradient_many(X)
+        h, grad_h = self.h.evaluate_with_gradient(X)
+        return X @ self.w + h, self.w[None, :] + grad_h
+
+    def gradient_many(self, X: np.ndarray) -> np.ndarray:
+        return self.evaluate_with_gradient(X)[1]
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ __all__ = [
     "DiagnosticsReport",
     "diagnostics",
     "SurfaceGrid",
+    "GridEvaluation",
     "grid_eval",
 ]
 
@@ -81,29 +82,34 @@ class LyapunovModel:
     def eigenvalues(self) -> np.ndarray:
         return self.eigenfunctions.eigenvalues
 
-    def _phi_matrix(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([e.value_many(X) for e in self.eigenfunctions], axis=1)
-
     def value_many(self, X: np.ndarray) -> np.ndarray:
-        """V at a batch of points (m, d) -> (m,)."""
-        Phi = self._phi_matrix(np.asarray(X, dtype=float))
+        """V at a batch of points (m, d) -> (m,), from eigenfunction values only."""
+        X = np.asarray(X, dtype=float)
+        Phi = np.stack([e.value_many(X) for e in self.eigenfunctions], axis=1)
         return np.einsum("mi,ij,mj->m", Phi, self.P, Phi)
 
     def value(self, x) -> float:
         return float(self.value_many(np.asarray(x, dtype=float)[None, :])[0])
 
-    def orbital_derivative_many(self, fld: VectorField, X: np.ndarray) -> np.ndarray:
-        """Vdot along the field at a batch of points (m, d) -> (m,)."""
+    def evaluate_with_derivative(self, fld: VectorField, X: np.ndarray):
+        """Phi (m, d), V (m,) and Vdot along the field (m,) at a batch of
+        points, from one phi/grad phi evaluation per eigenfunction."""
         X = np.asarray(X, dtype=float)
-        Phi = self._phi_matrix(X)
         fX = fld.evaluate_at(X)
-        dPhi = np.stack(
-            [np.sum(e.gradient_many(X) * fX, axis=1) for e in self.eigenfunctions],
-            axis=1,
-        )
-        return np.einsum("mi,ij,mj->m", dPhi, self.P, Phi) + np.einsum(
+        Phi = np.empty((X.shape[0], len(self.eigenfunctions)))
+        dPhi = np.empty_like(Phi)
+        for i, e in enumerate(self.eigenfunctions):
+            Phi[:, i], grad = e.evaluate_with_gradient(X)
+            dPhi[:, i] = np.sum(grad * fX, axis=1)
+        V = np.einsum("mi,ij,mj->m", Phi, self.P, Phi)
+        Vdot = np.einsum("mi,ij,mj->m", dPhi, self.P, Phi) + np.einsum(
             "mi,ij,mj->m", Phi, self.P, dPhi
         )
+        return Phi, V, Vdot
+
+    def orbital_derivative_many(self, fld: VectorField, X: np.ndarray) -> np.ndarray:
+        """Vdot along the field at a batch of points (m, d) -> (m,)."""
+        return self.evaluate_with_derivative(fld, X)[2]
 
     def orbital_derivative(self, fld: VectorField, x) -> float:
         return float(
@@ -127,8 +133,6 @@ class DiagnosticsReport:
     p_frobenius_bound: float
     bound_holds: bool
     sup_phi: np.ndarray
-    domain: Box
-    resolution: int
 
     def format_text(self) -> str:
         lines = [
@@ -146,15 +150,11 @@ class DiagnosticsReport:
 
 
 def diagnostics(
-    model: LyapunovModel, fill_dist: float, domain: Box, resolution: int = 41
+    model: LyapunovModel, fill_dist: float, grid: GridEvaluation
 ) -> DiagnosticsReport:
-    """Report bound ingredients on a probe grid; nothing here raises on a
-    violated inequality, values are for inspection."""
+    """Report bound ingredients, with sup |phi_i| over an evaluated grid;
+    nothing here raises on a violated inequality, values are for inspection."""
     lams = model.eigenvalues
-    probes = domain.grid(resolution)
-    sup_phi = np.array(
-        [float(np.max(np.abs(e.value_many(probes)))) for e in model.eigenfunctions]
-    )
     p_fro = float(np.linalg.norm(model.P, "fro"))
     alpha = float(np.min(np.abs(lams)))
     bound = 1.0 / (2.0 * alpha)
@@ -165,9 +165,7 @@ def diagnostics(
         p_frobenius=p_fro,
         p_frobenius_bound=bound,
         bound_holds=bool(p_fro <= bound),
-        sup_phi=sup_phi,
-        domain=domain,
-        resolution=int(resolution),
+        sup_phi=np.max(np.abs(grid.phi), axis=0),
     )
 
 
@@ -198,27 +196,27 @@ class SurfaceGrid:
                     )
 
 
+@dataclass(frozen=True)
+class GridEvaluation:
+    """Phi, V and Vdot over one uniform 2-D grid, from one evaluation pass."""
+
+    phi: np.ndarray  # (nx * ny, d), grid points row-major in the first axis
+    V: SurfaceGrid
+    Vdot: SurfaceGrid
+
+
 def grid_eval(
-    model: LyapunovModel,
-    fld: VectorField,
-    domain: Box,
-    resolution,
-    quantity: str,
-) -> SurfaceGrid:
-    """Sample V or Vdot over a uniform grid of the (2-D) domain."""
+    model: LyapunovModel, fld: VectorField, domain: Box, resolution
+) -> GridEvaluation:
+    """Sample Phi, V and Vdot over a uniform grid of the (2-D) domain."""
     if domain.dim != 2:
         raise LyapunovError("surface grids are 2-D only")
-    if quantity not in ("V", "Vdot"):
-        raise LyapunovError(f"unknown quantity {quantity!r} (use 'V' or 'Vdot')")
     res = domain._resolution_tuple(resolution)
-    pts = domain.grid(res)
-    if quantity == "V":
-        vals = model.value_many(pts)
-    else:
-        vals = model.orbital_derivative_many(fld, pts)
-    return SurfaceGrid(
-        domain=domain,
-        resolution=res,
-        quantity=quantity,
-        values=vals.reshape(res),
+    Phi, V, Vdot = model.evaluate_with_derivative(fld, domain.grid(res))
+    return GridEvaluation(
+        phi=Phi,
+        V=SurfaceGrid(domain=domain, resolution=res, quantity="V", values=V.reshape(res)),
+        Vdot=SurfaceGrid(
+            domain=domain, resolution=res, quantity="Vdot", values=Vdot.reshape(res)
+        ),
     )

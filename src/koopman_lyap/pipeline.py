@@ -223,15 +223,10 @@ def stage_lyapunov(cfg: RunConfig, outdir: Path):
     P = solve_p(eigset.eigenvalues)
     model = LyapunovModel(eigenfunctions=eigset, P=P)
 
-    grid_eval(model, fld, cfg.test_domain, cfg.test_resolution, "V").to_csv(
-        outdir / "V.csv"
-    )
-    grid_eval(model, fld, cfg.test_domain, cfg.test_resolution, "Vdot").to_csv(
-        outdir / "Vdot.csv"
-    )
-    report = diagnostics(
-        model, meta["fill_distance"], cfg.test_domain, cfg.test_resolution
-    )
+    grid = grid_eval(model, fld, cfg.test_domain, cfg.test_resolution)
+    grid.V.to_csv(outdir / "V.csv")
+    grid.Vdot.to_csv(outdir / "Vdot.csv")
+    report = diagnostics(model, meta["fill_distance"], grid)
     (outdir / "diagnostics.txt").write_text(report.format_text(), encoding="utf-8")
     _write_json(
         outdir / _MODEL,
@@ -302,8 +297,7 @@ def stage_oracle_check(cfg: RunConfig, outdir: Path):
             continue
         skipped.append(False)
         rows = []
-        for x in pts:
-            phi = e.value(x)
+        for x, phi in zip(pts, e.value_many(pts)):
             integral = path_integral_phi(
                 fld, lin, e.lam, e.w, x, t_max=cfg.oracle_t_max, dt=cfg.oracle_dt
             )

@@ -31,6 +31,7 @@ from koopman_lyap.koopman import (
 )
 from koopman_lyap.lyapunov import LyapunovModel, solve_p
 
+from fakes import Quadratic, ZeroH
 from fdtools import fd_gradient, rel_err
 
 _EX1_DOMAIN = Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
@@ -86,37 +87,6 @@ def duffing_model(duffing):
         warnings.simplefilter("ignore", IllConditionedWarning)
         eigs = build_eigenfunctions(fld, lin, kern, centers, domain, eta=1e-10)
     return fld, LyapunovModel(eigenfunctions=eigs, P=solve_p(eigs.eigenvalues))
-
-
-class _ZeroH:
-    def evaluate(self, x):
-        return 0.0
-
-    def gradient(self, x):
-        return np.zeros(2)
-
-    def evaluate_many(self, X):
-        return np.zeros(np.asarray(X).shape[0])
-
-    def gradient_many(self, X):
-        return np.zeros_like(np.asarray(X, dtype=float))
-
-
-class _Quadratic:
-    def evaluate(self, x):
-        return 3.0 * float(x[0]) ** 2
-
-    def gradient(self, x):
-        return np.array([6.0 * float(x[0]), 0.0])
-
-    def evaluate_many(self, X):
-        return 3.0 * np.asarray(X)[:, 0] ** 2
-
-    def gradient_many(self, X):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros_like(X)
-        out[:, 0] = 6.0 * X[:, 0]
-        return out
 
 
 def test_criterion_01_homogeneous_correction_vanishes(ex1_eigs):
@@ -175,8 +145,8 @@ def test_criterion_04_quadratic_form_solves_lyapunov_equation(ex1, duffing):
 
 
 def test_criterion_05_exact_eigenfunction_values():
-    phi1 = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=_ZeroH())
-    phi2 = Eigenfunction(lam=-3.0, w=np.array([0.0, 1.0]), h=_Quadratic())
+    phi1 = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=ZeroH())
+    phi2 = Eigenfunction(lam=-3.0, w=np.array([0.0, 1.0]), h=Quadratic())
     model = LyapunovModel(
         eigenfunctions=EigenfunctionSet((phi1, phi2)), P=solve_p([-2.0, -3.0])
     )
@@ -203,11 +173,11 @@ def test_criterion_07_path_integral_agreement(ex1, ex1_eigs):
     rng = np.random.default_rng(0)
     pts = np.vstack([[1.0, 0.0], rng.uniform(-1.0, 1.0, size=(9, 2))])
     diffs = []
-    for x in pts:
+    for x, phi in zip(pts, phi2.value_many(pts)):
         integral = path_integral_phi(
             fld, lin, phi2.lam, phi2.w, x, t_max=20.0, dt=1e-3
         )
-        diffs.append(abs(phi2.value(x) - integral))
+        diffs.append(abs(phi - integral))
         if x[0] == 1.0 and x[1] == 0.0:
             assert integral == pytest.approx(3.0, abs=1e-2)
     assert max(diffs) <= 1e-2
@@ -278,6 +248,8 @@ def test_criterion_11_finite_difference_stack(ex1):
         centers=uniform_centers(window, 7), domain=window, eta=0.0,
     )
     sol = _quiet_solve(problem)
-    for _ in range(100):
-        x = rng.uniform(-2, 2, size=2)
-        assert rel_err(fd_gradient(sol.evaluate, x), sol.gradient(x)) <= 1e-6
+    X = np.array([rng.uniform(-2, 2, size=2) for _ in range(100)])
+    _, grads = sol.evaluate_with_gradient(X)
+    for x, grad in zip(X, grads):
+        fd = fd_gradient(lambda v: sol.evaluate_many(v[None, :])[0], x)
+        assert rel_err(fd, grad) <= 1e-6

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from koopman_lyap import cli, pipeline
+from koopman_lyap import cli, collocation, pipeline
 from koopman_lyap.collocation import SingularSystemError
 from koopman_lyap.config import ConfigError, load_config
 from koopman_lyap.dynamics import BlowUpError, EquilibriumError, SpectrumError
@@ -261,11 +264,15 @@ def test_threads_validation(tiny_cfg_path):
 
 
 def test_module_entry_point_fresh_interpreter(tiny_cfg_path, tmp_path):
-    # a fresh interpreter takes the env-var path for --threads and exits 0
+    # a fresh interpreter takes the env-var path for --threads and exits 0;
+    # it imports the package from this checkout's src, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "koopman_lyap.cli", "linearize",
          str(tiny_cfg_path), "--output-dir", str(tmp_path), "--threads", "1"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "E =" in proc.stdout
@@ -285,6 +292,30 @@ def test_load_eigenfunctions_rejects_system_swap(tiny_cfg_path, tmp_path):
     )
     with pytest.raises(ConfigError, match="do not match"):
         pipeline.load_eigenfunctions(load_config(other), tmp_path)
+
+
+def test_one_basis_block_per_eigenfunction_per_chunk(tiny_cfg_path, tmp_path, monkeypatch):
+    # the lyapunov stage evaluates phi and grad phi once per eigenfunction
+    # per chunk of the test grid; certification needs values only
+    cfg = load_config(tiny_cfg_path)
+    pipeline.stage_eigenfunctions(cfg, tmp_path)
+    with_gradients = []
+    block = collocation._basis_block
+
+    def counting(*args, **kwargs):
+        values, grads = block(*args, **kwargs)
+        with_gradients.append(grads is not None)
+        return values, grads
+
+    monkeypatch.setattr(collocation, "_basis_block", counting)
+    pipeline.stage_lyapunov(cfg, tmp_path)
+    n_points = cfg.test_resolution**cfg.dim
+    chunks = math.ceil(n_points / collocation._CHUNK)
+    assert with_gradients == [True] * (cfg.dim * chunks)
+
+    with_gradients.clear()
+    pipeline.stage_certify(cfg, tmp_path)
+    assert with_gradients and not any(with_gradients)
 
 
 def test_surface_csv_headers_follow_test_grid(finished_run):

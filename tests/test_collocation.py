@@ -189,7 +189,7 @@ def test_empty_problem_gives_corner_block(setup):
     np.testing.assert_array_equal(b, np.zeros(3))
     sol = solve(prob)
     np.testing.assert_array_equal(sol.alpha, np.zeros(3))
-    assert sol.evaluate(np.array([0.5, 0.5])) == 0.0
+    assert sol.evaluate_many(np.array([[0.5, 0.5]]))[0] == 0.0
 
 
 def test_assembly_matches_scalar_reference(setup):
@@ -280,8 +280,7 @@ def test_pde_residual_at_centers(setup, solved):
     prob = solved.problem
     Z = prob.centers
     _, b = assemble_system(prob)
-    grads = solved.gradient_many(Z)
-    vals = solved.evaluate_many(Z)
+    vals, grads = solved.evaluate_with_gradient(Z)
     F = prob.fld.evaluate_at(Z)
     resid = np.einsum("ij,ij->i", grads, F) - prob.lam * vals - b[: prob.n_centers]
     bound = 1e-8 * np.max(np.abs(b)) + 1e-10
@@ -289,9 +288,9 @@ def test_pde_residual_at_centers(setup, solved):
 
 
 def test_origin_conditions_for_unregularized_solve(solved):
-    origin = np.zeros(2)
-    assert abs(solved.evaluate(origin)) <= 1e-10
-    assert np.max(np.abs(solved.gradient(origin))) <= 1e-9
+    h, grad = solved.evaluate_with_gradient(np.zeros((1, 2)))
+    assert abs(h[0]) <= 1e-10
+    assert np.max(np.abs(grad[0])) <= 1e-9
 
 
 def test_homogeneous_rhs_gives_zero_solution(setup):
@@ -305,20 +304,25 @@ def test_gradient_matches_finite_difference(solved):
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = rng.uniform(-2, 2, size=2)
-        fd = fd_gradient(solved.evaluate, x)
-        assert rel_err(fd, solved.gradient(x)) <= 1e-6
+        fd = fd_gradient(lambda v: solved.evaluate_many(v[None, :])[0], x)
+        _, grad = solved.evaluate_with_gradient(x[None, :])
+        assert rel_err(fd, grad[0]) <= 1e-6
 
 
 def test_batch_eval_matches_pointwise(solved):
-    # batch BLAS products accumulate in a different order than single rows,
-    # so agreement is near machine precision, not bitwise
+    # the values-only and the joint path contract the same basis values, so
+    # they agree bitwise; batch BLAS products accumulate in a different order
+    # than single rows, so a 1-row batch agrees near machine precision
     X = np.random.default_rng(3).uniform(-2, 2, size=(17, 2))
-    vals = solved.evaluate_many(X)
-    grads = solved.gradient_many(X)
+    vals, grads = solved.evaluate_with_gradient(X)
+    np.testing.assert_array_equal(solved.evaluate_many(X), vals)
     tol = 1e-12 * np.max(np.abs(solved.alpha))
-    for i, x in enumerate(X):
-        assert vals[i] == pytest.approx(solved.evaluate(x), abs=tol)
-        np.testing.assert_allclose(grads[i], solved.gradient(x), atol=tol)
+    for i in range(X.shape[0]):
+        row = X[i : i + 1]
+        val, grad = solved.evaluate_with_gradient(row)
+        assert vals[i] == pytest.approx(val[0], abs=tol)
+        assert vals[i] == pytest.approx(solved.evaluate_many(row)[0], abs=tol)
+        np.testing.assert_allclose(grads[i], grad[0], atol=tol)
 
 
 def test_ill_conditioned_solve_warns(setup):

@@ -5,11 +5,11 @@ from koopman_lyap.box import Box
 from koopman_lyap.cpa import (
     BBound,
     CPAError,
+    _curvature_corrections,
+    _simplex_gradients,
     build_triangulation,
     certify,
-    curvature_correction,
     estimate_b_bound,
-    simplex_gradient,
 )
 from koopman_lyap.expr import parse_vector_field
 
@@ -88,10 +88,9 @@ def test_triangulation_is_two_dimensional_only():
 
 def test_simplex_gradient_reproduces_affine(tri_small):
     vals = 2.0 * tri_small.vertices[:, 0] + 3.0 * tri_small.vertices[:, 1] + 7.0
+    grads = _simplex_gradients(tri_small, vals)
     for s in range(tri_small.n_simplices):
-        np.testing.assert_allclose(
-            simplex_gradient(tri_small, s, vals), [2.0, 3.0], rtol=1e-13
-        )
+        np.testing.assert_allclose(grads[s], [2.0, 3.0], rtol=1e-13)
 
 
 def test_simplex_gradient_of_square_term():
@@ -101,12 +100,12 @@ def test_simplex_gradient_of_square_term():
     vals = tri.vertices[:, 0] ** 2
     base = tri.simplices[0]
     np.testing.assert_array_equal(tri.vertices[base[0]], [0.0, 0.0])
-    np.testing.assert_allclose(simplex_gradient(tri, 0, vals), [0.5, 0.0], atol=1e-15)
+    np.testing.assert_allclose(_simplex_gradients(tri, vals)[0], [0.5, 0.0], atol=1e-15)
 
 
 def test_gradient_rejects_wrong_value_count(tri_small):
     with pytest.raises(CPAError, match="vertex_values"):
-        simplex_gradient(tri_small, 0, np.zeros(4))
+        _simplex_gradients(tri_small, np.zeros(4))
 
 
 # --- curvature bound -------------------------------------------------------------
@@ -163,19 +162,20 @@ def test_estimate_b_bound_safety_floor():
 
 
 def test_curvature_correction_base_vertex_is_zero(tri_small):
-    b = BBound(np.array([[6.0, 0.0], [0.0, 0.0]]))
+    E = _curvature_corrections(tri_small, BBound(np.array([[6.0, 0.0], [0.0, 0.0]])))
     for s in range(tri_small.n_simplices):
-        assert curvature_correction(tri_small, s, 0, b) == 0.0
+        assert E[s, 0] == 0.0
 
 
 def test_curvature_correction_known_values():
     tri = build_triangulation(_box(-1.0, 1.0), 4)  # h = 0.5
     b = BBound(np.array([[6.0, 0.0], [0.0, 0.0]]))
     h = 0.5
+    E = _curvature_corrections(tri, b)
     for s, svtx in enumerate(tri.simplices):
         deltas = tri.vertices[svtx] - tri.vertices[svtx[0]]
         for i in (1, 2):
-            e = curvature_correction(tri, s, i, b)
+            e = E[s, i]
             dx = abs(deltas[i][0])
             dy = abs(deltas[i][1])
             # quad term 6 dx^2, linear term 6 dx scaled by the last axis offset
@@ -185,10 +185,10 @@ def test_curvature_correction_known_values():
 
 
 def test_curvature_correction_zero_bound(tri_small):
-    b = BBound(np.zeros((2, 2)))
+    E = _curvature_corrections(tri_small, BBound(np.zeros((2, 2))))
     for s in range(tri_small.n_simplices):
         for i in range(3):
-            assert curvature_correction(tri_small, s, i, b) == 0.0
+            assert E[s, i] == 0.0
 
 
 def test_curvature_scales_quadratically_with_mesh():
@@ -197,11 +197,11 @@ def test_curvature_scales_quadratically_with_mesh():
     dom = Box(np.zeros(2), 2.0 * np.ones(2))
     coarse = build_triangulation(dom, 2)
     fine = build_triangulation(dom, 4)
+    e_coarse = _curvature_corrections(coarse, b)
+    e_fine = _curvature_corrections(fine, b)
     for i in (1, 2):
-        assert curvature_correction(coarse, 0, i, b) > 0.0
-        assert curvature_correction(fine, 0, i, b) == pytest.approx(
-            curvature_correction(coarse, 0, i, b) / 4.0, rel=1e-14
-        )
+        assert e_coarse[0, i] > 0.0
+        assert e_fine[0, i] == pytest.approx(e_coarse[0, i] / 4.0, rel=1e-14)
 
 
 # --- certification ---------------------------------------------------------------

@@ -14,6 +14,8 @@ from koopman_lyap.koopman import (
     path_integral_phi,
 )
 
+from fakes import ZeroH
+
 
 @pytest.fixture(scope="module")
 def cubic():
@@ -40,19 +42,20 @@ def test_build_returns_one_per_eigenvalue(cubic, eigs):
 
 def test_eigenfunction_vanishes_at_origin(eigs):
     for e in eigs:
-        assert abs(e.value(np.zeros(2))) <= 1e-10
+        assert abs(e.value_many(np.zeros((1, 2)))[0]) <= 1e-10
 
 
 def test_eigenfunction_gradient_at_origin_is_w(eigs):
     for e in eigs:
-        np.testing.assert_allclose(e.gradient(np.zeros(2)), e.w, atol=1e-9)
+        _, grad = e.evaluate_with_gradient(np.zeros((1, 2)))
+        np.testing.assert_allclose(grad[0], e.w, atol=1e-9)
 
 
 def test_slow_eigenfunction_is_linear_coordinate(eigs):
     # the first eigenvalue has a homogeneous correction problem, so phi1 is
     # exactly the first coordinate
     phi1 = eigs[0]
-    assert phi1.value(np.array([1.5, -2.0])) == 1.5
+    assert phi1.value_many(np.array([[1.5, -2.0]]))[0] == 1.5
     X = np.random.default_rng(0).uniform(-2, 2, size=(40, 2))
     np.testing.assert_array_equal(phi1.value_many(X), X[:, 0])
 
@@ -90,50 +93,42 @@ def test_pde_residual_of_slow_eigenfunction_is_zero(cubic, eigs):
 
 def test_linear_part_split(eigs):
     # phi - h must be exactly w . x
-    x = np.array([0.7, -0.3])
+    X = np.array([[0.7, -0.3]])
     for e in eigs:
-        assert e.value(x) - e.h.evaluate(x) == pytest.approx(e.w @ x, abs=1e-14)
-        np.testing.assert_allclose(
-            e.gradient(x) - e.h.gradient(x), e.w, atol=1e-14
-        )
+        phi, grad = e.evaluate_with_gradient(X)
+        h, grad_h = e.h.evaluate_with_gradient(X)
+        assert phi[0] - h[0] == pytest.approx(e.w @ X[0], abs=1e-14)
+        np.testing.assert_allclose(grad[0] - grad_h[0], e.w, atol=1e-14)
 
 
 def test_batch_forms_match_pointwise(eigs):
+    # the values-only and the joint path contract the same basis values, so
+    # they agree bitwise; a 1-row batch sums in another BLAS order
     X = np.random.default_rng(3).uniform(-2, 2, size=(10, 2))
     for e in eigs:
-        vals = e.value_many(X)
-        grads = e.gradient_many(X)
-        for i, x in enumerate(X):
-            assert vals[i] == pytest.approx(e.value(x), rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(grads[i], e.gradient(x), atol=1e-12)
+        vals, grads = e.evaluate_with_gradient(X)
+        np.testing.assert_array_equal(e.value_many(X), vals)
+        np.testing.assert_array_equal(e.gradient_many(X), grads)
+        for i in range(X.shape[0]):
+            row = X[i : i + 1]
+            val, grad = e.evaluate_with_gradient(row)
+            assert vals[i] == pytest.approx(val[0], rel=1e-12, abs=1e-12)
+            assert vals[i] == pytest.approx(e.value_many(row)[0], rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grads[i], grad[0], atol=1e-12)
 
 
 # --- the eigenfunction container ----------------------------------------------
 
 
-class _ZeroH:
-    def evaluate(self, x):
-        return 0.0
-
-    def gradient(self, x):
-        return np.zeros(2)
-
-    def evaluate_many(self, X):
-        return np.zeros(X.shape[0])
-
-    def gradient_many(self, X):
-        return np.zeros_like(X)
-
-
 def test_set_requires_full_count():
-    e = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=_ZeroH())
+    e = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=ZeroH())
     with pytest.raises(ValueError, match="expected 2"):
         EigenfunctionSet((e,))
 
 
 def test_set_requires_distinct_eigenvalues():
-    e1 = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=_ZeroH())
-    e2 = Eigenfunction(lam=-2.0, w=np.array([0.0, 1.0]), h=_ZeroH())
+    e1 = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=ZeroH())
+    e2 = Eigenfunction(lam=-2.0, w=np.array([0.0, 1.0]), h=ZeroH())
     with pytest.raises(ValueError, match="distinct"):
         EigenfunctionSet((e1, e2))
 

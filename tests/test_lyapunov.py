@@ -13,48 +13,13 @@ from koopman_lyap.lyapunov import (
     solve_p,
 )
 
-
-class _ZeroH:
-    def __init__(self, dim=2):
-        self.dim = dim
-
-    def evaluate(self, x):
-        return 0.0
-
-    def gradient(self, x):
-        return np.zeros(self.dim)
-
-    def evaluate_many(self, X):
-        return np.zeros(np.asarray(X).shape[0])
-
-    def gradient_many(self, X):
-        return np.zeros_like(np.asarray(X, dtype=float))
-
-
-class _Quadratic:
-    """h(x) = 3 x1^2, the exact correction for the fast mode of the
-    benchmark cubic system."""
-
-    def evaluate(self, x):
-        return 3.0 * float(x[0]) ** 2
-
-    def gradient(self, x):
-        return np.array([6.0 * float(x[0]), 0.0])
-
-    def evaluate_many(self, X):
-        return 3.0 * np.asarray(X)[:, 0] ** 2
-
-    def gradient_many(self, X):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros_like(X)
-        out[:, 0] = 6.0 * X[:, 0]
-        return out
+from fakes import Quadratic, ZeroH
 
 
 @pytest.fixture(scope="module")
 def exact_model():
-    phi1 = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=_ZeroH())
-    phi2 = Eigenfunction(lam=-3.0, w=np.array([0.0, 1.0]), h=_Quadratic())
+    phi1 = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=ZeroH())
+    phi2 = Eigenfunction(lam=-3.0, w=np.array([0.0, 1.0]), h=Quadratic())
     eigs = EigenfunctionSet((phi1, phi2))
     return LyapunovModel(eigenfunctions=eigs, P=solve_p([-2.0, -3.0]))
 
@@ -136,7 +101,7 @@ def test_orbital_derivative_spectral_identity(exact_model, cubic_field):
 
 def test_one_dimensional_model():
     fld = parse_vector_field(["-2*x1"])
-    phi = Eigenfunction(lam=-2.0, w=np.array([1.0]), h=_ZeroH(dim=1))
+    phi = Eigenfunction(lam=-2.0, w=np.array([1.0]), h=ZeroH())
     model = LyapunovModel(
         eigenfunctions=EigenfunctionSet((phi,)), P=solve_p([-2.0])
     )
@@ -168,9 +133,10 @@ def test_model_validates_p(exact_model):
 # --- diagnostics -----------------------------------------------------------------
 
 
-def test_diagnostics_report_values(exact_model):
+def test_diagnostics_report_values(exact_model, cubic_field):
     domain = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-    rep = diagnostics(exact_model, fill_dist=0.123, domain=domain, resolution=41)
+    grid = grid_eval(exact_model, cubic_field, domain, 41)
+    rep = diagnostics(exact_model, fill_dist=0.123, grid=grid)
     assert rep.fill_dist == 0.123
     assert rep.lambda_bar == -2.0
     assert rep.alpha == 2.0
@@ -190,7 +156,7 @@ def test_diagnostics_report_values(exact_model):
 
 def test_surface_grid_csv_format(tmp_path, exact_model, cubic_field):
     domain = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    grid = grid_eval(exact_model, cubic_field, domain, 3, "V")
+    grid = grid_eval(exact_model, cubic_field, domain, 3).V
     path = tmp_path / "V.csv"
     grid.to_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -210,37 +176,33 @@ def test_surface_grid_csv_format(tmp_path, exact_model, cubic_field):
 
 def test_grid_eval_corners(exact_model, cubic_field):
     domain = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    grid = grid_eval(exact_model, cubic_field, domain, 2, "V")
-    assert grid.values.shape == (2, 2)
-    assert np.all(grid.values > 0.0)
-    vdot = grid_eval(exact_model, cubic_field, domain, 2, "Vdot")
-    assert np.all(vdot.values < 0.0)
+    grid = grid_eval(exact_model, cubic_field, domain, 2)
+    assert grid.V.values.shape == (2, 2)
+    assert np.all(grid.V.values > 0.0)
+    assert np.all(grid.Vdot.values < 0.0)
 
 
 def test_grid_eval_smoke_on_large_grid(exact_model, cubic_field):
     domain = Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
-    grid = grid_eval(exact_model, cubic_field, domain, 60, "Vdot")
+    grid = grid_eval(exact_model, cubic_field, domain, 60).Vdot
     assert grid.values.shape == (60, 60)
     assert np.all(np.isfinite(grid.values))
     assert np.all(grid.values <= 0.0)
 
 
-def test_grid_eval_rejects_bad_input(exact_model, cubic_field):
-    domain = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(LyapunovError, match="unknown quantity"):
-        grid_eval(exact_model, cubic_field, domain, 3, "energy")
+def test_grid_eval_rejects_bad_input():
     fld1 = parse_vector_field(["-1*x1"])
-    phi = Eigenfunction(lam=-1.0, w=np.array([1.0]), h=_ZeroH(dim=1))
+    phi = Eigenfunction(lam=-1.0, w=np.array([1.0]), h=ZeroH())
     model1 = LyapunovModel(
         eigenfunctions=EigenfunctionSet((phi,)), P=solve_p([-1.0])
     )
     dom1 = Box(np.array([-1.0]), np.array([1.0]))
     with pytest.raises(LyapunovError, match="2-D"):
-        grid_eval(model1, fld1, dom1, 3, "V")
+        grid_eval(model1, fld1, dom1, 3)
 
 
 def test_surface_grid_rectangular_resolution(exact_model, cubic_field):
     domain = Box(np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
-    grid = grid_eval(exact_model, cubic_field, domain, (3, 5), "V")
+    grid = grid_eval(exact_model, cubic_field, domain, (3, 5)).V
     assert grid.values.shape == (3, 5)
     assert grid.resolution == (3, 5)
