@@ -324,16 +324,13 @@ class VectorField:
         return len(self.components)
 
     def evaluate(self, x) -> np.ndarray:
-        """f(x). For x of shape (d,) returns (d,); array-valued entries of x
-        broadcast, giving shape (d,) + broadcast shape."""
+        """f(x). For x of shape (d,) returns (d,); for a batch x of shape
+        (d,) + S returns (d,) + S, one component written per row."""
         x = np.asarray(x, dtype=float)
-        vals = [c.evaluate(x) for c in self.components]
-        shape = np.broadcast_shapes(*(np.shape(v) for v in vals))
-        if shape == ():
-            return np.array(vals, dtype=float)
-        return np.stack(
-            [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in vals]
-        )
+        out = np.empty(x.shape)
+        for i, comp in enumerate(self.components):
+            out[i] = comp.evaluate(x)
+        return out
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """f at a batch of points of shape (m, d), returned as (m, d)."""

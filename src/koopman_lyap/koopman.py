@@ -6,9 +6,10 @@ independent numerical route to the same object is the path integral
 
     phi_i(x) = w_i . x + integral_0^inf exp(-lambda_i t) w_i . G(s_t(x)) dt
 
-along the flow s_t, valid when -lambda_i + 2 max_j lambda_j < 0. The two
-routes share no code beyond the flow integrator, which makes the integral a
-useful cross-check of the collocated surrogate.
+along the flow s_t, valid when -lambda_i + 2 max_j lambda_j < 0.
+path_integral_phi computes it for a batch of points and eigenvalues from one
+set of trajectories. The two routes share no code beyond the flow integrator,
+which makes the integral a useful cross-check of the collocated surrogate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from .box import Box
 from .collocation import CollocationProblem, CollocationSolution
 from .collocation import solve as solve_collocation
-from .dynamics import DynamicsError, Linearization, nonlinear_part, rk4_step
+from .dynamics import BlowUpError, DynamicsError, Linearization
+from .dynamics import nonlinear_part, rk4_step
 from .expr import VectorField
 from .kernel import GaussianKernel
 
@@ -130,52 +132,60 @@ def build_eigenfunctions(
 def path_integral_phi(
     fld: VectorField,
     lin: Linearization,
-    lam: float,
-    w: np.ndarray,
-    x,
+    lams,
+    W,
+    X,
     t_max: float = 20.0,
     dt: float = 1e-3,
-) -> float:
-    """Eigenfunction value by quadrature along the trajectory through x.
+) -> np.ndarray:
+    """Eigenfunction values by quadrature along the trajectories through X.
 
-    Trapezoidal rule on a fixed RK4 time grid, truncated at t_max or earlier
-    once the integrand stays below 1e-12 for 100 consecutive steps. Requires
-    the convergence condition -lambda + 2 max_j lambda_j < 0.
+    lams has shape (k,), W the matching w_i as rows (k, d), X the c points
+    as rows (c, d); returns phi_i(x_p) at [p, i], shape (c, k). The c
+    trajectories advance as one (d, c) RK4 state, and G at each step feeds
+    all k integrands. Trapezoidal rule on a fixed time grid up to t_max; a
+    (eigenvalue, point) pair stops adding once its integrand has stayed
+    below 1e-12 for 100 consecutive steps, and a point leaves the batch once
+    all its pairs have stopped. Requires -lambda + 2 max_j lambda_j < 0 for
+    every requested lambda.
     """
-    lam = float(lam)
-    lam_max = float(np.max(lin.eigenvalues))
-    margin = -lam + 2.0 * lam_max
-    if margin >= 0.0:
-        raise ConvergenceConditionError(
-            f"path integral diverges for lambda = {lam:.6g}: "
-            f"-lambda + 2 max(Re spectrum) = {margin:.6g} >= 0"
-        )
+    lams = np.asarray(lams, dtype=float)
+    W = np.asarray(W, dtype=float)
+    X = np.asarray(X, dtype=float)
+    for margin, lam in zip(-lams + 2.0 * float(np.max(lin.eigenvalues)), lams):
+        if margin >= 0.0:
+            raise ConvergenceConditionError(
+                f"path integral diverges for lambda = {lam:.6g}: "
+                f"-lambda + 2 max(Re spectrum) = {margin:.6g} >= 0"
+            )
     if t_max <= 0 or dt <= 0:
         raise DynamicsError("t_max and dt must be positive")
 
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
     n_steps = max(1, int(round(t_max / dt)))
     h = t_max / n_steps
 
     def integrand(t, state):
-        return float(np.exp(-lam * t) * (w @ nonlinear_part(fld, lin, state)))
+        return np.exp(-lams * t)[:, None] * (W @ nonlinear_part(fld, lin, state))
 
-    total = 0.0
-    state = x
+    total = np.zeros((len(lams), len(X)))
+    cols = np.arange(len(X))  # columns of total whose points are in the batch
+    state = X.T.copy()
     g_prev = integrand(0.0, state)
-    quiet = 0
+    quiet = np.zeros(total.shape, dtype=int)
     for k in range(n_steps):
         t_next = (k + 1) * h
         state = rk4_step(fld, state, h)
         if not np.all(np.isfinite(state)):
-            from .dynamics import BlowUpError
-
             raise BlowUpError(t_next)
         g_next = integrand(t_next, state)
-        total += 0.5 * h * (g_prev + g_next)
+        active = quiet < _TAIL_STEPS
+        total[:, cols] += np.where(active, 0.5 * h * (g_prev + g_next), 0.0)
         g_prev = g_next
-        quiet = quiet + 1 if abs(g_next) < _TAIL_FLOOR else 0
-        if quiet >= _TAIL_STEPS:
-            break
-    return float(w @ x + total)
+        quiet = np.where(active & (np.abs(g_next) >= _TAIL_FLOOR), 0, quiet + 1)
+        live = (quiet < _TAIL_STEPS).any(axis=0)
+        if not live.all():
+            if not live.any():
+                break
+            cols, state, quiet = cols[live], state[:, live], quiet[:, live]
+            g_prev = g_prev[:, live]
+    return X @ W.T + total.T

@@ -287,22 +287,17 @@ def stage_oracle_check(cfg: RunConfig, outdir: Path):
     fld, lin, eigset, _ = load_eigenfunctions(cfg, outdir)
     pts = _oracle_points(cfg)
     lam_max = float(np.max(lin.eigenvalues))
-
-    cols: list[list[float]] = []
-    skipped: list[int] = []
-    for e in eigset:
-        if -e.lam + 2.0 * lam_max >= 0.0:
-            skipped.append(True)
-            cols.append([np.nan] * (3 * len(pts)))
-            continue
-        skipped.append(False)
-        rows = []
-        for x, phi in zip(pts, e.value_many(pts)):
-            integral = path_integral_phi(
-                fld, lin, e.lam, e.w, x, t_max=cfg.oracle_t_max, dt=cfg.oracle_dt
-            )
-            rows.extend([phi, integral, abs(phi - integral)])
-        cols.append(rows)
+    # lam_max itself satisfies the condition, so at least one is checked
+    checked = [i for i, e in enumerate(eigset) if -e.lam + 2.0 * lam_max < 0.0]
+    phi = np.full((len(pts), len(eigset)), np.nan)
+    integral = np.full_like(phi, np.nan)
+    integral[:, checked] = path_integral_phi(
+        fld, lin, [eigset[i].lam for i in checked], [eigset[i].w for i in checked],
+        pts, t_max=cfg.oracle_t_max, dt=cfg.oracle_dt,
+    )
+    for i in checked:
+        phi[:, i] = eigset[i].value_many(pts)
+    absdiff = np.abs(phi - integral)
 
     header = ["x1", "x2"][: cfg.dim]
     for i in range(len(eigset)):
@@ -310,28 +305,25 @@ def stage_oracle_check(cfg: RunConfig, outdir: Path):
     lines = [",".join(header)]
     for p, x in enumerate(pts):
         row = [f"{c:.17g}" for c in x]
-        for col in cols:
-            row += [f"{col[3 * p + k]:.17g}" for k in range(3)]
+        for i in range(len(eigset)):
+            row += [f"{v[p, i]:.17g}" for v in (phi, integral, absdiff)]
         lines.append(",".join(row))
     (outdir / "oracle_check.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    max_diffs = []
+    max_diffs = np.max(absdiff, axis=0)  # NaN where skipped
     text_lines = ["oracle check (collocation vs path integral)"]
     for i, e in enumerate(eigset):
-        if skipped[i]:
-            max_diffs.append(float("nan"))
+        if i not in checked:
             text_lines.append(
                 f"  eigenvalue {e.lam:.6g}: skipped "
                 "(convergence condition violated)"
             )
         else:
-            diffs = [cols[i][3 * p + 2] for p in range(len(pts))]
-            max_diffs.append(max(diffs))
             text_lines.append(
                 f"  eigenvalue {e.lam:.6g}: max |phi - integral| = "
-                f"{max(diffs):.6e} over {len(pts)} points"
+                f"{max_diffs[i]:.6e} over {len(pts)} points"
             )
-    return "\n".join(text_lines) + "\n", np.array(max_diffs)
+    return "\n".join(text_lines) + "\n", max_diffs
 
 
 def _sha256(path: Path) -> str:

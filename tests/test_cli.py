@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopman_lyap import cli, collocation, pipeline
+from koopman_lyap import cli, collocation, koopman, pipeline
 from koopman_lyap.collocation import SingularSystemError
 from koopman_lyap.config import ConfigError, load_config
 from koopman_lyap.dynamics import BlowUpError, EquilibriumError, SpectrumError
@@ -174,6 +174,32 @@ def test_oracle_check_skips_divergent_eigenvalue(tmp_path, capsys):
     )
     assert np.all(np.isfinite(rows["absdiff_1"]))
     assert np.all(np.isnan(rows["absdiff_2"]))
+
+
+def test_oracle_integrates_all_points_and_eigenvalues_in_one_pass(
+    tiny_cfg_path, tmp_path, monkeypatch
+):
+    # one path-integral call for every sample point and eigenvalue, and one
+    # RK4 step per time step for the whole batch
+    cfg = load_config(tiny_cfg_path)
+    pipeline.stage_eigenfunctions(cfg, tmp_path)
+    calls, steps = [], []
+    integral, step = pipeline.path_integral_phi, koopman.rk4_step
+
+    def counting_integral(*args, **kwargs):
+        calls.append(args[2])
+        return integral(*args, **kwargs)
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "path_integral_phi", counting_integral)
+    monkeypatch.setattr(koopman, "rk4_step", counting_step)
+    pipeline.stage_oracle_check(cfg, tmp_path)
+    assert len(calls) == 1
+    assert len(calls[0]) == cfg.dim
+    assert 0 < len(steps) <= math.ceil(cfg.oracle_t_max / cfg.oracle_dt)
 
 
 # --- exit codes ---------------------------------------------------------------

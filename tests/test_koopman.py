@@ -3,7 +3,13 @@ import pytest
 
 from koopman_lyap.box import Box
 from koopman_lyap.collocation import uniform_centers
-from koopman_lyap.dynamics import BlowUpError, DynamicsError, linearize
+from koopman_lyap.dynamics import (
+    BlowUpError,
+    DynamicsError,
+    linearize,
+    nonlinear_part,
+    rk4_step,
+)
 from koopman_lyap.expr import parse_vector_field
 from koopman_lyap.kernel import GaussianKernel
 from koopman_lyap.koopman import (
@@ -141,32 +147,79 @@ def test_set_iteration_and_indexing(eigs):
 # --- path integrals -------------------------------------------------------------
 
 
+def _path_integral(fld, lin, which, X, **kw):
+    """path_integral_phi for the eigenvalues at indices `which`."""
+    return path_integral_phi(
+        fld, lin, lin.eigenvalues[which], lin.left_eigenvectors[which], X, **kw
+    )
+
+
 def test_path_integral_fast_eigenvalue(cubic):
     # for lambda2 = -3 the integral reproduces x2 + 3 x1^2
     fld, lin = cubic
-    val = path_integral_phi(
-        fld, lin, lin.eigenvalues[1], lin.left_eigenvectors[1],
-        np.array([1.0, 0.0]),
-    )
-    assert val == pytest.approx(3.0, abs=1e-6)
+    val = _path_integral(fld, lin, [1], [[1.0, 0.0]])
+    assert val.shape == (1, 1)
+    assert val[0, 0] == pytest.approx(3.0, abs=1e-6)
 
 
 def test_path_integral_at_origin(cubic):
     fld, lin = cubic
-    val = path_integral_phi(
-        fld, lin, lin.eigenvalues[1], lin.left_eigenvectors[1], np.zeros(2)
-    )
-    assert val == 0.0
+    val = _path_integral(fld, lin, [1], np.zeros((1, 2)))
+    assert val[0, 0] == 0.0
 
 
 def test_path_integral_slow_eigenvalue_is_coordinate(cubic):
     # w1 . G vanishes identically, so the quadrature adds exactly nothing
     fld, lin = cubic
-    for x in ([0.4, -1.2], [1.9, 0.3]):
-        val = path_integral_phi(
-            fld, lin, lin.eigenvalues[0], lin.left_eigenvectors[0], np.array(x)
-        )
-        assert val == x[0]
+    X = np.array([[0.4, -1.2], [1.9, 0.3]])
+    val = _path_integral(fld, lin, [0], X)
+    np.testing.assert_array_equal(val[:, 0], X[:, 0])
+
+
+def _scalar_path_integral(fld, lin, lam, w, x, t_max, dt):
+    """Reference: one point and one eigenvalue per trajectory, same rule."""
+    n_steps = max(1, int(round(t_max / dt)))
+    h = t_max / n_steps
+
+    def g(t, state):
+        return float(np.exp(-lam * t) * (w @ nonlinear_part(fld, lin, state)))
+
+    total, state, g_prev, quiet = 0.0, x, g(0.0, x), 0
+    for k in range(n_steps):
+        state = rk4_step(fld, state, h)
+        g_next = g((k + 1) * h, state)
+        total += 0.5 * h * (g_prev + g_next)
+        g_prev = g_next
+        quiet = quiet + 1 if abs(g_next) < 1e-12 else 0
+        if quiet >= 100:
+            break
+    return float(w @ x + total)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        # the slow pairs and the origin go quiet at once and stop after 100
+        # steps; the origin leaves the batch then
+        ["-2*x1", "-3*(x2 - x1^2)"],
+        # the slow pairs stop near t = 8 while the fast ones run on
+        ["-2*x1 + x2^2", "-3*(x2 - x1^2)"],
+    ],
+)
+def test_path_integral_batch_matches_each_point_alone(components):
+    # E is diagonal and the w_i are the coordinate axes in both systems, so
+    # no BLAS summation order enters and every comparison is exact
+    fld = parse_vector_field(components)
+    lin = linearize(fld)
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [1.9, -1.7]])
+    batch = _path_integral(fld, lin, [0, 1], X, t_max=10.0, dt=1e-2)
+    assert batch.shape == (3, 2)
+    for p, x in enumerate(X):
+        alone = _path_integral(fld, lin, [0, 1], x[None, :], t_max=10.0, dt=1e-2)
+        np.testing.assert_array_equal(batch[p], alone[0])
+        for i, (lam, w) in enumerate(zip(lin.eigenvalues, lin.left_eigenvectors)):
+            ref = _scalar_path_integral(fld, lin, lam, w, x, t_max=10.0, dt=1e-2)
+            assert batch[p, i] == ref
 
 
 def test_path_integral_convergence_condition(cubic):
@@ -174,30 +227,21 @@ def test_path_integral_convergence_condition(cubic):
     fld = parse_vector_field(["x2", "-3*x2 - 1*x1 - 1*x1^3"])
     lin = linearize(fld)
     with pytest.raises(ConvergenceConditionError, match="diverges"):
-        path_integral_phi(
-            fld, lin, lin.eigenvalues[1], lin.left_eigenvectors[1],
-            np.array([1.0, 0.0]),
-        )
+        _path_integral(fld, lin, [1], [[1.0, 0.0]])
     # the slow eigenvalue satisfies it
-    val = path_integral_phi(
-        fld, lin, lin.eigenvalues[0], lin.left_eigenvectors[0],
-        np.array([0.5, 0.0]), t_max=5.0, dt=1e-2,
-    )
-    assert np.isfinite(val)
+    val = _path_integral(fld, lin, [0], [[0.5, 0.0]], t_max=5.0, dt=1e-2)
+    assert np.all(np.isfinite(val))
+    # one divergent eigenvalue among the requested ones fails the whole call
+    with pytest.raises(ConvergenceConditionError, match="diverges"):
+        _path_integral(fld, lin, [0, 1], [[0.5, 0.0]], t_max=5.0, dt=1e-2)
 
 
 def test_path_integral_argument_validation(cubic):
     fld, lin = cubic
     with pytest.raises(DynamicsError, match="positive"):
-        path_integral_phi(
-            fld, lin, lin.eigenvalues[1], lin.left_eigenvectors[1],
-            np.zeros(2), t_max=-1.0,
-        )
+        _path_integral(fld, lin, [1], np.zeros((1, 2)), t_max=-1.0)
     with pytest.raises(DynamicsError, match="positive"):
-        path_integral_phi(
-            fld, lin, lin.eigenvalues[1], lin.left_eigenvectors[1],
-            np.zeros(2), dt=0.0,
-        )
+        _path_integral(fld, lin, [1], np.zeros((1, 2)), dt=0.0)
 
 
 def test_path_integral_blow_up():
@@ -207,7 +251,15 @@ def test_path_integral_blow_up():
     lin = linearize(fld)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError):
-            path_integral_phi(
-                fld, lin, lin.eigenvalues[0], lin.left_eigenvectors[0],
-                np.array([2.0, 0.0]),
-            )
+            _path_integral(fld, lin, [0], [[2.0, 0.0]])
+
+
+def test_path_integral_blow_up_of_one_point_fails_the_batch():
+    # two points converge, one escapes: the batch raises rather than
+    # returning the survivors
+    fld = parse_vector_field(["-1*x1 + x1^3", "-2*x2"])
+    lin = linearize(fld)
+    X = np.array([[0.5, 0.0], [2.0, 0.0], [0.0, 0.3]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError):
+            _path_integral(fld, lin, [0], X, t_max=2.0, dt=1e-2)
