@@ -102,7 +102,7 @@ def main(argv=None) -> int:
                     print(result["summaries"][name], end="")
             print(f"artifacts written to {result['output_dir']}")
         elif args.command == "linearize":
-            lin = pipeline.stage_linearize(cfg, outdir)
+            _, lin = pipeline.stage_linearize(cfg, outdir)
             print("E =")
             for row in lin.E:
                 print("   " + "  ".join(f"{v: .12g}" for v in row))

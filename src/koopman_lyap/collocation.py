@@ -36,6 +36,9 @@ u is formed per entry before any sum, and exp is taken once per entry. A PDE
 row of A is grads . f(z_a) - lambda values at x = z_a, the origin rows are
 the block at x = 0, h is values @ alpha and grad h is grads . alpha.
 
+All eigenvalues share the centers, the kernel and f(z_b); only lambda (in S)
+and w (in b) differ, so one problem covers the whole spectrum.
+
 For distinct functionals the Gram matrix is positive definite (Giesl &
 Wendland, SIAM J. Numer. Anal. 45, 2007) and a ridge eta is added to its
 diagonal, so it is solved by Cholesky. Assembly and evaluation are chunked
@@ -85,18 +88,18 @@ class IllConditionedWarning(UserWarning):
 
 @dataclass(frozen=True)
 class CollocationProblem:
-    """Immutable description of one collocation solve.
+    """Immutable description of the collocation solves for the whole
+    spectrum: one per eigenpair (lin.eigenvalues[i], lin.left_eigenvectors[i]),
+    all on the same centers with the same kernel.
 
-    eta is the ridge added to the Gram diagonal: None requests the automatic
-    relative default 1e-10 * trace(A) / m, 0 disables regularization, and a
-    positive value is used verbatim.
+    eta is the ridge added to each Gram diagonal: None requests the
+    automatic relative default 1e-10 * trace(A) / m per eigenvalue, 0
+    disables regularization, and a positive value is used verbatim.
     """
 
     kernel: GaussianKernel
     fld: VectorField
     lin: Linearization
-    lam: float
-    w: np.ndarray
     centers: np.ndarray
     domain: Box
     eta: float | None = None
@@ -116,24 +119,11 @@ class CollocationProblem:
             dist, _ = cKDTree(centers).query(centers, k=2)
             if np.min(dist[:, 1]) <= 1e-12:
                 raise CollocationError("collocation centers must be pairwise distinct")
-
-        lam = float(self.lam)
-        if np.min(np.abs(self.lin.eigenvalues - lam)) > 1e-9 * max(1.0, abs(lam)):
-            raise CollocationError(
-                f"lambda = {lam:.6g} is not an eigenvalue of the linearization"
-            )
-        w = np.asarray(self.w, dtype=float).reshape(d)
-        scale = max(1.0, float(np.linalg.norm(self.lin.E)))
-        if np.max(np.abs(w @ self.lin.E - lam * w)) > 1e-8 * scale:
-            raise CollocationError("w is not a left eigenvector for lambda")
         if self.eta is not None and self.eta < 0:
             raise CollocationError("eta must be nonnegative")
 
         centers.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "w", w)
 
     @property
     def n_centers(self) -> int:
@@ -174,19 +164,16 @@ def fill_distance(centers: np.ndarray, domain: Box, probe_resolution: int = 201)
     return float(np.max(dist))
 
 
-def _field_at_centers(problem: CollocationProblem) -> np.ndarray:
-    Z = problem.centers
-    return problem.fld.evaluate_at(Z) if Z.shape[0] else np.zeros((0, problem.fld.dim))
-
-
 def _basis_block(
     problem: CollocationProblem, X: np.ndarray, F: np.ndarray, gradients: bool = True
 ):
-    """Values (c, m) and x-gradients (c, m, d) of the m = n + 1 + d basis
-    functions at the c points X; F holds the field at the centers. Without
-    gradients the (c, m, d) tensor is never formed and None is returned
-    in its place."""
-    Z, lam = problem.centers, problem.lam
+    """Yield, for each eigenvalue in turn, the values (c, m) and x-gradients
+    (c, m, d) of the m = n + 1 + d basis functions at the c points X; F holds
+    the field at the centers. Only S = T - lambda, T = u . f(z_b) / sigma^2,
+    changes between eigenvalues, and the yielded arrays are overwritten for
+    the next one. Without gradients the (c, m, d) tensor is never formed and
+    None is yielded in its place."""
+    Z = problem.centers
     s2 = problem.kernel.sigma**2
     n, d = Z.shape
     c = X.shape[0]
@@ -195,60 +182,71 @@ def _basis_block(
 
     U = X[:, None, :] - Z[None, :, :]
     K = np.exp(np.einsum("cnd,cnd->cn", U, U) / (-2.0 * s2))
-    S = np.einsum("cnd,nd->cn", U, F) / s2 - lam
-    values[:, :n] = K * S
+    T = np.einsum("cnd,nd->cn", U, F) / s2
     K0 = np.exp(np.einsum("cd,cd->c", X, X) / (-2.0 * s2))
     values[:, n] = K0
     values[:, n + 1 :] = X * (K0 / s2)[:, None]
-    if not gradients:
-        return values, None
+    if gradients:
+        Ks = (K / s2)[:, :, None]
+        grads[:, n] = -X * (K0 / s2)[:, None]
+        grads[:, n + 1 :] = (np.eye(d) - X[:, :, None] * X[:, None, :] / s2) * (
+            K0 / s2
+        )[:, None, None]
+    else:
+        U = None  # free u: only the gradients need it beyond T
 
-    grads[:, :n] = (K / s2)[:, :, None] * (F[None, :, :] - S[:, :, None] * U)
-    grads[:, n] = -X * (K0 / s2)[:, None]
-    grads[:, n + 1 :] = (np.eye(d) - X[:, :, None] * X[:, None, :] / s2) * (
-        K0 / s2
-    )[:, None, None]
-    return values, grads
-
-
-def _assemble_raw(problem: CollocationProblem):
-    Z = problem.centers
-    n, d = Z.shape
-    m = n + 1 + d
-    F = _field_at_centers(problem)
-
-    A = np.empty((m, m))
-    for s in range(0, n, _CHUNK):
-        rows = slice(s, min(s + _CHUNK, n))
-        values, grads = _basis_block(problem, Z[rows], F)
-        A[rows] = np.einsum("cmd,cd->cm", grads, F[rows]) - problem.lam * values
-
-    values, grads = _basis_block(problem, np.zeros((1, d)), F)
-    A[n] = values[0]
-    A[n + 1 :] = grads[0].T
-    A = 0.5 * (A + A.T)
-
-    b = np.zeros(m)
-    if n:
-        G = nonlinear_part(problem.fld, problem.lin, Z.T).T
-        b[:n] = -(G @ problem.w)
-    return A, b
-
-
-def _resolve_eta(problem: CollocationProblem, A: np.ndarray) -> float:
-    if problem.eta is None:
-        return 1e-10 * float(np.trace(A)) / A.shape[0]
-    return float(problem.eta)
+    for lam in problem.lin.eigenvalues:
+        S = T - lam
+        np.multiply(K, S, out=values[:, :n])
+        if gradients:
+            # K (f(z_b) - S u) / sigma^2, built in the output slice so that
+            # no (c, n, d) temporary is formed
+            G = grads[:, :n]
+            np.multiply(S[:, :, None], U, out=G)
+            np.subtract(F, G, out=G)
+            G *= Ks
+        yield values, grads
 
 
 def assemble_system(problem: CollocationProblem):
-    """Gram matrix (ridge included) and right-hand side of the collocation
-    system. A is symmetric of order n + 1 + d."""
-    A, b = _assemble_raw(problem)
-    eta = _resolve_eta(problem, A)
-    if eta:
-        A[np.diag_indices_from(A)] += eta
-    return A, b
+    """Gram matrices, right-hand sides and ridges of the collocation systems
+    of every eigenvalue, from one pass over the chunks of centers.
+
+    Returns A of shape (k, m, m), each A[i] symmetric with its ridge eta[i]
+    on the diagonal; b of shape (k, m); eta of shape (k,); m = n + 1 + d.
+    """
+    Z = problem.centers
+    n, d = Z.shape
+    m = n + 1 + d
+    lams = problem.lin.eigenvalues
+    F = problem.fld.evaluate_at(Z)
+
+    A = np.empty((len(lams), m, m))
+    for s in range(0, n, _CHUNK):
+        rows = slice(s, min(s + _CHUNK, n))
+        blocks = _basis_block(problem, Z[rows], F)
+        for Ai, lam, (values, grads) in zip(A, lams, blocks):
+            Ai[rows] = np.einsum("cmd,cd->cm", grads, F[rows]) - lam * values
+
+    for Ai, (values, grads) in zip(A, _basis_block(problem, np.zeros((1, d)), F)):
+        Ai[n] = values[0]
+        Ai[n + 1 :] = grads[0].T
+
+    b = np.zeros((len(lams), m))
+    if n:
+        G = nonlinear_part(problem.fld, problem.lin, Z.T).T
+        for bi, w in zip(b, problem.lin.left_eigenvectors):
+            bi[:n] = -(G @ w)
+
+    eta = np.empty(len(lams))
+    for i, Ai in enumerate(A):
+        Ai[...] = 0.5 * (Ai + Ai.T)
+        eta[i] = (
+            1e-10 * float(np.trace(Ai)) / m if problem.eta is None else float(problem.eta)
+        )
+        if eta[i]:
+            Ai[np.diag_indices(m)] += eta[i]
+    return A, b, eta
 
 
 def _invnorm1_estimate(solve_fn, m: int, iters: int = 5) -> float:
@@ -272,104 +270,107 @@ def _invnorm1_estimate(solve_fn, m: int, iters: int = 5) -> float:
 
 @dataclass
 class CollocationSolution:
-    """Solved coefficients plus everything needed to evaluate h and grad h."""
+    """Solved coefficients plus everything needed to evaluate h and grad h.
+    Row or entry i of each field belongs to problem.lin.eigenvalues[i]."""
 
     problem: CollocationProblem
-    alpha: np.ndarray
-    eta_used: float
-    condition_estimate: float
-    method: str
+    alpha: np.ndarray  # (k, m)
+    eta_used: np.ndarray  # (k,)
+    condition_estimate: np.ndarray  # (k,)
+    method: tuple  # (k,) of "cholesky" | "lstsq"
     center_field_values: np.ndarray = dc_field(repr=False, default=None)
 
     def __post_init__(self):
         if self.center_field_values is None:
-            self.center_field_values = _field_at_centers(self.problem)
+            self.center_field_values = self.problem.fld.evaluate_at(self.problem.centers)
 
     # -- evaluation ----------------------------------------------------------
 
     def _evaluate(self, X: np.ndarray, gradients: bool):
         X = np.asarray(X, dtype=float).reshape(-1, self.problem.fld.dim)
-        h = np.empty(X.shape[0])
-        grad = np.empty_like(X) if gradients else None
-        for s in range(0, X.shape[0], _CHUNK):
-            rows = slice(s, min(s + _CHUNK, X.shape[0]))
-            values, grads = _basis_block(
+        c, d = X.shape
+        k = self.alpha.shape[0]
+        h = np.empty((c, k))
+        grad = np.empty((c, k, d)) if gradients else None
+        for s in range(0, c, _CHUNK):
+            rows = slice(s, min(s + _CHUNK, c))
+            blocks = _basis_block(
                 self.problem, X[rows], self.center_field_values, gradients
             )
-            h[rows] = values @ self.alpha
-            if gradients:
-                grad[rows] = np.einsum("cmd,m->cd", grads, self.alpha)
+            for i, (values, grads) in enumerate(blocks):
+                h[rows, i] = values @ self.alpha[i]
+                if gradients:
+                    grad[rows, i] = np.einsum("cmd,m->cd", grads, self.alpha[i])
         return h, grad
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """h at a batch of points, shape (c, d) -> (c,); no gradients formed."""
+        """h_i(x_p) at [p, i] for a batch of points, shape (c, d) -> (c, k);
+        no gradients formed."""
         return self._evaluate(X, gradients=False)[0]
 
     def evaluate_with_gradient(self, X: np.ndarray):
-        """h and grad h at a batch of points, shape (c, d) -> ((c,), (c, d)),
-        both contracted from one basis block per chunk."""
+        """h and grad h at a batch of points, shape (c, d) -> ((c, k),
+        (c, k, d)), all contracted from one basis block per chunk."""
         return self._evaluate(X, gradients=True)
 
 
 def solve(problem: CollocationProblem) -> CollocationSolution:
-    """Assemble and solve the Gram system.
+    """Assemble and solve the Gram system of every eigenvalue.
 
-    Cholesky factorization of A + eta I first, with the 1-norm condition
+    Each system is factored by Cholesky first, with the 1-norm condition
     estimate from Hager's method over the Cholesky solve (deterministic, so
     reruns stay byte-identical); least squares when the matrix is not
     numerically positive definite or the residual is bad. Warns (never
-    raises) when the condition estimate exceeds 1e12.
+    raises) when a condition estimate exceeds 1e12.
     """
-    A_raw, b = _assemble_raw(problem)
-    eta = _resolve_eta(problem, A_raw)
-    A = A_raw
-    if eta:
-        A = A_raw.copy()
-        A[np.diag_indices_from(A)] += eta
-    m = A.shape[0]
-
-    alpha = None
-    cond = np.inf
-    method = "cholesky"
-    try:
-        factor = cho_factor(A)
-        alpha = cho_solve(factor, b)
-        cond = float(
-            np.abs(A).sum(axis=0).max()
-            * _invnorm1_estimate(lambda v: cho_solve(factor, v), m)
-        )
-        scale = float(
-            np.abs(A).sum(axis=1).max() * np.max(np.abs(alpha), initial=0.0)
-            + np.max(np.abs(b), initial=0.0)
-        )
-        resid = float(np.max(np.abs(A @ alpha - b)))
-        if not np.all(np.isfinite(alpha)) or resid > 1e-8 * max(scale, 1e-300):
-            alpha = None
-    except np.linalg.LinAlgError:
+    A, b, eta = assemble_system(problem)
+    alphas, conds, methods = [], [], []
+    for Ai, bi in zip(A, b):
         alpha = None
-
-    if alpha is None:
-        method = "lstsq"
+        cond = np.inf
+        method = "cholesky"
         try:
-            alpha, _, _, sing = np.linalg.lstsq(A, b, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        if not np.all(np.isfinite(alpha)):
-            raise SingularSystemError("least-squares solution is not finite")
-        cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
+            factor = cho_factor(Ai)
+            alpha = cho_solve(factor, bi)
+            cond = float(
+                np.abs(Ai).sum(axis=0).max()
+                * _invnorm1_estimate(lambda v: cho_solve(factor, v), len(bi))
+            )
+            scale = float(
+                np.abs(Ai).sum(axis=1).max() * np.max(np.abs(alpha), initial=0.0)
+                + np.max(np.abs(bi), initial=0.0)
+            )
+            resid = float(np.max(np.abs(Ai @ alpha - bi)))
+            if not np.all(np.isfinite(alpha)) or resid > 1e-8 * max(scale, 1e-300):
+                alpha = None
+        except np.linalg.LinAlgError:
+            alpha = None
 
-    if cond > 1e12:
-        warnings.warn(
-            f"Gram system condition estimate {cond:.3e} exceeds 1e12; "
-            "results may lose accuracy",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
+        if alpha is None:
+            method = "lstsq"
+            try:
+                alpha, _, _, sing = np.linalg.lstsq(Ai, bi, rcond=None)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(str(exc)) from exc
+            if not np.all(np.isfinite(alpha)):
+                raise SingularSystemError("least-squares solution is not finite")
+            cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
+
+        if cond > 1e12:
+            warnings.warn(
+                f"Gram system condition estimate {cond:.3e} exceeds 1e12; "
+                "results may lose accuracy",
+                IllConditionedWarning,
+                stacklevel=2,
+            )
+        alphas.append(alpha)
+        conds.append(cond)
+        methods.append(method)
 
     return CollocationSolution(
         problem=problem,
-        alpha=alpha,
+        alpha=np.array(alphas),
         eta_used=eta,
-        condition_estimate=cond,
-        method=method,
+        condition_estimate=np.array(conds),
+        method=tuple(methods),
     )

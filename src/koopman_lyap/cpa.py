@@ -32,6 +32,7 @@ All checks are pure arithmetic on per-simplex rows, evaluated vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,9 +90,6 @@ def build_triangulation(domain: Box, cells: int) -> Triangulation:
     mesh = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def vid(i, j):
-        return i * n1 + j
-
     tol = 1e-9 * float(np.max(domain.widths))
     origin_vertex = None
     if domain.contains(np.zeros(2)):
@@ -103,24 +101,21 @@ def build_triangulation(domain: Box, cells: int) -> Triangulation:
             )
         origin_vertex = int(hits[0])
 
-    simplices = np.empty((2 * cells * cells, 3), dtype=np.int64)
-    t = 0
-    for i in range(cells):
-        for j in range(cells):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            simplices[t] = (v00, v10, v11)
-            simplices[t + 1] = (v00, v11, v01)
-            t += 2
+    # cell (i, j) in row-major order gives triangles (v00, v10, v11) and
+    # (v00, v11, v01), with vid(i, j) = i * n1 + j
+    v00 = (np.arange(cells, dtype=np.int64)[:, None] * n1 + np.arange(cells)).ravel()
+    v10, v01, v11 = v00 + n1, v00 + 1, v00 + n1 + 1
+    simplices = np.stack(
+        [v00, v10, v11, v00, v11, v01], axis=1
+    ).reshape(2 * cells * cells, 3)
 
     if origin_vertex is not None:
-        # Rotate triples so the origin is the base vertex wherever it occurs.
-        for row in range(simplices.shape[0]):
-            tri = simplices[row]
-            where = np.nonzero(tri == origin_vertex)[0]
-            if where.size:
-                p = int(where[0])
-                simplices[row] = np.roll(tri, -p)
+        # Rotate triples so the origin is the base vertex wherever it occurs;
+        # argmax is 0 for triangles without it.
+        shift = np.argmax(simplices == origin_vertex, axis=1)
+        simplices = np.take_along_axis(
+            simplices, (np.arange(3) + shift[:, None]) % 3, axis=1
+        )
 
     vertices.setflags(write=False)
     simplices.setflags(write=False)
@@ -225,9 +220,10 @@ class CertificationReport:
     lc2_checked: np.ndarray  # (ns, 3) bool
     vertex_values: np.ndarray
 
-    @property
-    def lc2_ok(self) -> np.ndarray:
-        return (self.lc2_margins < 0.0) | ~self.lc2_checked
+    @cached_property
+    def lc2_failed(self) -> np.ndarray:
+        """(ns, 3) bool: checked pairs whose decrease margin is not negative."""
+        return self.lc2_checked & (self.lc2_margins >= 0.0)
 
     @property
     def n_lc1_failures(self) -> int:
@@ -239,7 +235,7 @@ class CertificationReport:
 
     @property
     def n_lc2_failures(self) -> int:
-        return int(np.sum(self.lc2_checked & (self.lc2_margins >= 0.0)))
+        return int(np.sum(self.lc2_failed))
 
     @property
     def pair_pass_fraction(self) -> float:
@@ -257,7 +253,7 @@ class CertificationReport:
         bad_v = np.nonzero(~self.vertex_ok)[0]
         if bad_v.size:
             radii.append(float(np.max(np.linalg.norm(self.tri.vertices[bad_v], axis=1))))
-        bad_s, bad_i = np.nonzero(self.lc2_checked & (self.lc2_margins >= 0.0))
+        bad_s, bad_i = np.nonzero(self.lc2_failed)
         if bad_s.size:
             pts = self.tri.vertices[self.tri.simplices[bad_s, bad_i]]
             radii.append(float(np.max(np.linalg.norm(pts, axis=1))))
@@ -288,7 +284,7 @@ class CertificationReport:
                 fh.write(
                     f"-1,{v},{x1:.17g},{x2:.17g},{self.vertex_values[v]:.17g}\n"
                 )
-            bad_s, bad_i = np.nonzero(self.lc2_checked & (self.lc2_margins >= 0.0))
+            bad_s, bad_i = np.nonzero(self.lc2_failed)
             for s, i in zip(bad_s, bad_i):
                 x1, x2 = self.tri.vertices[self.tri.simplices[s, i]]
                 fh.write(

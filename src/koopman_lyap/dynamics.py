@@ -142,9 +142,11 @@ def nonlinear_part(field: VectorField, lin: Linearization, x) -> np.ndarray:
     return field.evaluate(x) - lin.E @ x
 
 
-def rk4_step(field: VectorField, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step; local error O(dt^5)."""
-    k1 = field.evaluate(x)
+def rk4_step(field: VectorField, x: np.ndarray, dt: float, k1=None) -> np.ndarray:
+    """One classical Runge-Kutta step; local error O(dt^5). A caller that
+    already holds f(x) passes it as k1."""
+    if k1 is None:
+        k1 = field.evaluate(x)
     k2 = field.evaluate(x + 0.5 * dt * k1)
     k3 = field.evaluate(x + 0.5 * dt * k2)
     k4 = field.evaluate(x + dt * k3)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GaussianKernel", "make_kernel"]
+__all__ = ["GaussianKernel"]
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,3 @@ class GaussianKernel:
             raise ValueError(f"points must have shape ({self.dim},)")
         return x, y
 
-
-def make_kernel(family: str, sigma: float, dim: int) -> GaussianKernel:
-    """Kernel factory; the only supported family is 'gaussian'."""
-    if family.lower() != "gaussian":
-        raise ValueError(f"unknown kernel family {family!r}")
-    return GaussianKernel(sigma=float(sigma), dim=int(dim))

@@ -21,8 +21,7 @@ import numpy as np
 from .box import Box
 from .collocation import CollocationProblem, CollocationSolution
 from .collocation import solve as solve_collocation
-from .dynamics import BlowUpError, DynamicsError, Linearization
-from .dynamics import nonlinear_part, rk4_step
+from .dynamics import BlowUpError, DynamicsError, Linearization, rk4_step
 from .expr import VectorField
 from .kernel import GaussianKernel
 
@@ -45,63 +44,80 @@ class ConvergenceConditionError(DynamicsError):
 
 
 @dataclass(frozen=True)
-class Eigenfunction:
-    """phi(x) = w . x + h(x), evaluated in batches of points X of shape (c, d).
+class EigenfunctionSet:
+    """phi_i(x) = w_i . x + h_i(x), one per eigenvalue of the linearization,
+    same order, evaluated together over batches of points X of shape (c, d).
 
-    h needs two methods: ``evaluate_many(X)`` returning h, shape (c,), and
-    ``evaluate_with_gradient(X)`` returning (h, grad h), shapes (c,) and
-    (c, d). A CollocationSolution provides both; closed-form substitutes
-    slot in for testing.
+    W holds the w_i as rows. h needs two methods: ``evaluate_many(X)``
+    returning h_i(x_p) at [p, i], shape (c, k), and
+    ``evaluate_with_gradient(X)`` returning that and grad h_i(x_p) at
+    [p, i], shape (c, k, d). A CollocationSolution provides both;
+    closed-form substitutes slot in for testing.
     """
 
-    lam: float
-    w: np.ndarray
+    eigenvalues: np.ndarray
+    W: np.ndarray
     h: CollocationSolution
 
+    def __post_init__(self):
+        lams = np.array(self.eigenvalues, dtype=float).reshape(-1)
+        W = np.array(self.W, dtype=float, ndmin=2)
+        if not lams.size:
+            raise ValueError("need at least one eigenfunction")
+        d = W.shape[1]
+        if lams.size != d or W.shape[0] != d:
+            raise ValueError(f"expected {d} eigenfunctions, got {lams.size}")
+        if np.min(np.abs(np.subtract.outer(lams, lams) + np.eye(d))) == 0.0:
+            raise ValueError("eigenvalues must be pairwise distinct")
+        lams.setflags(write=False)
+        W.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", lams)
+        object.__setattr__(self, "W", W)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __len__(self):
+        return self.eigenvalues.size
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        return Eigenfunction(float(self.eigenvalues[i]), self.W[i], self, i)
+
     def value_many(self, X: np.ndarray) -> np.ndarray:
+        """phi_i(x_p) at [p, i], shape (c, k), from one evaluation of h."""
         X = np.asarray(X, dtype=float)
-        return X @ self.w + self.h.evaluate_many(X)
+        phi = self.h.evaluate_many(X)
+        for i, w in enumerate(self.W):
+            phi[:, i] += X @ w
+        return phi
 
     def evaluate_with_gradient(self, X: np.ndarray):
-        """phi and grad phi at a batch of points, from one evaluation of h."""
+        """phi (c, k) and grad phi (c, k, d) at a batch of points, from one
+        evaluation of h and grad h."""
         X = np.asarray(X, dtype=float)
-        h, grad_h = self.h.evaluate_with_gradient(X)
-        return X @ self.w + h, self.w[None, :] + grad_h
-
-    def gradient_many(self, X: np.ndarray) -> np.ndarray:
-        return self.evaluate_with_gradient(X)[1]
+        phi, grad = self.h.evaluate_with_gradient(X)
+        for i, w in enumerate(self.W):
+            phi[:, i] += X @ w
+            grad[:, i] += w
+        return phi, grad
 
 
 @dataclass(frozen=True)
-class EigenfunctionSet:
-    """One eigenfunction per eigenvalue of the linearization, same order."""
+class Eigenfunction:
+    """phi_i of a set: its eigenvalue, its linear part w_i, and column i of
+    the set's batch evaluations."""
 
-    eigenfunctions: tuple
+    lam: float
+    w: np.ndarray
+    eigset: EigenfunctionSet
+    i: int
 
-    def __post_init__(self):
-        eigs = tuple(self.eigenfunctions)
-        if not eigs:
-            raise ValueError("need at least one eigenfunction")
-        d = eigs[0].w.shape[0]
-        if len(eigs) != d:
-            raise ValueError(f"expected {d} eigenfunctions, got {len(eigs)}")
-        lams = np.array([e.lam for e in eigs])
-        if np.min(np.abs(np.subtract.outer(lams, lams) + np.eye(d))) == 0.0:
-            raise ValueError("eigenvalues must be pairwise distinct")
-        object.__setattr__(self, "eigenfunctions", eigs)
+    def value_many(self, X: np.ndarray) -> np.ndarray:
+        return self.eigset.value_many(X)[:, self.i]
 
-    def __iter__(self):
-        return iter(self.eigenfunctions)
-
-    def __len__(self):
-        return len(self.eigenfunctions)
-
-    def __getitem__(self, i):
-        return self.eigenfunctions[i]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([e.lam for e in self.eigenfunctions])
+    def gradient_many(self, X: np.ndarray) -> np.ndarray:
+        return self.eigset.evaluate_with_gradient(X)[1][:, self.i]
 
 
 def build_eigenfunctions(
@@ -112,21 +128,14 @@ def build_eigenfunctions(
     domain: Box,
     eta: float | None = None,
 ) -> EigenfunctionSet:
-    """Solve one collocation problem per eigenvalue of the linearization."""
-    eigs = []
-    for lam, w in zip(lin.eigenvalues, lin.left_eigenvectors):
-        problem = CollocationProblem(
-            kernel=kern,
-            fld=fld,
-            lin=lin,
-            lam=float(lam),
-            w=w,
-            centers=centers,
-            domain=domain,
-            eta=eta,
-        )
-        eigs.append(Eigenfunction(lam=float(lam), w=w, h=solve_collocation(problem)))
-    return EigenfunctionSet(tuple(eigs))
+    """Solve the collocation problem of the whole spectrum of the
+    linearization."""
+    problem = CollocationProblem(
+        kernel=kern, fld=fld, lin=lin, centers=centers, domain=domain, eta=eta
+    )
+    return EigenfunctionSet(
+        lin.eigenvalues, lin.left_eigenvectors, solve_collocation(problem)
+    )
 
 
 def path_integral_phi(
@@ -164,20 +173,23 @@ def path_integral_phi(
     n_steps = max(1, int(round(t_max / dt)))
     h = t_max / n_steps
 
-    def integrand(t, state):
-        return np.exp(-lams * t)[:, None] * (W @ nonlinear_part(fld, lin, state))
+    def integrand(t, state, f):
+        # f = f(state) also serves the next RK4 step as its first stage
+        return np.exp(-lams * t)[:, None] * (W @ (f - lin.E @ state))
 
     total = np.zeros((len(lams), len(X)))
     cols = np.arange(len(X))  # columns of total whose points are in the batch
     state = X.T.copy()
-    g_prev = integrand(0.0, state)
+    f = fld.evaluate(state)
+    g_prev = integrand(0.0, state, f)
     quiet = np.zeros(total.shape, dtype=int)
     for k in range(n_steps):
         t_next = (k + 1) * h
-        state = rk4_step(fld, state, h)
+        state = rk4_step(fld, state, h, k1=f)
         if not np.all(np.isfinite(state)):
             raise BlowUpError(t_next)
-        g_next = integrand(t_next, state)
+        f = fld.evaluate(state)
+        g_next = integrand(t_next, state, f)
         active = quiet < _TAIL_STEPS
         total[:, cols] += np.where(active, 0.5 * h * (g_prev + g_next), 0.0)
         g_prev = g_next
@@ -187,5 +199,5 @@ def path_integral_phi(
             if not live.any():
                 break
             cols, state, quiet = cols[live], state[:, live], quiet[:, live]
-            g_prev = g_prev[:, live]
+            f, g_prev = f[:, live], g_prev[:, live]
     return X @ W.T + total.T

@@ -84,8 +84,7 @@ class LyapunovModel:
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
         """V at a batch of points (m, d) -> (m,), from eigenfunction values only."""
-        X = np.asarray(X, dtype=float)
-        Phi = np.stack([e.value_many(X) for e in self.eigenfunctions], axis=1)
+        Phi = self.eigenfunctions.value_many(X)
         return np.einsum("mi,ij,mj->m", Phi, self.P, Phi)
 
     def value(self, x) -> float:
@@ -93,14 +92,9 @@ class LyapunovModel:
 
     def evaluate_with_derivative(self, fld: VectorField, X: np.ndarray):
         """Phi (m, d), V (m,) and Vdot along the field (m,) at a batch of
-        points, from one phi/grad phi evaluation per eigenfunction."""
-        X = np.asarray(X, dtype=float)
-        fX = fld.evaluate_at(X)
-        Phi = np.empty((X.shape[0], len(self.eigenfunctions)))
-        dPhi = np.empty_like(Phi)
-        for i, e in enumerate(self.eigenfunctions):
-            Phi[:, i], grad = e.evaluate_with_gradient(X)
-            dPhi[:, i] = np.sum(grad * fX, axis=1)
+        points, from one phi/grad phi evaluation of the eigenfunction set."""
+        Phi, grad = self.eigenfunctions.evaluate_with_gradient(X)
+        dPhi = np.sum(grad * fld.evaluate_at(X)[:, None, :], axis=2)
         V = np.einsum("mi,ij,mj->m", Phi, self.P, Phi)
         Vdot = np.einsum("mi,ij,mj->m", dPhi, self.P, Phi) + np.einsum(
             "mi,ij,mj->m", Phi, self.P, dPhi

@@ -43,10 +43,9 @@ from .dynamics import (
     linearize,
 )
 from .expr import parse_vector_field
-from .kernel import make_kernel
+from .kernel import GaussianKernel
 from .koopman import (
     ConvergenceConditionError,
-    Eigenfunction,
     EigenfunctionSet,
     build_eigenfunctions,
     path_integral_phi,
@@ -100,7 +99,7 @@ def _field_and_lin(cfg: RunConfig):
 
 
 def stage_linearize(cfg: RunConfig, outdir: Path):
-    """Write linearization.json; returns the linearization."""
+    """Write linearization.json; returns the field and its linearization."""
     fld, lin = _field_and_lin(cfg)
     _write_json(
         outdir / _LINEARIZATION,
@@ -110,31 +109,32 @@ def stage_linearize(cfg: RunConfig, outdir: Path):
             "left_eigenvectors": lin.left_eigenvectors.tolist(),
         },
     )
-    return lin
+    return fld, lin
 
 
 def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
-    """Solve one collocation problem per eigenvalue and persist coefficients."""
-    fld, lin = _field_and_lin(cfg)
-    stage_linearize(cfg, outdir)
+    """Solve the collocation problem of the whole spectrum and persist the
+    coefficients."""
+    fld, lin = stage_linearize(cfg, outdir)
 
-    kern = make_kernel("gaussian", cfg.sigma, cfg.dim)
+    kern = GaussianKernel(sigma=cfg.sigma, dim=cfg.dim)
     centers = uniform_centers(cfg.domain, cfg.grid_n)
     rho = fill_distance(centers, cfg.domain)
 
     np.savetxt(outdir / _CENTERS, centers, fmt="%.17g", delimiter=",")
 
     eigset = build_eigenfunctions(fld, lin, kern, centers, cfg.domain, cfg.eta)
+    sol = eigset.h
     alpha_files = [f"eigenfunction_{i}_alpha.csv" for i in range(1, len(eigset) + 1)]
-    for name, e in zip(alpha_files, eigset):
-        np.savetxt(outdir / name, e.h.alpha, fmt="%.17g", delimiter=",")
+    for name, alpha in zip(alpha_files, sol.alpha):
+        np.savetxt(outdir / name, alpha, fmt="%.17g", delimiter=",")
     meta_eigs = [
         {
             "eigenvalue": e.lam,
             "left_eigenvector": e.w.tolist(),
-            "eta_used": e.h.eta_used,
-            "condition_estimate": e.h.condition_estimate,
-            "method": e.h.method,
+            "eta_used": float(sol.eta_used[e.i]),
+            "condition_estimate": float(sol.condition_estimate[e.i]),
+            "method": sol.method[e.i],
         }
         for e in eigset
     ]
@@ -156,11 +156,12 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
 def eigenfunctions_summary(eigset: EigenfunctionSet, rho: float) -> str:
     """Text report of the eigenfunctions stage: fill distance, then one line
     per eigenvalue with its ridge, condition estimate and solver."""
+    sol = eigset.h
     lines = [f"fill distance: {rho:.12g}"]
     for e in eigset:
         lines.append(
-            f"eigenvalue {e.lam:.6g}: eta = {e.h.eta_used:.6g}, "
-            f"condition estimate = {e.h.condition_estimate:.6e} ({e.h.method})"
+            f"eigenvalue {e.lam:.6g}: eta = {sol.eta_used[e.i]:.6g}, condition "
+            f"estimate = {sol.condition_estimate[e.i]:.6e} ({sol.method[e.i]})"
         )
     return "\n".join(lines) + "\n"
 
@@ -186,34 +187,26 @@ def load_eigenfunctions(cfg: RunConfig, outdir: Path):
     if not centers_path.exists():
         raise MissingArtifactError(centers_path)
     centers = np.loadtxt(centers_path, delimiter=",", ndmin=2)
-    kern = make_kernel("gaussian", meta["sigma"], cfg.dim)
 
-    eigs = []
-    for entry, alpha_file in zip(meta["eigenfunctions"], meta["alpha_files"]):
+    alphas = []
+    for alpha_file in meta["alpha_files"]:
         alpha_path = outdir / alpha_file
         if not alpha_path.exists():
             raise MissingArtifactError(alpha_path)
-        alpha = np.loadtxt(alpha_path, delimiter=",")
-        w = np.array(entry["left_eigenvector"])
-        problem = CollocationProblem(
-            kernel=kern,
-            fld=fld,
-            lin=lin,
-            lam=entry["eigenvalue"],
-            w=w,
-            centers=centers,
-            domain=cfg.domain,
-            eta=meta["eta_config"],
-        )
-        sol = CollocationSolution(
-            problem=problem,
-            alpha=np.atleast_1d(alpha),
-            eta_used=entry["eta_used"],
-            condition_estimate=entry["condition_estimate"],
-            method=entry["method"],
-        )
-        eigs.append(Eigenfunction(lam=entry["eigenvalue"], w=w, h=sol))
-    return fld, lin, EigenfunctionSet(tuple(eigs)), meta
+        alphas.append(np.atleast_1d(np.loadtxt(alpha_path, delimiter=",")))
+    entries = meta["eigenfunctions"]
+    kern = GaussianKernel(sigma=meta["sigma"], dim=cfg.dim)
+    sol = CollocationSolution(
+        problem=CollocationProblem(kern, fld, lin, centers, cfg.domain, meta["eta_config"]),
+        alpha=np.array(alphas),
+        eta_used=np.array([e["eta_used"] for e in entries]),
+        condition_estimate=np.array([e["condition_estimate"] for e in entries]),
+        method=tuple(e["method"] for e in entries),
+    )
+    eigset = EigenfunctionSet(
+        [e["eigenvalue"] for e in entries], [e["left_eigenvector"] for e in entries], sol
+    )
+    return fld, lin, eigset, meta
 
 
 def stage_lyapunov(cfg: RunConfig, outdir: Path):
@@ -292,11 +285,10 @@ def stage_oracle_check(cfg: RunConfig, outdir: Path):
     phi = np.full((len(pts), len(eigset)), np.nan)
     integral = np.full_like(phi, np.nan)
     integral[:, checked] = path_integral_phi(
-        fld, lin, [eigset[i].lam for i in checked], [eigset[i].w for i in checked],
+        fld, lin, eigset.eigenvalues[checked], eigset.W[checked],
         pts, t_max=cfg.oracle_t_max, dt=cfg.oracle_dt,
     )
-    for i in checked:
-        phi[:, i] = eigset[i].value_many(pts)
+    phi[:, checked] = eigset.value_many(pts)[:, checked]
     absdiff = np.abs(phi - integral)
 
     header = ["x1", "x2"][: cfg.dim]

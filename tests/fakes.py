@@ -1,33 +1,38 @@
-"""Closed-form stand-ins for the nonlinear part h of an eigenfunction.
+"""Closed-form stand-ins for the set-level nonlinear part h of an
+eigenfunction set.
 
-Both implement the two-method protocol Eigenfunction expects of h:
-evaluate_many(X) returns h at a batch of points, shape (c,), and
-evaluate_with_gradient(X) returns (h, grad h), shapes (c,) and (c, d).
+Both implement the two-method protocol EigenfunctionSet expects of h:
+evaluate_many(X) returns h_i(x_p) at [p, i], shape (c, k), and
+evaluate_with_gradient(X) returns that and grad h_i(x_p) at [p, i],
+shape (c, k, d). Here k = d, as for every set.
 """
 
 import numpy as np
 
 
 class ZeroH:
-    """h = 0 in any dimension."""
+    """h_i = 0 for every eigenvalue, in any dimension."""
 
     def evaluate_many(self, X):
-        return np.zeros(np.asarray(X).shape[0])
+        return np.zeros_like(np.asarray(X, dtype=float))
 
     def evaluate_with_gradient(self, X):
         X = np.asarray(X, dtype=float)
-        return np.zeros(X.shape[0]), np.zeros_like(X)
+        return np.zeros_like(X), np.zeros(X.shape + X.shape[1:])
 
 
-class Quadratic:
-    """h(x) = 3 x1^2, the exact correction for the fast mode of the
-    benchmark cubic system."""
+class CubicExact:
+    """h_1 = 0 and h_2 = 3 x1^2, the exact corrections for the eigenvalues
+    -2 and -3 of the benchmark cubic system."""
 
     def evaluate_many(self, X):
-        return 3.0 * np.asarray(X, dtype=float)[:, 0] ** 2
+        X = np.asarray(X, dtype=float)
+        h = np.zeros_like(X)
+        h[:, 1] = 3.0 * X[:, 0] ** 2
+        return h
 
     def evaluate_with_gradient(self, X):
         X = np.asarray(X, dtype=float)
-        grad = np.zeros_like(X)
-        grad[:, 0] = 6.0 * X[:, 0]
+        grad = np.zeros((X.shape[0], 2, 2))
+        grad[:, 1, 0] = 6.0 * X[:, 0]
         return self.evaluate_many(X), grad

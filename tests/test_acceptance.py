@@ -24,14 +24,13 @@ from koopman_lyap.dynamics import linearize
 from koopman_lyap.expr import parse_vector_field
 from koopman_lyap.kernel import GaussianKernel
 from koopman_lyap.koopman import (
-    Eigenfunction,
     EigenfunctionSet,
     build_eigenfunctions,
     path_integral_phi,
 )
 from koopman_lyap.lyapunov import LyapunovModel, solve_p
 
-from fakes import Quadratic, ZeroH
+from fakes import CubicExact
 from fdtools import fd_gradient, rel_err
 
 _EX1_DOMAIN = Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
@@ -92,9 +91,8 @@ def duffing_model(duffing):
 def test_criterion_01_homogeneous_correction_vanishes(ex1_eigs):
     # w1 . G vanishes identically, so the slow correction solve has zero
     # data and must return the zero function
-    h1 = ex1_eigs[0].h
     probes = _TEST_WINDOW.grid(41)
-    assert np.max(np.abs(h1.evaluate_many(probes))) <= 1e-8
+    assert np.max(np.abs(ex1_eigs.h.evaluate_many(probes)[:, 0])) <= 1e-8
 
 
 def test_criterion_02_closed_form_eigenfunction_recovered(ex1_eigs):
@@ -117,11 +115,10 @@ def test_criterion_03_error_decreases_with_fill_distance(ex1, ex1_eigs):
         centers = uniform_centers(_EX1_DOMAIN, n_axis)
         problem = CollocationProblem(
             kernel=kern, fld=fld, lin=lin,
-            lam=float(lin.eigenvalues[1]), w=lin.left_eigenvectors[1],
             centers=centers, domain=_EX1_DOMAIN, eta=1e-10,
         )
         sol = _quiet_solve(problem)
-        phi = probes @ problem.w + sol.evaluate_many(probes)
+        phi = probes @ lin.left_eigenvectors[1] + sol.evaluate_many(probes)[:, 1]
         errors.append(float(np.max(np.abs(phi - exact))))
         fills.append(fill_distance(centers, _EX1_DOMAIN))
 
@@ -145,10 +142,9 @@ def test_criterion_04_quadratic_form_solves_lyapunov_equation(ex1, duffing):
 
 
 def test_criterion_05_exact_eigenfunction_values():
-    phi1 = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=ZeroH())
-    phi2 = Eigenfunction(lam=-3.0, w=np.array([0.0, 1.0]), h=Quadratic())
     model = LyapunovModel(
-        eigenfunctions=EigenfunctionSet((phi1, phi2)), P=solve_p([-2.0, -3.0])
+        eigenfunctions=EigenfunctionSet([-2.0, -3.0], np.eye(2), CubicExact()),
+        P=solve_p([-2.0, -3.0]),
     )
     fld = parse_vector_field(["-2*x1", "-3*(x2 - x1^2)"])
     x = np.array([1.0, 0.0])
@@ -240,12 +236,11 @@ def test_criterion_11_finite_difference_stack(ex1):
     window = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     problem = CollocationProblem(
         kernel=GaussianKernel(sigma=1.0, dim=2), fld=fld, lin=lin,
-        lam=float(lin.eigenvalues[1]), w=lin.left_eigenvectors[1],
         centers=uniform_centers(window, 7), domain=window, eta=0.0,
     )
     sol = _quiet_solve(problem)
     X = np.array([rng.uniform(-2, 2, size=2) for _ in range(100)])
     _, grads = sol.evaluate_with_gradient(X)
-    for x, grad in zip(X, grads):
-        fd = fd_gradient(lambda v: sol.evaluate_many(v[None, :])[0], x)
+    for x, grad in zip(X, grads[:, 1]):
+        fd = fd_gradient(lambda v: sol.evaluate_many(v[None, :])[0, 1], x)
         assert rel_err(fd, grad) <= 1e-6

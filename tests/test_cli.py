@@ -305,6 +305,17 @@ def test_module_entry_point_fresh_interpreter(tiny_cfg_path, tmp_path):
     assert "numpy already imported" not in proc.stderr
 
 
+@pytest.mark.filterwarnings("ignore:Gram system condition estimate")
+def test_readme_library_use_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    value, vdot = map(float, capsys.readouterr().out.split())
+    assert value == pytest.approx(1.75, abs=1e-3)
+    assert vdot == pytest.approx(-10.0, abs=1e-2)
+
+
 # --- pipeline internals ----------------------------------------------------------
 
 
@@ -321,27 +332,30 @@ def test_load_eigenfunctions_rejects_system_swap(tiny_cfg_path, tmp_path):
 
 
 def test_one_basis_block_per_eigenfunction_per_chunk(tiny_cfg_path, tmp_path, monkeypatch):
-    # the lyapunov stage evaluates phi and grad phi once per eigenfunction
-    # per chunk of the test grid; certification needs values only
+    # the lyapunov stage evaluates phi and grad phi of every eigenfunction
+    # from one basis block per chunk of the test grid, which yields each
+    # eigenvalue's values and gradients in turn; certification needs values
+    # only
     cfg = load_config(tiny_cfg_path)
     pipeline.stage_eigenfunctions(cfg, tmp_path)
-    with_gradients = []
+    with_gradients = []  # per block, one flag per eigenvalue it yielded
     block = collocation._basis_block
 
     def counting(*args, **kwargs):
-        values, grads = block(*args, **kwargs)
-        with_gradients.append(grads is not None)
-        return values, grads
+        with_gradients.append([])
+        for values, grads in block(*args, **kwargs):
+            with_gradients[-1].append(grads is not None)
+            yield values, grads
 
     monkeypatch.setattr(collocation, "_basis_block", counting)
     pipeline.stage_lyapunov(cfg, tmp_path)
     n_points = cfg.test_resolution**cfg.dim
     chunks = math.ceil(n_points / collocation._CHUNK)
-    assert with_gradients == [True] * (cfg.dim * chunks)
+    assert with_gradients == [[True] * cfg.dim] * chunks
 
     with_gradients.clear()
     pipeline.stage_certify(cfg, tmp_path)
-    assert with_gradients and not any(with_gradients)
+    assert with_gradients and all(flags == [False] * cfg.dim for flags in with_gradients)
 
 
 def test_surface_csv_headers_follow_test_grid(finished_run):

@@ -5,7 +5,7 @@ from koopman_lyap.box import Box
 from koopman_lyap.collocation import CollocationProblem, _basis_block
 from koopman_lyap.dynamics import linearize
 from koopman_lyap.expr import parse_vector_field
-from koopman_lyap.kernel import GaussianKernel, make_kernel
+from koopman_lyap.kernel import GaussianKernel
 
 from fdtools import fd_gradient, fd_jacobian, rel_err
 
@@ -101,27 +101,28 @@ def test_block_forms_match_scalar(k3):
     rng = np.random.default_rng(5)
     Z = rng.uniform(-4, 4, size=(4, 2))
     prob = CollocationProblem(
-        kernel=k3, fld=fld, lin=lin, lam=float(lin.eigenvalues[1]),
-        w=lin.left_eigenvectors[1], centers=Z,
+        kernel=k3, fld=fld, lin=lin, centers=Z,
         domain=Box(np.array([-4.0, -4.0]), np.array([4.0, 4.0])),
     )
     F = fld.evaluate_at(Z)
     X = rng.uniform(-4, 4, size=(6, 2))
-    values, grads = _basis_block(prob, X, F)
-    assert values.shape == (6, 7)
-    assert grads.shape == (6, 7, 2)
     o = np.zeros(2)
-    for i, x in enumerate(X):
-        for j, z in enumerate(Z):
-            ref = k3.grad_y(x, z) @ F[j] - prob.lam * k3.value(x, z)
-            assert values[i, j] == pytest.approx(ref, rel=1e-14, abs=1e-16)
-        assert values[i, 4] == pytest.approx(k3.value(x, o), rel=1e-15)
-        np.testing.assert_allclose(values[i, 5:], k3.grad_y(x, o), rtol=1e-14, atol=1e-16)
+    blocks = _basis_block(prob, X, F)
+    for ev, (lam, (values, grads)) in enumerate(zip(lin.eigenvalues, blocks, strict=True)):
+        assert values.shape == (6, 7)
+        assert grads.shape == (6, 7, 2)
+        for i, x in enumerate(X):
+            for j, z in enumerate(Z):
+                ref = k3.grad_y(x, z) @ F[j] - lam * k3.value(x, z)
+                assert values[i, j] == pytest.approx(ref, rel=1e-14, abs=1e-16)
+            assert values[i, 4] == pytest.approx(k3.value(x, o), rel=1e-15)
+            np.testing.assert_allclose(values[i, 5:], k3.grad_y(x, o), rtol=1e-14, atol=1e-16)
 
-        def block_values(v):
-            return _basis_block(prob, v[None, :], F)[0][0]
+            def block_values(v):
+                block = _basis_block(prob, v[None, :], F, gradients=False)
+                return [vals[0].copy() for vals, _ in block][ev]
 
-        assert rel_err(fd_jacobian(block_values, x), grads[i]) <= 1e-6
+            assert rel_err(fd_jacobian(block_values, x), grads[i]) <= 1e-6
 
 
 def test_shape_validation(k3):
@@ -135,10 +136,3 @@ def test_constructor_validation():
     with pytest.raises(ValueError, match="dim"):
         GaussianKernel(sigma=1.0, dim=0)
 
-
-def test_make_kernel():
-    k = make_kernel("gaussian", 2.5, 2)
-    assert isinstance(k, GaussianKernel)
-    assert k.sigma == 2.5
-    with pytest.raises(ValueError, match="unknown kernel family"):
-        make_kernel("matern", 1.0, 2)

@@ -14,7 +14,6 @@ from koopman_lyap.expr import parse_vector_field
 from koopman_lyap.kernel import GaussianKernel
 from koopman_lyap.koopman import (
     ConvergenceConditionError,
-    Eigenfunction,
     EigenfunctionSet,
     build_eigenfunctions,
     path_integral_phi,
@@ -53,8 +52,7 @@ def test_eigenfunction_vanishes_at_origin(eigs):
 
 def test_eigenfunction_gradient_at_origin_is_w(eigs):
     for e in eigs:
-        _, grad = e.evaluate_with_gradient(np.zeros((1, 2)))
-        np.testing.assert_allclose(grad[0], e.w, atol=1e-9)
+        np.testing.assert_allclose(e.gradient_many(np.zeros((1, 2)))[0], e.w, atol=1e-9)
 
 
 def test_slow_eigenfunction_is_linear_coordinate(eigs):
@@ -100,43 +98,43 @@ def test_pde_residual_of_slow_eigenfunction_is_zero(cubic, eigs):
 def test_linear_part_split(eigs):
     # phi - h must be exactly w . x
     X = np.array([[0.7, -0.3]])
-    for e in eigs:
-        phi, grad = e.evaluate_with_gradient(X)
-        h, grad_h = e.h.evaluate_with_gradient(X)
-        assert phi[0] - h[0] == pytest.approx(e.w @ X[0], abs=1e-14)
-        np.testing.assert_allclose(grad[0] - grad_h[0], e.w, atol=1e-14)
+    phi, grad = eigs.evaluate_with_gradient(X)
+    h, grad_h = eigs.h.evaluate_with_gradient(X)
+    for i, e in enumerate(eigs):
+        assert phi[0, i] - h[0, i] == pytest.approx(e.w @ X[0], abs=1e-14)
+        np.testing.assert_allclose(grad[0, i] - grad_h[0, i], e.w, atol=1e-14)
 
 
 def test_batch_forms_match_pointwise(eigs):
     # the values-only and the joint path contract the same basis values, so
-    # they agree bitwise; a 1-row batch sums in another BLAS order
+    # they agree bitwise, and each eigenfunction is a column of the set's
+    # evaluation; a 1-row batch sums in another BLAS order
     X = np.random.default_rng(3).uniform(-2, 2, size=(10, 2))
-    for e in eigs:
-        vals, grads = e.evaluate_with_gradient(X)
-        np.testing.assert_array_equal(e.value_many(X), vals)
-        np.testing.assert_array_equal(e.gradient_many(X), grads)
-        for i in range(X.shape[0]):
-            row = X[i : i + 1]
-            val, grad = e.evaluate_with_gradient(row)
-            assert vals[i] == pytest.approx(val[0], rel=1e-12, abs=1e-12)
-            assert vals[i] == pytest.approx(e.value_many(row)[0], rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(grads[i], grad[0], atol=1e-12)
+    vals, grads = eigs.evaluate_with_gradient(X)
+    assert vals.shape == (10, 2) and grads.shape == (10, 2, 2)
+    np.testing.assert_array_equal(eigs.value_many(X), vals)
+    for i, e in enumerate(eigs):
+        np.testing.assert_array_equal(e.value_many(X), vals[:, i])
+        np.testing.assert_array_equal(e.gradient_many(X), grads[:, i])
+    for p in range(X.shape[0]):
+        row = X[p : p + 1]
+        val, grad = eigs.evaluate_with_gradient(row)
+        np.testing.assert_allclose(vals[p], val[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(vals[p], eigs.value_many(row)[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads[p], grad[0], atol=1e-12)
 
 
 # --- the eigenfunction container ----------------------------------------------
 
 
 def test_set_requires_full_count():
-    e = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=ZeroH())
     with pytest.raises(ValueError, match="expected 2"):
-        EigenfunctionSet((e,))
+        EigenfunctionSet([-2.0], [[1.0, 0.0]], ZeroH())
 
 
 def test_set_requires_distinct_eigenvalues():
-    e1 = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=ZeroH())
-    e2 = Eigenfunction(lam=-2.0, w=np.array([0.0, 1.0]), h=ZeroH())
     with pytest.raises(ValueError, match="distinct"):
-        EigenfunctionSet((e1, e2))
+        EigenfunctionSet([-2.0, -2.0], np.eye(2), ZeroH())
 
 
 def test_set_iteration_and_indexing(eigs):

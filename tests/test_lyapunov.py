@@ -3,7 +3,7 @@ import pytest
 
 from koopman_lyap.box import Box
 from koopman_lyap.expr import parse_vector_field
-from koopman_lyap.koopman import Eigenfunction, EigenfunctionSet
+from koopman_lyap.koopman import EigenfunctionSet
 from koopman_lyap.lyapunov import (
     LyapunovError,
     LyapunovModel,
@@ -13,14 +13,12 @@ from koopman_lyap.lyapunov import (
     solve_p,
 )
 
-from fakes import Quadratic, ZeroH
+from fakes import CubicExact, ZeroH
 
 
 @pytest.fixture(scope="module")
 def exact_model():
-    phi1 = Eigenfunction(lam=-2.0, w=np.array([1.0, 0.0]), h=ZeroH())
-    phi2 = Eigenfunction(lam=-3.0, w=np.array([0.0, 1.0]), h=Quadratic())
-    eigs = EigenfunctionSet((phi1, phi2))
+    eigs = EigenfunctionSet([-2.0, -3.0], np.eye(2), CubicExact())
     return LyapunovModel(eigenfunctions=eigs, P=solve_p([-2.0, -3.0]))
 
 
@@ -91,7 +89,7 @@ def test_orbital_derivative_spectral_identity(exact_model, cubic_field):
     X = np.random.default_rng(2).uniform(-2, 2, size=(20, 2))
     lams = exact_model.eigenvalues
     P = exact_model.P
-    phis = np.column_stack([e.value_many(X) for e in exact_model.eigenfunctions])
+    phis = exact_model.eigenfunctions.value_many(X)
     expected = np.einsum(
         "ij,si,sj->s", P * (lams[:, None] + lams[None, :]), phis, phis
     )
@@ -101,9 +99,8 @@ def test_orbital_derivative_spectral_identity(exact_model, cubic_field):
 
 def test_one_dimensional_model():
     fld = parse_vector_field(["-2*x1"])
-    phi = Eigenfunction(lam=-2.0, w=np.array([1.0]), h=ZeroH())
     model = LyapunovModel(
-        eigenfunctions=EigenfunctionSet((phi,)), P=solve_p([-2.0])
+        eigenfunctions=EigenfunctionSet([-2.0], [[1.0]], ZeroH()), P=solve_p([-2.0])
     )
     for t in (-1.5, 0.3, 2.0):
         x = np.array([t])
@@ -192,9 +189,8 @@ def test_grid_eval_smoke_on_large_grid(exact_model, cubic_field):
 
 def test_grid_eval_rejects_bad_input():
     fld1 = parse_vector_field(["-1*x1"])
-    phi = Eigenfunction(lam=-1.0, w=np.array([1.0]), h=ZeroH())
     model1 = LyapunovModel(
-        eigenfunctions=EigenfunctionSet((phi,)), P=solve_p([-1.0])
+        eigenfunctions=EigenfunctionSet([-1.0], [[1.0]], ZeroH()), P=solve_p([-1.0])
     )
     dom1 = Box(np.array([-1.0]), np.array([1.0]))
     with pytest.raises(LyapunovError, match="2-D"):
