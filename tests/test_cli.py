@@ -289,20 +289,89 @@ def test_threads_validation(tiny_cfg_path):
         cli.main(["linearize", str(tiny_cfg_path), "--threads", "0"])
 
 
-def test_module_entry_point_fresh_interpreter(tiny_cfg_path, tmp_path):
-    # a fresh interpreter takes the env-var path for --threads and exits 0;
-    # it imports the package from this checkout's src, installed or not
+def _fresh_cli(*args):
+    """Run the CLI in a fresh interpreter that imports the package from this
+    checkout's src, installed or not."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "koopman_lyap.cli", "linearize",
-         str(tiny_cfg_path), "--output-dir", str(tmp_path), "--threads", "1"],
-        capture_output=True, text=True, timeout=120, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "koopman_lyap.cli", *map(str, args)],
+        capture_output=True, text=True, timeout=300, env=env,
     )
+
+
+def test_module_entry_point_fresh_interpreter(tiny_cfg_path, tmp_path):
+    # a fresh interpreter takes the env-var path for --threads and exits 0
+    proc = _fresh_cli("linearize", tiny_cfg_path, "--output-dir", tmp_path, "--threads", 1)
     assert proc.returncode == 0, proc.stderr
     assert "E =" in proc.stdout
     assert "numpy already imported" not in proc.stderr
+
+
+# The README's cross-thread-count contract: V and Vdot agree to THREAD_RTOL
+# of their largest magnitude, and the certification margins to MARGIN_RTOL
+# of theirs. A margin differences V over one cell, so it amplifies the
+# spread of V by about |f| / (cell width).
+THREAD_RTOL = 1e-3
+MARGIN_RTOL = 1e-2
+
+_SMALL_DUFFING = """\
+[system]
+f1 = x2
+f2 = -3*x2 - x1 - x1^3
+
+[domain]
+lower = -3 -3
+upper = 3 3
+
+[collocation]
+grid_n = 24
+sigma = 2
+eta = 1e-10
+
+[test_grid]
+lower = -2 -2
+upper = 2 2
+resolution = 21
+
+[cpa]
+lower = -2 -2
+upper = 2 2
+cells = 20
+safety = 1.1
+
+[oracle]
+enabled = false
+
+[output]
+dir = out
+"""
+
+
+def test_thread_count_changes_results_within_stated_tolerance(tmp_path):
+    # --threads caps BLAS before numpy loads, so each count needs its own
+    # interpreter; the Gram solve amplifies the changed summation order
+    cfg_path = tmp_path / "duffing_small.cfg"
+    cfg_path.write_text(_SMALL_DUFFING)
+    runs = []
+    for threads in (1, 2):
+        outdir = tmp_path / f"t{threads}"
+        proc = _fresh_cli("run", cfg_path, "--output-dir", outdir, "--threads", threads)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(outdir)
+
+    for name in ("V.csv", "Vdot.csv"):
+        a, b = (np.loadtxt(r / name, delimiter=",", comments="#")[:, 2] for r in runs)
+        assert np.max(np.abs(a - b)) <= THREAD_RTOL * np.max(np.abs(a)), name
+
+    # only failed checks are on disk, so every pair's margin is recomputed
+    # here, at one thread count, from each run's persisted eigenfunctions
+    cfg = load_config(cfg_path)
+    reports = [pipeline.stage_certify(cfg, r) for r in runs]
+    assert np.array_equal(reports[0].lc2_checked, reports[1].lc2_checked)
+    m1, m2 = (np.where(r.lc2_checked, r.lc2_margins, 0.0) for r in reports)
+    assert np.max(np.abs(m1 - m2)) <= MARGIN_RTOL * np.max(np.abs(m1))
 
 
 @pytest.mark.filterwarnings("ignore:Gram system condition estimate")
