@@ -22,22 +22,44 @@ b = (-w.G(z_1), .., -w.G(z_n), 0, .., 0). The coefficient layout is therefore
     alpha[n]         value at the origin
     alpha[n+1:n+1+d] partial derivatives at the origin
 
-Every entry of A and every value or gradient of h is a contraction of one
-basis block: for a chunk of points x, the values and x-gradients of the
-m = n + 1 + d basis functions (L_b^y k)(x, .). With the Gaussian kernel,
-u = x - z_b, K = k(x, z_b), K0 = k(x, 0) and S = u . f(z_b) / sigma^2 - lambda:
+With the Gaussian kernel, u = x - z_b, K = k(x, z_b), K0 = k(x, 0) and
+S = u . f(z_b) / sigma^2 - lambda, the m = n + 1 + d basis functions
+(L_b^y k)(x, .) are
 
     column            value               x-gradient
     b < n             K S                 K (f(z_b) - S u) / sigma^2
     n                 K0                  -x K0 / sigma^2
     n + 1 + l         x_l K0 / sigma^2    (e_l - x_l x / sigma^2) K0 / sigma^2
 
-u is formed per entry before any sum, and exp is taken once per entry. A PDE
-row of A is grads . f(z_a) - lambda values at x = z_a, the origin rows are
-the block at x = 0, h is values @ alpha and grad h is grads . alpha.
+Separable evaluation. The Gaussian factorizes, K = prod_l k(x_l, z_bl) with
+k(s, t) = exp(-(s - t)^2 / (2 sigma^2)); with g(s, t) = (s - t) k(s, t),
 
-All eigenvalues share the centers, the kernel and f(z_b); only lambda (in S)
-and w (in b) differ, so one problem covers the whole spectrum.
+    h(x) = sum_b [beta^0_b prod_l k(x_l, z_bl) + sum_l beta^l_b g(x_l, z_bl)
+                  prod_{j != l} k(x_j, z_bj)] + origin terms,
+    beta^0_b = -lambda alpha_b,    beta^l_b = alpha_b f_l(z_b) / sigma^2.
+
+The centers lie on the lattice of each axis' sorted unique coordinates a_l
+(n_l of them); C_q is beta^q scattered onto it, zero elsewhere. With d = 2,
+K_l[p, i] = k(x_pl, a_li), G_l[p, i] = g(x_pl, a_li) and U_l = x_pl - a_li,
+
+    h = rowsum(K_2 o (K_1 C_0 + G_1 C_1 + U_2 o (K_1 C_2))) + origin terms:
+
+a matrix product per lattice, an elementwise contraction per further axis,
+and the sum formed before the last factor. Gradients substitute
+dk/ds = -g / sigma^2 and dg/ds = k - U g / sigma^2 on their axis. u stays
+formed per entry, so a PDE column is exactly -lambda at its own center.
+Tensor grids, the odd grid's moved center and scattered centers (a sparse
+n^d lattice) take this one path: c (n_1 + .. + n_d + 1) exponentials for c
+points, and no (c, m, d) tensor.
+
+Assembly. With u = z_a - z_b, T = u . f(z_b) / sigma^2, R = u . f(z_a) / sigma^2,
+
+    A[a, b] = K(z_a, z_b) (f(z_a) . f(z_b) / sigma^2 - (T - lambda)(R + lambda)),
+
+K gathered from the 1-D Gram factors k(a_li, a_lj): sum_l n_l^2
+exponentials, not n^2. Its origin columns are the table's rows n .. n + d
+at x = z_a, the origin rows their transpose. Only lambda and w differ
+between eigenvalues, so one problem covers the whole spectrum.
 
 For distinct functionals the Gram matrix is positive definite (Giesl &
 Wendland, SIAM J. Numer. Anal. 45, 2007) and a ridge eta is added to its
@@ -49,6 +71,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -71,7 +94,7 @@ __all__ = [
     "solve",
 ]
 
-_CHUNK = 512
+_CHUNK = 128
 
 
 class CollocationError(ValueError):
@@ -134,6 +157,13 @@ class CollocationProblem:
         """Number of functionals, n + 1 + d."""
         return self.n_centers + 1 + self.fld.dim
 
+    @cached_property
+    def lattice(self):
+        """Per axis the sorted unique center coordinates a_l, and the (n, d)
+        indices placing z_b at (a_1[i_1], .., a_d[i_d])."""
+        pairs = [np.unique(col, return_inverse=True) for col in self.centers.T]
+        return [a for a, _ in pairs], np.stack([i for _, i in pairs], axis=1)
+
 
 def uniform_centers(domain: Box, n_per_axis: int) -> np.ndarray:
     """Uniform grid of n_per_axis points per axis, endpoints included.
@@ -164,73 +194,71 @@ def fill_distance(centers: np.ndarray, domain: Box, probe_resolution: int = 201)
     return float(np.max(dist))
 
 
-def _basis_block(
-    problem: CollocationProblem, X: np.ndarray, F: np.ndarray, gradients: bool = True
-):
-    """Yield, for each eigenvalue in turn, the values (c, m) and x-gradients
-    (c, m, d) of the m = n + 1 + d basis functions at the c points X; F holds
-    the field at the centers. Only S = T - lambda, T = u . f(z_b) / sigma^2,
-    changes between eigenvalues, and the yielded arrays are overwritten for
-    the next one. Without gradients the (c, m, d) tensor is never formed and
-    None is yielded in its place."""
-    Z = problem.centers
-    s2 = problem.kernel.sigma**2
-    n, d = Z.shape
-    c = X.shape[0]
-    values = np.empty((c, n + 1 + d))
-    grads = np.empty((c, n + 1 + d, d)) if gradients else None
+def _partial(C: np.ndarray, factors, k: int) -> np.ndarray:
+    """C (n_1, k n_2 .. n_d) contracted with the 1-D factors (c, n_l) of all
+    lattice axes but the last, shape (c, k, n_d)."""
+    if not factors:
+        return C.T[None]
+    c = factors[0].shape[0]
+    R = factors[0] @ C
+    for l, K in enumerate(factors[1:], start=2):
+        R = np.einsum("crjs,cj->crs", R.reshape(c, k, K.shape[1], -1), K)
+    return R.reshape(c, k, -1)
 
-    U = X[:, None, :] - Z[None, :, :]
-    K = np.exp(np.einsum("cnd,cnd->cn", U, U) / (-2.0 * s2))
-    T = np.einsum("cnd,nd->cn", U, F) / s2
-    K0 = np.exp(np.einsum("cd,cd->c", X, X) / (-2.0 * s2))
-    values[:, n] = K0
-    values[:, n + 1 :] = X * (K0 / s2)[:, None]
-    if gradients:
-        Ks = (K / s2)[:, :, None]
-        grads[:, n] = -X * (K0 / s2)[:, None]
-        grads[:, n + 1 :] = (np.eye(d) - X[:, :, None] * X[:, None, :] / s2) * (
-            K0 / s2
-        )[:, None, None]
-    else:
-        U = None  # free u: only the gradients need it beyond T
 
-    for lam in problem.lin.eigenvalues:
-        S = T - lam
-        np.multiply(K, S, out=values[:, :n])
-        if gradients:
-            # K (f(z_b) - S u) / sigma^2, built in the output slice so that
-            # no (c, n, d) temporary is formed
-            G = grads[:, :n]
-            np.multiply(S[:, :, None], U, out=G)
-            np.subtract(F, G, out=G)
-            G *= Ks
-        yield values, grads
+def _origin_columns(X: np.ndarray, s2: float):
+    """Values (c, d + 1) and x-gradients (c, d + 1, d) of the origin columns
+    n .. n + d of the basis at the points X."""
+    K0 = np.exp(np.einsum("cd,cd->c", X, X) / (-2.0 * s2))[:, None]
+    values, Ks = np.hstack([K0, X * (K0 / s2)]), (K0 / s2)[:, None]
+    XX = X[:, :, None] * X[:, None, :] / s2
+    grads = np.hstack([-X[:, None] * Ks, (np.eye(X.shape[1]) - XX) * Ks])
+    return values, grads
 
 
 def assemble_system(problem: CollocationProblem):
-    """Gram matrices, right-hand sides and ridges of the collocation systems
-    of every eigenvalue, from one pass over the chunks of centers.
-
-    Returns A of shape (k, m, m), each A[i] symmetric with its ridge eta[i]
-    on the diagonal; b of shape (k, m); eta of shape (k,); m = n + 1 + d.
-    """
+    """Gram matrices, right-hand sides and ridges of every eigenvalue's
+    system, one chunk of PDE rows at a time: A of shape (k, m, m), each A[i]
+    symmetric with its ridge eta[i] on the diagonal; b (k, m); eta (k,)."""
     Z = problem.centers
     n, d = Z.shape
     m = n + 1 + d
+    s2 = problem.kernel.sigma**2
     lams = problem.lin.eigenvalues
     F = problem.fld.evaluate_at(Z)
+    axes, index = problem.lattice
+    gram_1d = [np.exp(np.subtract.outer(a, a) ** 2 / (-2.0 * s2)) for a in axes]
 
     A = np.empty((len(lams), m, m))
     for s in range(0, n, _CHUNK):
         rows = slice(s, min(s + _CHUNK, n))
-        blocks = _basis_block(problem, Z[rows], F)
-        for Ai, lam, (values, grads) in zip(A, lams, blocks):
-            Ai[rows] = np.einsum("cmd,cd->cm", grads, F[rows]) - lam * values
+        Za, Fa = Z[rows], F[rows]
+        K = np.ones((len(Za), n))
+        for G1, i in zip(gram_1d, index.T):
+            K *= G1[np.ix_(i[rows], i)]
+        # u = z_a - z_b per axis; T = u . f(z_b), R = u . f(z_a), FF = f(z_a) . f(z_b).
+        # u_ba = -u_ab exactly, so these rows are symmetric as computed.
+        U = [Za[:, l, None] - Z[:, l] for l in range(d)]
+        T = sum(u * F[:, l] for l, u in enumerate(U)) / s2
+        R = sum(u * Fa[:, l, None] for l, u in enumerate(U)) / s2
+        FF = sum(np.multiply.outer(Fa[:, l], F[:, l]) for l in range(d)) / s2
+        values, grads = _origin_columns(Za, s2)
+        origin = np.einsum("cqd,cd->cq", grads, Fa)
+        for Ai, lam in zip(A, lams):
+            out = Ai[rows, :n]
+            np.add(R, lam, out=out)
+            out *= T - lam
+            np.subtract(FF, out, out=out)
+            out *= K
+            Ai[rows, n:] = origin - lam * values
 
-    for Ai, (values, grads) in zip(A, _basis_block(problem, np.zeros((1, d)), F)):
-        Ai[n] = values[0]
-        Ai[n + 1 :] = grads[0].T
+    # the Gram matrix is symmetric, so the origin rows are the origin
+    # columns transposed, then the origin functionals at x = 0
+    values, grads = _origin_columns(np.zeros((1, d)), s2)
+    for Ai in A:
+        Ai[n:, :n] = Ai[:n, n:].T
+        Ai[n, n:] = values[0]
+        Ai[n + 1 :, n:] = grads[0].T
 
     b = np.zeros((len(lams), m))
     if n:
@@ -240,7 +268,6 @@ def assemble_system(problem: CollocationProblem):
 
     eta = np.empty(len(lams))
     for i, Ai in enumerate(A):
-        Ai[...] = 0.5 * (Ai + Ai.T)
         eta[i] = (
             1e-10 * float(np.trace(Ai)) / m if problem.eta is None else float(problem.eta)
         )
@@ -286,21 +313,53 @@ class CollocationSolution:
 
     # -- evaluation ----------------------------------------------------------
 
+    @cached_property
+    def _lattice_coefficients(self) -> np.ndarray:
+        """C_0 .. C_d, shape (d + 1, n_1, k n_2 .. n_d): lattice row i_1,
+        then (eigenvalue, i_2, .., i_d) flattened."""
+        prob = self.problem
+        n, d = prob.centers.shape
+        a = self.alpha[:, :n]
+        beta = [-prob.lin.eigenvalues[:, None] * a]
+        beta += [a * f / prob.kernel.sigma**2 for f in self.center_field_values.T]
+        C = np.zeros((d + 1, len(a), *map(len, prob.lattice[0])))
+        C[(slice(None), slice(None), *prob.lattice[1].T)] = beta
+        return np.moveaxis(C, 2, 1).reshape(d + 1, C.shape[2], -1 if n else 0)
+
     def _evaluate(self, X: np.ndarray, gradients: bool):
-        X = np.asarray(X, dtype=float).reshape(-1, self.problem.fld.dim)
+        prob = self.problem
+        X = np.asarray(X, dtype=float).reshape(-1, prob.fld.dim)
         c, d = X.shape
         k = self.alpha.shape[0]
+        s2 = prob.kernel.sigma**2
+        C = self._lattice_coefficients
+        a0 = self.alpha[:, prob.n_centers :]
         h = np.empty((c, k))
         grad = np.empty((c, k, d)) if gradients else None
         for s in range(0, c, _CHUNK):
             rows = slice(s, min(s + _CHUNK, c))
-            blocks = _basis_block(
-                self.problem, X[rows], self.center_field_values, gradients
-            )
-            for i, (values, grads) in enumerate(blocks):
-                h[rows, i] = values @ self.alpha[i]
-                if gradients:
-                    grad[rows, i] = np.einsum("cmd,m->cd", grads, self.alpha[i])
+            x = X[rows]
+            U = [x[:, l, None] - a for l, a in enumerate(prob.lattice[0])]
+            K = [np.exp(u * u / (-2.0 * s2)) for u in U]
+            G = [u * kl for u, kl in zip(U, K)]
+            # factors of C_q on the axes but the last: G_l on axis l = q - 1
+            fs = [[G[l] if l == q - 1 else K[l] for l in range(d - 1)] for q in range(d + 1)]
+            u = U[-1][:, None, :]
+            R = [_partial(Cq, f, k) for Cq, f in zip(C, fs)]
+            values, grads = _origin_columns(x, s2)
+            h[rows] = np.einsum("ckj,cj->ck", sum(R[:-1]) + u * R[-1], K[-1]) + values @ a0.T
+            if not gradients:
+                continue
+            for j in range(d - 1):
+                dK, dG = G[j] / -s2, K[j] - U[j] * G[j] / s2
+                dR = [
+                    _partial(Cq, f[:j] + [dG if q == j + 1 else dK] + f[j + 1 :], k)
+                    for q, (Cq, f) in enumerate(zip(C, fs))
+                ]
+                grad[rows, :, j] = np.einsum("ckj,cj->ck", sum(dR[:-1]) + u * dR[-1], K[-1])
+            dR = sum(R[:-1]) * (u / -s2) + R[-1] * (1.0 - u * u / s2)
+            grad[rows, :, -1] = np.einsum("ckj,cj->ck", dR, K[-1])
+            grad[rows] += np.einsum("cqj,kq->ckj", grads, a0)
         return h, grad
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
@@ -310,7 +369,7 @@ class CollocationSolution:
 
     def evaluate_with_gradient(self, X: np.ndarray):
         """h and grad h at a batch of points, shape (c, d) -> ((c, k),
-        (c, k, d)), all contracted from one basis block per chunk."""
+        (c, k, d)), from one set of 1-D kernel factors per chunk."""
         return self._evaluate(X, gradients=True)
 
 

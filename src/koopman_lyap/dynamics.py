@@ -1,4 +1,4 @@
-"""Linearization at the origin and fixed-step integration of the flow.
+"""Linearization at the origin and the fixed-step RK4 step of the flow.
 
 The systems handled here have an exponentially stable equilibrium at the
 origin with a real, simple spectrum. linearize() checks all of that up front
@@ -19,11 +19,9 @@ __all__ = [
     "SpectrumError",
     "BlowUpError",
     "Linearization",
-    "Trajectory",
     "linearize",
     "nonlinear_part",
     "rk4_step",
-    "integrate_flow",
 ]
 
 
@@ -64,12 +62,6 @@ class Linearization:
     @property
     def dim(self) -> int:
         return self.E.shape[0]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), d)
 
 
 def jacobian_exprs(field: VectorField):
@@ -151,32 +143,3 @@ def rk4_step(field: VectorField, x: np.ndarray, dt: float, k1=None) -> np.ndarra
     k3 = field.evaluate(x + 0.5 * dt * k2)
     k4 = field.evaluate(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate_flow(
-    field: VectorField, x0, t_end: float, dt: float
-) -> Trajectory:
-    """Integrate the flow from x0 over [0, t_end] with fixed-step RK4.
-
-    dt is nudged to the nearest value dividing t_end exactly, so the final
-    sample lands on t_end. Raises BlowUpError when the state stops being
-    finite.
-    """
-    if t_end <= 0 or dt <= 0:
-        raise DynamicsError("t_end and dt must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (field.dim,):
-        raise DynamicsError(f"x0 must have shape ({field.dim},)")
-
-    n_steps = max(1, int(round(t_end / dt)))
-    h = t_end / n_steps
-    states = np.empty((n_steps + 1, field.dim))
-    states[0] = x0
-    x = x0
-    for k in range(n_steps):
-        x = rk4_step(field, x, h)
-        if not np.all(np.isfinite(x)):
-            raise BlowUpError((k + 1) * h)
-        states[k + 1] = x
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    return Trajectory(times=times, states=states)

@@ -25,8 +25,6 @@ __all__ = [
     "VectorField",
     "parse_expression",
     "parse_vector_field",
-    "evaluate",
-    "differentiate",
 ]
 
 _FUNCTIONS = {
@@ -292,14 +290,6 @@ class ExprAST:
 
     def __str__(self) -> str:
         return _fmt(self.root)
-
-
-def evaluate(ast: ExprAST, x):
-    return ast.evaluate(x)
-
-
-def differentiate(ast: ExprAST, var: int) -> ExprAST:
-    return ast.derivative(var)
 
 
 @dataclass(frozen=True)

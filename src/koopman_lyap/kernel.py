@@ -10,9 +10,10 @@ With u = x - y:
 
 The cross Hessian is what second-order functional evaluations of the kernel
 need; for the Gaussian it is symmetric in its two slots. These scalar methods
-are the reference for the formulas; the block of all collocation basis
-functions over a chunk of points is built in one place, by
-collocation._basis_block. All methods are pure, so concurrent use is safe.
+are the reference for the formulas. The collocation module never calls them:
+it evaluates and assembles from the kernel's 1-D factors, k(x, y) =
+prod_l exp(-(x_l - y_l)^2 / (2 sigma^2)), and the tests check that engine
+against these methods. All methods are pure, so concurrent use is safe.
 """
 
 from __future__ import annotations

@@ -114,18 +114,12 @@ class LyapunovModel:
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """Scale factors that enter the a-priori error bound, reported as-is.
-
-    The Frobenius bound ||P||_F <= 1 / (2 alpha) holds for a diagonalizable
-    spectrum with unit transformation norm; for d > 1 the computed ||P||_F
-    can exceed it, so the flag is reported and never asserted.
-    """
+    ||P||_2 equals 1 / (2 alpha) for the diagonal P = diag(1 / (2 |lambda_i|))."""
 
     fill_dist: float
     lambda_bar: float
     alpha: float
-    p_frobenius: float
-    p_frobenius_bound: float
-    bound_holds: bool
+    p_norm2: float
     sup_phi: np.ndarray
 
     def format_text(self) -> str:
@@ -134,9 +128,7 @@ class DiagnosticsReport:
             f"  fill distance (probe estimate): {self.fill_dist:.12g}",
             f"  lambda_bar (max eigenvalue):    {self.lambda_bar:.12g}",
             f"  alpha (min |eigenvalue|):       {self.alpha:.12g}",
-            f"  ||P||_F:                        {self.p_frobenius:.12g}",
-            f"  1 / (2 alpha):                  {self.p_frobenius_bound:.12g}",
-            f"  ||P||_F <= 1 / (2 alpha):       {self.bound_holds}",
+            f"  ||P||_2 (= 1 / (2 alpha)):      {self.p_norm2:.12g}",
         ]
         for i, s in enumerate(self.sup_phi, start=1):
             lines.append(f"  sup |phi_{i}| on probe grid:     {s:.12g}")
@@ -147,18 +139,13 @@ def diagnostics(
     model: LyapunovModel, fill_dist: float, grid: GridEvaluation
 ) -> DiagnosticsReport:
     """Report bound ingredients, with sup |phi_i| over an evaluated grid;
-    nothing here raises on a violated inequality, values are for inspection."""
+    values are for inspection, nothing here raises."""
     lams = model.eigenvalues
-    p_fro = float(np.linalg.norm(model.P, "fro"))
-    alpha = float(np.min(np.abs(lams)))
-    bound = 1.0 / (2.0 * alpha)
     return DiagnosticsReport(
         fill_dist=float(fill_dist),
         lambda_bar=float(np.max(lams)),
-        alpha=alpha,
-        p_frobenius=p_fro,
-        p_frobenius_bound=bound,
-        bound_holds=bool(p_fro <= bound),
+        alpha=float(np.min(np.abs(lams))),
+        p_norm2=float(np.linalg.norm(model.P, 2)),
         sup_phi=np.max(np.abs(grid.phi), axis=0),
     )
 

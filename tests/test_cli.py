@@ -102,7 +102,7 @@ def test_stages_compose(tiny_cfg_path, tmp_path, capsys):
         assert code == 0, f"{cmd} failed: {capsys.readouterr().err}"
     out = capsys.readouterr().out
     assert "fill distance:" in out
-    assert "||P||_F" in out
+    assert "||P||_2" in out
     assert "cpa certification" in out
     assert "oracle check" in out
     expected = {
@@ -400,31 +400,38 @@ def test_load_eigenfunctions_rejects_system_swap(tiny_cfg_path, tmp_path):
         pipeline.load_eigenfunctions(load_config(other), tmp_path)
 
 
-def test_one_basis_block_per_eigenfunction_per_chunk(tiny_cfg_path, tmp_path, monkeypatch):
-    # the lyapunov stage evaluates phi and grad phi of every eigenfunction
-    # from one basis block per chunk of the test grid, which yields each
-    # eigenvalue's values and gradients in turn; certification needs values
-    # only
+def test_certify_exponentials_scale_with_axis_lengths(tiny_cfg_path, tmp_path, monkeypatch):
+    # certification evaluates phi at c vertices from the 1-D kernel factors
+    # of each center axis plus k(x, 0): c (n_1 + n_2 + 1) exponentials, not
+    # one per point and center
     cfg = load_config(tiny_cfg_path)
     pipeline.stage_eigenfunctions(cfg, tmp_path)
-    with_gradients = []  # per block, one flag per eigenvalue it yielded
-    block = collocation._basis_block
-
-    def counting(*args, **kwargs):
-        with_gradients.append([])
-        for values, grads in block(*args, **kwargs):
-            with_gradients[-1].append(grads is not None)
-            yield values, grads
-
-    monkeypatch.setattr(collocation, "_basis_block", counting)
     pipeline.stage_lyapunov(cfg, tmp_path)
-    n_points = cfg.test_resolution**cfg.dim
-    chunks = math.ceil(n_points / collocation._CHUNK)
-    assert with_gradients == [[True] * cfg.dim] * chunks
+    centers = np.loadtxt(tmp_path / "centers.csv", delimiter=",")
+    axis_lengths = [len(np.unique(col)) for col in centers.T]
+    assert sum(axis_lengths) + 1 < len(centers)
 
-    with_gradients.clear()
+    exp_elements, points = [], []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            exp_elements.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    evaluate_many = collocation.CollocationSolution.evaluate_many
+
+    def counting_evaluate_many(self, X):
+        points.append(len(X))
+        return evaluate_many(self, X)
+
+    monkeypatch.setattr(collocation, "np", CountingNumpy())
+    monkeypatch.setattr(collocation.CollocationSolution, "evaluate_many", counting_evaluate_many)
     pipeline.stage_certify(cfg, tmp_path)
-    assert with_gradients and all(flags == [False] * cfg.dim for flags in with_gradients)
+    assert points == [(cfg.cpa_cells + 1) ** 2]
+    assert 0 < sum(exp_elements) <= points[0] * (sum(axis_lengths) + 1)
 
 
 def test_surface_csv_headers_follow_test_grid(finished_run):

@@ -6,7 +6,6 @@ from koopman_lyap.collocation import (
     CollocationError,
     CollocationProblem,
     IllConditionedWarning,
-    _basis_block,
     assemble_system,
     fill_distance,
     solve,
@@ -17,6 +16,7 @@ from koopman_lyap.expr import parse_vector_field
 from koopman_lyap.kernel import GaussianKernel
 
 from fdtools import fd_gradient, rel_err
+from kernel_reference import basis_solution, scalar_gram
 
 # modest sigma keeps these small Gram systems well conditioned, so the
 # eta = 0 identities below are meaningful rather than drowned in roundoff
@@ -141,11 +141,10 @@ def test_dimension_mismatch_rejected(setup):
 
 def test_pde_functional_at_its_own_center(setup):
     prob = _problem(setup)
-    F = prob.fld.evaluate_at(prob.centers)
     for j in range(0, prob.n_centers, 7):
-        blocks = _basis_block(prob, prob.centers[j : j + 1], F)
-        for lam, (values, _) in zip(prob.lin.eigenvalues, blocks, strict=True):
-            assert values[0, j] == pytest.approx(-lam, abs=1e-15)
+        values = basis_solution(prob, j).evaluate_many(prob.centers[j : j + 1])
+        for lam, value in zip(prob.lin.eigenvalues, values[0], strict=True):
+            assert value == pytest.approx(-lam, abs=1e-15)
 
 
 def test_pde_functional_matches_finite_difference(setup):
@@ -154,11 +153,11 @@ def test_pde_functional_matches_finite_difference(setup):
     k = prob.kernel
     F = prob.fld.evaluate_at(prob.centers)
     X = rng.uniform(-2, 2, size=(20, 2))
-    blocks = _basis_block(prob, X, F)
-    for lam, (values, _) in zip(prob.lin.eigenvalues, blocks, strict=True):
-        for i, (x, z) in enumerate(zip(X, prob.centers)):
+    for i, (x, z) in enumerate(zip(X, prob.centers)):
+        values = basis_solution(prob, i).evaluate_many(x[None, :])[0]
+        for lam, value in zip(prob.lin.eigenvalues, values, strict=True):
             fd = fd_gradient(lambda v: k.value(x, v), z) @ F[i] - lam * k.value(x, z)
-            assert rel_err(fd, values[i, i]) <= 1e-6
+            assert rel_err(fd, value) <= 1e-6
 
 
 def test_empty_problem_gives_corner_block(setup):
@@ -175,39 +174,12 @@ def test_empty_problem_gives_corner_block(setup):
     np.testing.assert_array_equal(sol.evaluate_many(np.array([[0.5, 0.5]])), [[0.0, 0.0]])
 
 
-def _scalar_gram(prob, lam):
-    """A[a, b] = L_a^x L_b^y k entry by entry from the scalar kernel methods."""
-    k = prob.kernel
-    Z, F = prob.centers, prob.fld.evaluate_at(prob.centers)
-    n = prob.n_centers
-    o = np.zeros(2)
-    ref = np.empty((prob.size, prob.size))
-    for a in range(n):
-        za, fa = Z[a], F[a]
-        for b in range(n):
-            zb, fb = Z[b], F[b]
-            ref[a, b] = (
-                fa @ k.cross_hessian(za, zb) @ fb
-                - lam * k.grad_x(za, zb) @ fa
-                - lam * k.grad_y(za, zb) @ fb
-                + lam**2 * k.value(za, zb)
-            )
-        ref[a, n] = k.grad_x(za, o) @ fa - lam * k.value(za, o)
-        ref[a, n + 1 :] = fa @ k.cross_hessian(za, o) - lam * k.grad_y(za, o)
-        ref[n, a] = k.grad_y(o, za) @ fa - lam * k.value(o, za)
-        ref[n + 1 :, a] = k.cross_hessian(o, za) @ fa - lam * k.grad_x(o, za)
-    ref[n, n] = k.value(o, o)
-    ref[n, n + 1 :] = ref[n + 1 :, n] = k.grad_y(o, o)
-    ref[n + 1 :, n + 1 :] = k.cross_hessian(o, o)
-    return ref
-
-
 def test_assembly_matches_scalar_reference(setup):
     prob = _problem(setup)
     A, _, _ = assemble_system(prob)
     assert A.shape == (2, prob.size, prob.size)
     for Ai, lam in zip(A, prob.lin.eigenvalues, strict=True):
-        ref = _scalar_gram(prob, lam)
+        ref = scalar_gram(prob, lam)
         assert np.max(np.abs(Ai - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

@@ -6,8 +6,6 @@ from koopman_lyap.expr import (
     ExprError,
     ParseError,
     VectorField,
-    differentiate,
-    evaluate,
     parse_expression,
     parse_vector_field,
 )
@@ -83,10 +81,10 @@ def test_known_function_derivatives():
             assert d.evaluate((t,)) == pytest.approx(dfun(t), rel=1e-12, abs=1e-12)
 
 
-def test_module_level_wrappers():
+def test_evaluate_and_derivative_of_a_square():
     ast = parse_expression("x1^2", 1)
-    assert evaluate(ast, (3.0,)) == 9.0
-    assert differentiate(ast, 1).evaluate((3.0,)) == 6.0
+    assert ast.evaluate((3.0,)) == 9.0
+    assert ast.derivative(1).evaluate((3.0,)) == 6.0
 
 
 # --- parser error handling --------------------------------------------------

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from koopman_lyap.box import Box
-from koopman_lyap.collocation import CollocationProblem, _basis_block
+from koopman_lyap.collocation import CollocationProblem, assemble_system, uniform_centers
 from koopman_lyap.dynamics import linearize
 from koopman_lyap.expr import parse_vector_field
 from koopman_lyap.kernel import GaussianKernel
 
 from fdtools import fd_gradient, fd_jacobian, rel_err
+from kernel_reference import basis_solution, scalar_basis, scalar_gram
 
 
 @pytest.fixture
@@ -91,38 +92,50 @@ def test_derivatives_match_finite_differences(k3):
         assert rel_err(fd_h, k3.cross_hessian(x, y)) <= 1e-6
 
 
-# --- collocation basis block ---------------------------------------------------
+# --- the collocation engine ------------------------------------------------------
 
 
 def test_block_forms_match_scalar(k3):
-    # the one block engine against the scalar reference formulas
+    # the separable engine against the scalar reference formulas: every
+    # basis column's value and gradient, and every Gram entry, on a tensor
+    # grid, an odd grid (one center moved off the origin), scattered centers
+    # and no centers at all
     fld = parse_vector_field(["-2*x1", "-3*(x2 - x1^2)"])
     lin = linearize(fld)
+    box = Box(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
     rng = np.random.default_rng(5)
-    Z = rng.uniform(-4, 4, size=(4, 2))
-    prob = CollocationProblem(
-        kernel=k3, fld=fld, lin=lin, centers=Z,
-        domain=Box(np.array([-4.0, -4.0]), np.array([4.0, 4.0])),
-    )
-    F = fld.evaluate_at(Z)
+    center_sets = {
+        "tensor": uniform_centers(box, 4),
+        "odd": uniform_centers(box, 5),
+        "scattered": rng.uniform(-4, 4, size=(20, 2)),
+        "empty": np.zeros((0, 2)),
+    }
     X = rng.uniform(-4, 4, size=(6, 2))
-    o = np.zeros(2)
-    blocks = _basis_block(prob, X, F)
-    for ev, (lam, (values, grads)) in enumerate(zip(lin.eigenvalues, blocks, strict=True)):
-        assert values.shape == (6, 7)
-        assert grads.shape == (6, 7, 2)
-        for i, x in enumerate(X):
-            for j, z in enumerate(Z):
-                ref = k3.grad_y(x, z) @ F[j] - lam * k3.value(x, z)
-                assert values[i, j] == pytest.approx(ref, rel=1e-14, abs=1e-16)
-            assert values[i, 4] == pytest.approx(k3.value(x, o), rel=1e-15)
-            np.testing.assert_allclose(values[i, 5:], k3.grad_y(x, o), rtol=1e-14, atol=1e-16)
+    for name, Z in center_sets.items():
+        prob = CollocationProblem(kernel=k3, fld=fld, lin=lin, centers=Z, domain=box, eta=0.0)
+        n, m = prob.n_centers, prob.size
+        values = np.empty((len(lin.eigenvalues), 6, m))
+        grads = np.empty((len(lin.eigenvalues), 6, m, 2))
+        for j in range(m):
+            h, g = basis_solution(prob, j).evaluate_with_gradient(X)
+            values[:, :, j] = h.T
+            grads[:, :, j] = g.transpose(1, 0, 2)
+        for ev, lam in enumerate(lin.eigenvalues):
+            for i, x in enumerate(X):
+                ref, ref_grads = scalar_basis(prob, lam, x)
+                for j in range(n):
+                    assert values[ev, i, j] == pytest.approx(ref[j], rel=1e-14, abs=1e-16), name
+                assert values[ev, i, n] == pytest.approx(ref[n], rel=1e-15), name
+                np.testing.assert_allclose(values[ev, i, n + 1 :], ref[n + 1 :], rtol=1e-14, atol=1e-16)
+                assert rel_err(grads[ev, i], ref_grads) <= 1e-6, name
 
-            def block_values(v):
-                block = _basis_block(prob, v[None, :], F, gradients=False)
-                return [vals[0].copy() for vals, _ in block][ev]
+                def basis_values(v):
+                    return [basis_solution(prob, j).evaluate_many(v[None, :])[0, ev] for j in range(m)]
 
-            assert rel_err(fd_jacobian(block_values, x), grads[i]) <= 1e-6
+                assert rel_err(fd_jacobian(basis_values, x), grads[ev, i]) <= 1e-6, name
+            A = assemble_system(prob)[0][ev]
+            ref = scalar_gram(prob, lam)
+            assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 def test_shape_validation(k3):

@@ -137,14 +137,13 @@ def test_diagnostics_report_values(exact_model, cubic_field):
     assert rep.fill_dist == 0.123
     assert rep.lambda_bar == -2.0
     assert rep.alpha == 2.0
-    assert rep.p_frobenius == pytest.approx(0.3004626062886658, abs=1e-15)
-    assert rep.p_frobenius_bound == 0.25
-    # ||P||_F exceeds 1/(2 alpha) here; the report flags it without raising
-    assert rep.bound_holds is False
+    # P = diag(1/4, 1/6): its spectral norm is 1/(2 alpha)
+    assert rep.p_norm2 == 0.25
     np.testing.assert_allclose(rep.sup_phi, [2.0, 14.0], atol=1e-12)
     text = rep.format_text()
     assert "fill distance" in text
-    assert "||P||_F" in text
+    assert "||P||_2 (= 1 / (2 alpha)):      0.25\n" in text
+    assert "<=" not in text
     assert "sup |phi_2|" in text
 
 
