@@ -74,8 +74,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial import cKDTree
 
 from .box import Box
 from .dynamics import Linearization, nonlinear_part
@@ -138,15 +136,12 @@ class CollocationProblem:
             raise CollocationError("collocation centers must lie inside the domain")
         if n and np.min(np.linalg.norm(centers, axis=1)) <= 1e-12:
             raise CollocationError("the origin may not be a collocation center")
-        if n > 1:
-            dist, _ = cKDTree(centers).query(centers, k=2)
-            if np.min(dist[:, 1]) <= 1e-12:
-                raise CollocationError("collocation centers must be pairwise distinct")
-        if self.eta is not None and self.eta < 0:
-            raise CollocationError("eta must be nonnegative")
-
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
+        if n > 1 and _has_close_pair(self.lattice, centers, 1e-12):
+            raise CollocationError("collocation centers must be pairwise distinct")
+        if self.eta is not None and self.eta < 0:
+            raise CollocationError("eta must be nonnegative")
 
     @property
     def n_centers(self) -> int:
@@ -163,6 +158,21 @@ class CollocationProblem:
         indices placing z_b at (a_1[i_1], .., a_d[i_d])."""
         pairs = [np.unique(col, return_inverse=True) for col in self.centers.T]
         return [a for a, _ in pairs], np.stack([i for _, i in pairs], axis=1)
+
+
+def _has_close_pair(lattice, Z: np.ndarray, tol: float) -> bool:
+    """Whether two rows of Z lie within tol, exactly. Per axis, unique coordinates within
+    tol of the next chain into one bucket, so such rows share a bucket tuple; only rows
+    with a repeated tuple are compared, by their true distance."""
+    axes, index = lattice
+    keys = np.stack([np.cumsum(np.r_[0, np.diff(a) > tol])[i] for a, i in zip(axes, index.T)], 1)
+    _, group, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    for g in np.flatnonzero(counts > 1):
+        P = Z[group.ravel() == g]
+        dist = np.linalg.norm(P[:, None] - P[None], axis=2)
+        if np.min(dist[np.triu_indices(len(P), 1)]) <= tol:
+            return True
+    return False
 
 
 def uniform_centers(domain: Box, n_per_axis: int) -> np.ndarray:
@@ -189,6 +199,8 @@ def fill_distance(centers: np.ndarray, domain: Box, probe_resolution: int = 201)
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] == 0:
         raise CollocationError("need at least one center")
+    # scipy.spatial is about 0.1 s of start-up; only the eigenfunctions stage calls this
+    from scipy.spatial import cKDTree
     probes = domain.grid(probe_resolution)
     dist, _ = cKDTree(centers).query(probes)
     return float(np.max(dist))
@@ -382,6 +394,8 @@ def solve(problem: CollocationProblem) -> CollocationSolution:
     numerically positive definite or the residual is bad. Warns (never
     raises) when a condition estimate exceeds 1e12.
     """
+    # scipy.linalg is about 0.3 s of start-up; only the stage that factors needs it
+    from scipy.linalg import cho_factor, cho_solve
     A, b, eta = assemble_system(problem)
     alphas, conds, methods = [], [], []
     for Ai, bi in zip(A, b):

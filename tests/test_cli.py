@@ -289,16 +289,41 @@ def test_threads_validation(tiny_cfg_path):
         cli.main(["linearize", str(tiny_cfg_path), "--threads", "0"])
 
 
-def _fresh_cli(*args):
-    """Run the CLI in a fresh interpreter that imports the package from this
+def _fresh_python(*args):
+    """Run python in a fresh interpreter that imports the package from this
     checkout's src, installed or not."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "koopman_lyap.cli", *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True, text=True, timeout=300, env=env,
     )
+
+
+def _fresh_cli(*args):
+    return _fresh_python("-m", "koopman_lyap.cli", *args)
+
+
+_STAGE_MODULES = """\
+import json, sys
+from koopman_lyap import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+
+def test_only_the_factoring_stage_loads_scipy(tiny_cfg_path, tmp_path):
+    # scipy costs about 0.4 s of start-up, and only the eigenfunctions stage
+    # factors the Gram system; each stage runs in its own fresh interpreter
+    loaded = {}
+    for stage in ("linearize", "eigenfunctions", "lyapunov", "certify", "oracle-check"):
+        proc = _fresh_python("-c", _STAGE_MODULES, stage, tiny_cfg_path, "--output-dir", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        loaded[stage] = json.loads(proc.stdout.splitlines()[-1])
+    assert "scipy.linalg" in loaded.pop("eigenfunctions")
+    assert loaded == dict.fromkeys(loaded, [])
 
 
 def test_module_entry_point_fresh_interpreter(tiny_cfg_path, tmp_path):

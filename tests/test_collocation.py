@@ -116,6 +116,41 @@ def test_duplicate_centers_rejected(setup):
         _problem(setup, centers=bad)
 
 
+def test_near_duplicate_chain_rejected(setup):
+    # rows 0 and 2 are 2.2e-13 apart, with row 1 between them in
+    # lexicographic order
+    bad = np.array([[1.0, 1.0], [1.0 + 1e-13, 2.0], [1.0 + 2e-13, 1.0 + 1e-13]])
+    with pytest.raises(CollocationError, match="distinct"):
+        _problem(setup, centers=bad)
+
+
+def test_close_but_distinct_centers_accepted(setup):
+    _problem(setup, centers=np.array([[1.0, 1.0], [1.0 + 3e-12, 1.0]]))
+    # the odd grid, with its center moved off the origin
+    _, _, domain, _, _ = setup
+    _problem(setup, centers=uniform_centers(domain, 9))
+
+
+def test_distinct_check_matches_brute_force(setup):
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        Z = rng.uniform(-2, 2, size=(30, 2))
+        # plant near-duplicates on either side of the 1e-12 threshold, some
+        # sharing an axis coordinate
+        for _ in range(trial % 4):
+            i, j = rng.choice(len(Z), size=2, replace=False)
+            offset = rng.uniform(0.2e-12, 2e-12) * rng.choice([-1.0, 1.0], size=2)
+            offset[rng.integers(2)] *= rng.integers(2)
+            Z[j] = Z[i] + offset
+        dist = np.linalg.norm(Z[:, None] - Z[None], axis=2)
+        distinct = np.min(dist[np.triu_indices(len(Z), 1)]) > 1e-12
+        if distinct:
+            _problem(setup, centers=Z)
+        else:
+            with pytest.raises(CollocationError, match="distinct"):
+                _problem(setup, centers=Z)
+
+
 def test_center_outside_domain_rejected(setup):
     bad = np.array([[3.0, 0.0]])
     with pytest.raises(CollocationError, match="inside the domain"):
