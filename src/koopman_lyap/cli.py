@@ -113,10 +113,8 @@ def main(argv=None) -> int:
                     + "  ".join(f"{v: .12g}" for v in w)
                 )
         elif args.command == "eigenfunctions":
-            text = pipeline.eigenfunctions_summary(
-                *pipeline.stage_eigenfunctions(cfg, outdir)
-            )
-            print(text, end="")
+            _, meta = pipeline.stage_eigenfunctions(cfg, outdir)
+            print(pipeline.eigenfunctions_summary(meta), end="")
         elif args.command == "lyapunov":
             _, diag = pipeline.stage_lyapunov(cfg, outdir)
             print(diag.format_text(), end="")

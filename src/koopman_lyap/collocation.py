@@ -69,7 +69,6 @@ so memory stays flat in the number of points.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -83,7 +82,6 @@ from .kernel import GaussianKernel
 __all__ = [
     "CollocationError",
     "SingularSystemError",
-    "IllConditionedWarning",
     "CollocationProblem",
     "CollocationSolution",
     "uniform_centers",
@@ -101,10 +99,6 @@ class CollocationError(ValueError):
 
 class SingularSystemError(np.linalg.LinAlgError):
     """Gram system unsolvable even by least squares."""
-
-
-class IllConditionedWarning(UserWarning):
-    """Condition estimate of the Gram system exceeds 1e12."""
 
 
 @dataclass(frozen=True)
@@ -288,25 +282,6 @@ def assemble_system(problem: CollocationProblem):
     return A, b, eta
 
 
-def _invnorm1_estimate(solve_fn, m: int, iters: int = 5) -> float:
-    """Hager's deterministic 1-norm estimate of the inverse (symmetric A)."""
-    x = np.full(m, 1.0 / m)
-    best = 0.0
-    for _ in range(iters):
-        y = solve_fn(x)
-        est = float(np.abs(y).sum())
-        best = max(best, est)
-        xi = np.sign(y)
-        xi[xi == 0.0] = 1.0
-        z = solve_fn(xi)
-        j = int(np.argmax(np.abs(z)))
-        if np.max(np.abs(z)) <= float(z @ x):
-            break
-        x = np.zeros(m)
-        x[j] = 1.0
-    return best
-
-
 @dataclass
 class CollocationSolution:
     """Solved coefficients plus everything needed to evaluate h and grad h.
@@ -315,7 +290,6 @@ class CollocationSolution:
     problem: CollocationProblem
     alpha: np.ndarray  # (k, m)
     eta_used: np.ndarray  # (k,)
-    condition_estimate: np.ndarray  # (k,)
     method: tuple  # (k,) of "cholesky" | "lstsq"
     center_field_values: np.ndarray = dc_field(repr=False, default=None)
 
@@ -388,27 +362,19 @@ class CollocationSolution:
 def solve(problem: CollocationProblem) -> CollocationSolution:
     """Assemble and solve the Gram system of every eigenvalue.
 
-    Each system is factored by Cholesky first, with the 1-norm condition
-    estimate from Hager's method over the Cholesky solve (deterministic, so
-    reruns stay byte-identical); least squares when the matrix is not
-    numerically positive definite or the residual is bad. Warns (never
-    raises) when a condition estimate exceeds 1e12.
+    Each system is factored by Cholesky; least squares takes over when the
+    matrix is not numerically positive definite, or when the Cholesky
+    solution is not finite or leaves a residual above 1e-8 of the system's
+    scale. method records which of the two solved each system.
     """
     # scipy.linalg is about 0.3 s of start-up; only the stage that factors needs it
     from scipy.linalg import cho_factor, cho_solve
     A, b, eta = assemble_system(problem)
-    alphas, conds, methods = [], [], []
+    alphas, methods = [], []
     for Ai, bi in zip(A, b):
-        alpha = None
-        cond = np.inf
         method = "cholesky"
         try:
-            factor = cho_factor(Ai)
-            alpha = cho_solve(factor, bi)
-            cond = float(
-                np.abs(Ai).sum(axis=0).max()
-                * _invnorm1_estimate(lambda v: cho_solve(factor, v), len(bi))
-            )
+            alpha = cho_solve(cho_factor(Ai), bi)
             scale = float(
                 np.abs(Ai).sum(axis=1).max() * np.max(np.abs(alpha), initial=0.0)
                 + np.max(np.abs(bi), initial=0.0)
@@ -422,28 +388,14 @@ def solve(problem: CollocationProblem) -> CollocationSolution:
         if alpha is None:
             method = "lstsq"
             try:
-                alpha, _, _, sing = np.linalg.lstsq(Ai, bi, rcond=None)
+                alpha = np.linalg.lstsq(Ai, bi, rcond=None)[0]
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(str(exc)) from exc
             if not np.all(np.isfinite(alpha)):
                 raise SingularSystemError("least-squares solution is not finite")
-            cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
-
-        if cond > 1e12:
-            warnings.warn(
-                f"Gram system condition estimate {cond:.3e} exceeds 1e12; "
-                "results may lose accuracy",
-                IllConditionedWarning,
-                stacklevel=2,
-            )
         alphas.append(alpha)
-        conds.append(cond)
         methods.append(method)
 
     return CollocationSolution(
-        problem=problem,
-        alpha=np.array(alphas),
-        eta_used=eta,
-        condition_estimate=np.array(conds),
-        method=tuple(methods),
+        problem=problem, alpha=np.array(alphas), eta_used=eta, method=tuple(methods)
     )

@@ -9,6 +9,7 @@ required; everything else falls back to the defaults below.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from pathlib import Path
@@ -102,9 +103,12 @@ class RunConfig:
 
 def _float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{where} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
+    return value
 
 
 def _int(raw: str, where: str) -> int:

@@ -102,6 +102,13 @@ class EigenfunctionSet:
             grad[:, i] += w
         return phi, grad
 
+    def evaluate_with_derivative(self, fld: VectorField, X: np.ndarray):
+        """phi (c, k) and its derivative along the field, grad phi . f
+        (c, k), at a batch of points. For an exact eigenfunction the
+        derivative is lambda_i phi_i, so the difference is the PDE residual."""
+        phi, grad = self.evaluate_with_gradient(X)
+        return phi, np.sum(grad * fld.evaluate_at(X)[:, None, :], axis=2)
+
 
 @dataclass(frozen=True)
 class Eigenfunction:

@@ -93,8 +93,7 @@ class LyapunovModel:
     def evaluate_with_derivative(self, fld: VectorField, X: np.ndarray):
         """Phi (m, d), V (m,) and Vdot along the field (m,) at a batch of
         points, from one phi/grad phi evaluation of the eigenfunction set."""
-        Phi, grad = self.eigenfunctions.evaluate_with_gradient(X)
-        dPhi = np.sum(grad * fld.evaluate_at(X)[:, None, :], axis=2)
+        Phi, dPhi = self.eigenfunctions.evaluate_with_derivative(fld, X)
         V = np.einsum("mi,ij,mj->m", Phi, self.P, Phi)
         Vdot = np.einsum("mi,ij,mj->m", dPhi, self.P, Phi) + np.einsum(
             "mi,ij,mj->m", Phi, self.P, dPhi

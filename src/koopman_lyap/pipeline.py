@@ -112,9 +112,21 @@ def stage_linearize(cfg: RunConfig, outdir: Path):
     return fld, lin
 
 
+def _residual_probes(box: Box) -> np.ndarray:
+    """The 40 x 40 grid over the box where PDE residuals are reported, each
+    point 0.37 of a cell past its cell's lower corner: off the test grid and
+    off the centers' symmetry lines."""
+    n = 40
+    axes = [lo + (np.arange(n) + 0.37) * (hi - lo) / n for lo, hi in zip(box.lower, box.upper)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
-    """Solve the collocation problem of the whole spectrum and persist the
-    coefficients."""
+    """Solve the collocation problem of the whole spectrum, persist the
+    coefficients, and report each eigenfunction's PDE residual
+    |grad phi . f - lambda phi| on the residual probe grid of the test
+    window. Returns the eigenfunction set and the eigenfunctions.json
+    contents."""
     fld, lin = stage_linearize(cfg, outdir)
 
     kern = GaussianKernel(sigma=cfg.sigma, dim=cfg.dim)
@@ -128,40 +140,42 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
     alpha_files = [f"eigenfunction_{i}_alpha.csv" for i in range(1, len(eigset) + 1)]
     for name, alpha in zip(alpha_files, sol.alpha):
         np.savetxt(outdir / name, alpha, fmt="%.17g", delimiter=",")
-    meta_eigs = [
-        {
-            "eigenvalue": e.lam,
-            "left_eigenvector": e.w.tolist(),
-            "eta_used": float(sol.eta_used[e.i]),
-            "condition_estimate": float(sol.condition_estimate[e.i]),
-            "method": sol.method[e.i],
-        }
-        for e in eigset
-    ]
 
-    _write_json(
-        outdir / _EIGENFUNCTIONS,
-        {
-            "sigma": cfg.sigma,
-            "eta_config": cfg.eta,
-            "fill_distance": rho,
-            "centers_file": _CENTERS,
-            "alpha_files": alpha_files,
-            "eigenfunctions": meta_eigs,
-        },
-    )
-    return eigset, rho
+    X = _residual_probes(cfg.test_domain)
+    phi, dphi = eigset.evaluate_with_derivative(fld, X)
+    resid = np.abs(dphi - phi * eigset.eigenvalues)
+    meta = {
+        "sigma": cfg.sigma,
+        "eta_config": cfg.eta,
+        "fill_distance": rho,
+        "centers_file": _CENTERS,
+        "alpha_files": alpha_files,
+        "eigenfunctions": [
+            {
+                "eigenvalue": e.lam,
+                "left_eigenvector": e.w.tolist(),
+                "eta_used": float(sol.eta_used[e.i]),
+                "method": sol.method[e.i],
+                "pde_residual_max": float(np.max(r)),
+                "pde_residual_rms": float(np.sqrt(np.mean(r * r))),
+                "pde_residual_argmax": X[np.argmax(r)].tolist(),
+            }
+            for e, r in zip(eigset, resid.T)
+        ],
+    }
+    _write_json(outdir / _EIGENFUNCTIONS, meta)
+    return eigset, meta
 
 
-def eigenfunctions_summary(eigset: EigenfunctionSet, rho: float) -> str:
-    """Text report of the eigenfunctions stage: fill distance, then one line
-    per eigenvalue with its ridge, condition estimate and solver."""
-    sol = eigset.h
-    lines = [f"fill distance: {rho:.12g}"]
-    for e in eigset:
+def eigenfunctions_summary(meta: dict) -> str:
+    """Text report of the eigenfunctions stage from its eigenfunctions.json
+    contents: fill distance, then one line per eigenvalue with its ridge,
+    largest PDE residual and solver."""
+    lines = [f"fill distance: {meta['fill_distance']:.12g}"]
+    for e in meta["eigenfunctions"]:
         lines.append(
-            f"eigenvalue {e.lam:.6g}: eta = {sol.eta_used[e.i]:.6g}, condition "
-            f"estimate = {sol.condition_estimate[e.i]:.6e} ({sol.method[e.i]})"
+            f"eigenvalue {e['eigenvalue']:.6g}: eta = {e['eta_used']:.6g}, max PDE "
+            f"residual = {e['pde_residual_max']:.6e} ({e['method']})"
         )
     return "\n".join(lines) + "\n"
 
@@ -200,7 +214,6 @@ def load_eigenfunctions(cfg: RunConfig, outdir: Path):
         problem=CollocationProblem(kern, fld, lin, centers, cfg.domain, meta["eta_config"]),
         alpha=np.array(alphas),
         eta_used=np.array([e["eta_used"] for e in entries]),
-        condition_estimate=np.array([e["condition_estimate"] for e in entries]),
         method=tuple(e["method"] for e in entries),
     )
     eigset = EigenfunctionSet(
@@ -328,24 +341,11 @@ def _sha256(path: Path) -> str:
 
 def write_manifest(cfg: RunConfig, outdir: Path) -> dict:
     """List every file of the run (except the manifest itself) with checksums."""
-    meta_path = outdir / _EIGENFUNCTIONS
-    extra = {}
-    if meta_path.exists():
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        extra = {
-            "eigenvalues": [e["eigenvalue"] for e in meta["eigenfunctions"]],
-            "condition_estimates": [
-                e["condition_estimate"] for e in meta["eigenfunctions"]
-            ],
-            "fill_distance": meta["fill_distance"],
-        }
     files = sorted(
         p for p in outdir.rglob("*") if p.is_file() and p.name != _MANIFEST
     )
     manifest = {
         "config": cfg.to_dict(),
-        **extra,
         "files": [
             {
                 "path": str(p.relative_to(outdir)),
@@ -364,9 +364,8 @@ def run_pipeline(cfg: RunConfig, output_dir=None) -> dict:
     outdir = ensure_output_dir(output_dir or cfg.output_dir)
     summaries = {}
 
-    summaries["eigenfunctions"] = eigenfunctions_summary(
-        *stage_eigenfunctions(cfg, outdir)
-    )
+    _, meta = stage_eigenfunctions(cfg, outdir)
+    summaries["eigenfunctions"] = eigenfunctions_summary(meta)
 
     model, diag = stage_lyapunov(cfg, outdir)
     summaries["lyapunov"] = diag.format_text()

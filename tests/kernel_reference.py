@@ -18,8 +18,7 @@ def basis_solution(prob, j):
     alpha = np.zeros((k, prob.size))
     alpha[:, j] = 1.0
     return CollocationSolution(
-        problem=prob, alpha=alpha, eta_used=np.zeros(k),
-        condition_estimate=np.ones(k), method=("cholesky",) * k,
+        problem=prob, alpha=alpha, eta_used=np.zeros(k), method=("cholesky",) * k,
     )
 
 

@@ -1,12 +1,8 @@
 """End-to-end acceptance gate.
 
-Eleven criteria over the two benchmark systems. Production-scale Gram
-systems are deliberately ill conditioned (that is what the ridge and the
-condition warning exist for), so fixtures silence IllConditionedWarning.
-One PASS/FAIL line per criterion is printed by the conftest summary hook.
+Eleven criteria over the two benchmark systems. One PASS/FAIL line per
+criterion is printed by the conftest summary hook.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +10,6 @@ import pytest
 from koopman_lyap.box import Box
 from koopman_lyap.collocation import (
     CollocationProblem,
-    IllConditionedWarning,
     fill_distance,
     solve,
     uniform_centers,
@@ -37,12 +32,6 @@ _EX1_DOMAIN = Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
 _TEST_WINDOW = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
 
 
-def _quiet_solve(problem):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        return solve(problem)
-
-
 @pytest.fixture(scope="module")
 def ex1():
     fld = parse_vector_field(["-2*x1", "-3*(x2 - x1^2)"])
@@ -55,11 +44,7 @@ def ex1_eigs(ex1):
     fld, lin = ex1
     kern = GaussianKernel(sigma=3.0, dim=2)
     centers = uniform_centers(_EX1_DOMAIN, 60)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        return build_eigenfunctions(
-            fld, lin, kern, centers, _EX1_DOMAIN, eta=1e-10
-        )
+    return build_eigenfunctions(fld, lin, kern, centers, _EX1_DOMAIN, eta=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +67,7 @@ def duffing_model(duffing):
     domain = Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
     kern = GaussianKernel(sigma=2.0, dim=2)
     centers = uniform_centers(domain, 60)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        eigs = build_eigenfunctions(fld, lin, kern, centers, domain, eta=1e-10)
+    eigs = build_eigenfunctions(fld, lin, kern, centers, domain, eta=1e-10)
     return fld, LyapunovModel(eigenfunctions=eigs, P=solve_p(eigs.eigenvalues))
 
 
@@ -117,7 +100,7 @@ def test_criterion_03_error_decreases_with_fill_distance(ex1, ex1_eigs):
             kernel=kern, fld=fld, lin=lin,
             centers=centers, domain=_EX1_DOMAIN, eta=1e-10,
         )
-        sol = _quiet_solve(problem)
+        sol = solve(problem)
         phi = probes @ lin.left_eigenvectors[1] + sol.evaluate_many(probes)[:, 1]
         errors.append(float(np.max(np.abs(phi - exact))))
         fills.append(fill_distance(centers, _EX1_DOMAIN))
@@ -238,7 +221,7 @@ def test_criterion_11_finite_difference_stack(ex1):
         kernel=GaussianKernel(sigma=1.0, dim=2), fld=fld, lin=lin,
         centers=uniform_centers(window, 7), domain=window, eta=0.0,
     )
-    sol = _quiet_solve(problem)
+    sol = solve(problem)
     X = np.array([rng.uniform(-2, 2, size=2) for _ in range(100)])
     _, grads = sol.evaluate_with_gradient(X)
     for x, grad in zip(X, grads[:, 1]):

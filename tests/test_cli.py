@@ -117,10 +117,10 @@ def test_stages_compose(tiny_cfg_path, tmp_path, capsys):
 
 def test_run_produces_complete_manifest(finished_run):
     manifest = json.loads((finished_run / "manifest.json").read_text())
-    for key in ("config", "eigenvalues", "condition_estimates",
-                "fill_distance", "files"):
-        assert key in manifest
-    np.testing.assert_allclose(manifest["eigenvalues"], [-2.0, -3.0], atol=1e-12)
+    assert set(manifest) == {"config", "files"}
+    meta = json.loads((finished_run / "eigenfunctions.json").read_text())
+    eigenvalues = [e["eigenvalue"] for e in meta["eigenfunctions"]]
+    np.testing.assert_allclose(eigenvalues, [-2.0, -3.0], atol=1e-12)
 
     on_disk = {
         str(p.relative_to(finished_run))
@@ -133,6 +133,29 @@ def test_run_produces_complete_manifest(finished_run):
         blob = (finished_run / entry["path"]).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
         assert len(blob) == entry["bytes"]
+
+
+def test_eigenfunctions_json_reports_pde_residuals(tiny_cfg_path, finished_run):
+    # recompute |grad phi . f - lambda phi| per eigenfunction from the
+    # persisted coefficients on the 40 x 40 probe grid of the test window,
+    # each point 0.37 of a cell past its cell's lower corner
+    cfg = load_config(tiny_cfg_path)
+    fld, _, eigset, meta = pipeline.load_eigenfunctions(cfg, finished_run)
+    box, n = cfg.test_domain, 40
+    axes = [lo + (np.arange(n) + 0.37) * (hi - lo) / n for lo, hi in zip(box.lower, box.upper)]
+    X = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    assert box.contains(X).all()
+    fX = fld.evaluate_at(X)
+    for e, entry in zip(eigset, meta["eigenfunctions"]):
+        r = np.abs(np.sum(e.gradient_many(X) * fX, axis=1) - e.lam * e.value_many(X))
+        assert entry["pde_residual_max"] == pytest.approx(np.max(r), rel=1e-12, abs=1e-300)
+        assert entry["pde_residual_rms"] == pytest.approx(
+            np.sqrt(np.mean(r**2)), rel=1e-12, abs=1e-300
+        )
+        np.testing.assert_array_equal(entry["pde_residual_argmax"], X[np.argmax(r)])
+    # phi_1 is the exact linear coordinate; phi_2 is collocated
+    assert meta["eigenfunctions"][0]["pde_residual_max"] == 0.0
+    assert meta["eigenfunctions"][1]["pde_residual_max"] > 0.0
 
 
 def test_rerun_is_byte_identical(tiny_cfg_path, finished_run, tmp_path):
@@ -399,7 +422,6 @@ def test_thread_count_changes_results_within_stated_tolerance(tmp_path):
     assert np.max(np.abs(m1 - m2)) <= MARGIN_RTOL * np.max(np.abs(m1))
 
 
-@pytest.mark.filterwarnings("ignore:Gram system condition estimate")
 def test_readme_library_use_runs_as_written(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]

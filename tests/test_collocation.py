@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from koopman_lyap.box import Box
 from koopman_lyap.collocation import (
     CollocationError,
     CollocationProblem,
-    IllConditionedWarning,
     assemble_system,
     fill_distance,
     solve,
@@ -270,8 +271,6 @@ def solved(setup):
 
 def test_solver_used_factorization(solved):
     assert solved.method == ("cholesky", "cholesky")
-    assert np.all(np.isfinite(solved.condition_estimate))
-    assert np.all(solved.condition_estimate > 0)
 
 
 def test_pde_residual_at_centers(setup, solved):
@@ -327,14 +326,17 @@ def test_batch_eval_matches_pointwise(solved):
         np.testing.assert_allclose(grads[i], grad[0], atol=tol)
 
 
-def test_ill_conditioned_solve_warns(setup):
+def test_ill_conditioned_solve_is_silent(setup):
+    # a wide kernel without ridge makes a badly conditioned Gram matrix;
+    # the solve reports its method, never a warning
     fld, lin, domain, _, _ = setup
     prob = CollocationProblem(
         kernel=GaussianKernel(sigma=1.5, dim=2),
         fld=fld, lin=lin,
         centers=uniform_centers(domain, 9), domain=domain, eta=0.0,
     )
-    with pytest.warns(IllConditionedWarning, match="condition estimate"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         sol = solve(prob)
     assert np.all(np.isfinite(sol.alpha))
 
@@ -348,7 +350,6 @@ def test_cholesky_failure_falls_back_to_lstsq(setup):
         fld=fld, lin=lin,
         centers=uniform_centers(domain, 10), domain=domain, eta=0.0,
     )
-    with pytest.warns(IllConditionedWarning, match="condition estimate"):
-        sol = solve(prob)
+    sol = solve(prob)
     assert sol.method[1] == "lstsq"
     assert np.all(np.isfinite(sol.alpha))

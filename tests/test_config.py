@@ -220,6 +220,21 @@ def test_value_range_validation(tmp_path, section, line, match):
         load_config(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "section, line, where",
+    [
+        ("collocation", "sigma = inf", "collocation.sigma"),
+        ("collocation", "eta = nan", "collocation.eta"),
+        ("oracle", "t_max = inf", "oracle.t_max"),
+        ("cpa", _BOUNDS + "b_override = 6 0 0 inf", "cpa.b_override"),
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, section, line, where):
+    text = _MINIMAL + f"\n[{section}]\n{line}\n"
+    with pytest.raises(ConfigError, match=f"{where} must be finite"):
+        load_config(_write(tmp_path, text))
+
+
 def test_runconfig_direct_construction():
     from koopman_lyap.box import Box
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from koopman_lyap import koopman
 from koopman_lyap.box import Box
 from koopman_lyap.collocation import uniform_centers
 from koopman_lyap.dynamics import (
@@ -66,20 +67,13 @@ def test_slow_eigenfunction_is_linear_coordinate(eigs):
 
 def test_fast_eigenfunction_tracks_closed_form(cubic):
     # phi2 = x2 + 3 x1^2 exactly; a denser ridge-regularized grid recovers it
-    # to a few parts in 1e4. Gram conditioning necessarily passes 1e12 at
-    # this density, so the advisory warning is expected here.
+    # to a few parts in 1e4
     fld, lin = cubic
     domain = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-    import warnings
-
-    from koopman_lyap.collocation import IllConditionedWarning
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        dense = build_eigenfunctions(
-            fld, lin, GaussianKernel(sigma=1.0, dim=2),
-            uniform_centers(domain, 15), domain, eta=1e-10,
-        )
+    dense = build_eigenfunctions(
+        fld, lin, GaussianKernel(sigma=1.0, dim=2),
+        uniform_centers(domain, 15), domain, eta=1e-10,
+    )
     X = np.random.default_rng(1).uniform(-1.5, 1.5, size=(60, 2))
     exact = X[:, 1] + 3.0 * X[:, 0] ** 2
     assert np.max(np.abs(dense[1].value_many(X) - exact)) <= 1e-3
@@ -175,7 +169,8 @@ def test_path_integral_slow_eigenvalue_is_coordinate(cubic):
 
 
 def _scalar_path_integral(fld, lin, lam, w, x, t_max, dt):
-    """Reference: one point and one eigenvalue per trajectory, same rule."""
+    """Reference: one point and one eigenvalue per trajectory, same rule,
+    with the tail constants koopman holds when it is called."""
     n_steps = max(1, int(round(t_max / dt)))
     h = t_max / n_steps
 
@@ -188,8 +183,8 @@ def _scalar_path_integral(fld, lin, lam, w, x, t_max, dt):
         g_next = g((k + 1) * h, state)
         total += 0.5 * h * (g_prev + g_next)
         g_prev = g_next
-        quiet = quiet + 1 if abs(g_next) < 1e-12 else 0
-        if quiet >= 100:
+        quiet = quiet + 1 if abs(g_next) < koopman._TAIL_FLOOR else 0
+        if quiet >= koopman._TAIL_STEPS:
             break
     return float(w @ x + total)
 
@@ -218,6 +213,23 @@ def test_path_integral_batch_matches_each_point_alone(components):
         for i, (lam, w) in enumerate(zip(lin.eigenvalues, lin.left_eigenvectors)):
             ref = _scalar_path_integral(fld, lin, lam, w, x, t_max=10.0, dt=1e-2)
             assert batch[p, i] == ref
+
+
+def test_path_integral_tail_needs_consecutive_quiet_steps(monkeypatch):
+    # w2 . G = x1^2 (x1 - 0.5)^2 (x1 - 0.25)^2 touches zero twice along the
+    # trajectory from (1, 0): with dt = 1e-2 its integrand stays below 1e-4
+    # for 11 steps, rises, stays below for 24 more, rises again and only goes
+    # quiet for good after about 500 steps. Neither dip reaches 30 steps, so
+    # the pair must integrate on through both; 11 + 24 >= 30, so a counter
+    # that does not restart on a loud step would stop it in the second dip.
+    monkeypatch.setattr(koopman, "_TAIL_FLOOR", 1e-4)
+    monkeypatch.setattr(koopman, "_TAIL_STEPS", 30)
+    fld = parse_vector_field(["-2*x1", "-3*x2 + x1^2*(x1 - 0.5)^2*(x1 - 0.25)^2"])
+    lin = linearize(fld)
+    x = np.array([1.0, 0.0])
+    val = _path_integral(fld, lin, [0, 1], x[None, :], t_max=10.0, dt=1e-2)
+    for i, (lam, w) in enumerate(zip(lin.eigenvalues, lin.left_eigenvectors)):
+        assert val[0, i] == _scalar_path_integral(fld, lin, lam, w, x, t_max=10.0, dt=1e-2)
 
 
 def test_path_integral_convergence_condition(cubic):
