@@ -255,6 +255,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("cpa.b_override entries must be nonnegative")
     if cfg.oracle_t_max <= 0 or cfg.oracle_dt <= 0:
         raise ConfigError("oracle.t_max and oracle.dt must be positive")
+    if not math.isfinite(cfg.oracle_t_max / cfg.oracle_dt):
+        raise ConfigError("oracle.t_max / oracle.dt must be finite")
     if cfg.oracle_sample_points < 1:
         raise ConfigError("oracle.sample_points must be at least 1")
     if not cfg.output_dir:

@@ -14,6 +14,7 @@ which makes the integral a useful cross-check of the collocated surrogate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,8 +177,11 @@ def path_integral_phi(
             )
     if t_max <= 0 or dt <= 0:
         raise DynamicsError("t_max and dt must be positive")
+    steps = float(t_max) / float(dt)
+    if not math.isfinite(steps):
+        raise DynamicsError(f"t_max / dt = {t_max:g} / {dt:g} is not finite")
 
-    n_steps = max(1, int(round(t_max / dt)))
+    n_steps = max(1, int(round(steps)))
     h = t_max / n_steps
 
     def integrand(t, state, f):

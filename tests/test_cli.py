@@ -337,16 +337,31 @@ sys.exit(code)
 """
 
 
-def test_only_the_factoring_stage_loads_scipy(tiny_cfg_path, tmp_path):
-    # scipy costs about 0.4 s of start-up, and only the eigenfunctions stage
-    # factors the Gram system; each stage runs in its own fresh interpreter
+def test_no_stage_loads_scipy(tiny_cfg_path, tmp_path):
+    # scipy would add about 0.4 s of start-up to each process; every stage,
+    # and run, runs in its own fresh interpreter
     loaded = {}
-    for stage in ("linearize", "eigenfunctions", "lyapunov", "certify", "oracle-check"):
+    for stage in ("linearize", "eigenfunctions", "lyapunov", "certify", "oracle-check", "run"):
         proc = _fresh_python("-c", _STAGE_MODULES, stage, tiny_cfg_path, "--output-dir", tmp_path)
         assert proc.returncode == 0, proc.stderr
         loaded[stage] = json.loads(proc.stdout.splitlines()[-1])
-    assert "scipy.linalg" in loaded.pop("eigenfunctions")
     assert loaded == dict.fromkeys(loaded, [])
+
+
+def test_non_finite_gram_system_exits_1_before_lapack(tmp_path):
+    # exp(100 x1^2) overflows at the outer centers; the system is rejected
+    # before any factorization, so LAPACK prints nothing
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        _TINY.format(outdir=(tmp_path / "out").as_posix())
+        .replace("f1 = -2*x1", "f1 = -x1 + x1^2*exp(100*x1^2)")
+        .replace("f2 = -3*(x2 - x1^2)", "f2 = -2*x2")
+        .replace("lower = -2 -2\nupper = 2 2", "lower = -3 -3\nupper = 3 3")
+    )
+    proc = _fresh_cli("eigenfunctions", cfg)
+    assert proc.returncode == 1, proc.stderr
+    assert "non-finite entries" in proc.stderr
+    assert "On entry to" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_module_entry_point_fresh_interpreter(tiny_cfg_path, tmp_path):

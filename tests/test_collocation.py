@@ -2,11 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial import cKDTree
 
 from koopman_lyap.box import Box
 from koopman_lyap.collocation import (
     CollocationError,
     CollocationProblem,
+    _cholesky_solve,
     assemble_system,
     fill_distance,
     solve,
@@ -94,6 +97,31 @@ def test_fill_distance_probe_refinement_monotone(setup):
     coarse = fill_distance(centers, domain, probe_resolution=101)
     fine = fill_distance(centers, domain, probe_resolution=201)
     assert fine >= coarse
+
+
+def _kd_fill_distance(centers, domain, probe_resolution=201):
+    return float(np.max(cKDTree(centers).query(domain.grid(probe_resolution))[0]))
+
+
+@pytest.mark.parametrize(
+    "d, n, resolution", [(1, 9, 201), (2, 6, 201), (2, 7, 201), (2, 40, 201), (2, 41, 201), (3, 5, 31)]
+)
+def test_fill_distance_matches_kd_tree_on_tensor_grids(d, n, resolution):
+    # odd n moves the grid point at the origin off its line
+    domain = Box(np.array([-3.0, -2.0, -1.0][:d]), np.array([3.0, 2.0, 1.0][:d]))
+    centers = uniform_centers(domain, n)
+    expected = _kd_fill_distance(centers, domain, resolution)
+    assert fill_distance(centers, domain, resolution) == expected
+
+
+@pytest.mark.parametrize("d, resolution", [(1, 201), (2, 201), (3, 31)])
+@pytest.mark.parametrize("n", [1, 5, 60])
+def test_fill_distance_matches_kd_tree_on_scattered_centers(d, resolution, n):
+    rng = np.random.default_rng(10 * d + n)
+    domain = Box(np.full(d, -1.0), np.full(d, 2.0))
+    centers = rng.uniform(-1.0, 2.0, size=(n, d))
+    expected = _kd_fill_distance(centers, domain, resolution)
+    assert fill_distance(centers, domain, resolution) == expected
 
 
 def test_fill_distance_needs_centers():
@@ -339,6 +367,43 @@ def test_ill_conditioned_solve_is_silent(setup):
         warnings.simplefilter("error")
         sol = solve(prob)
     assert np.all(np.isfinite(sol.alpha))
+
+
+@pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
+def test_blocked_cholesky_solve_matches_reference(m):
+    # block edges of the 128-row substitution: one block, one short of a
+    # block, exactly one, one past, and several with a ragged last block
+    rng = np.random.default_rng(m)
+    M = rng.standard_normal((m, m))
+    A = M @ M.T + m * np.eye(m)
+    b = rng.standard_normal(m)
+    expected = cho_solve(cho_factor(A), b)
+    err = np.max(np.abs(_cholesky_solve(A, b) - expected))
+    assert err <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_solve_matches_reference_cholesky(setup):
+    # m = 147 spans two substitution blocks; the ridge keeps the condition
+    # number near 2e4, so the two factorizations agree to rounding
+    sol = solve(_problem(setup, eta=0.1, centers=uniform_centers(setup[2], 12)))
+    A, b, _ = assemble_system(sol.problem)
+    assert sol.method == ("cholesky", "cholesky")
+    for Ai, bi, alpha in zip(A, b, sol.alpha):
+        expected = cho_solve(cho_factor(Ai), bi)
+        assert np.max(np.abs(alpha - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1e-300)
+
+
+def test_non_finite_system_rejected_before_factoring(setup):
+    # exp(100 x1^2) overflows on the outer centers, so A and b hold inf and nan
+    fld = parse_vector_field(["-x1 + x1^2*exp(100*x1^2)", "-2*x2"])
+    domain = Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+    prob = CollocationProblem(
+        kernel=GaussianKernel(sigma=1.0, dim=2), fld=fld, lin=linearize(fld),
+        centers=uniform_centers(domain, 10), domain=domain, eta=0.0,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CollocationError, match="non-finite"):
+            solve(prob)
 
 
 def test_cholesky_failure_falls_back_to_lstsq(setup):

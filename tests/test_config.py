@@ -210,6 +210,7 @@ def test_windowed_sections_require_bounds(tmp_path):
         ("cpa", _BOUNDS + "b_override = 6 0 0 -1", "nonnegative"),
         ("oracle", "t_max = 0", "positive"),
         ("oracle", "dt = -0.1", "positive"),
+        ("oracle", "dt = 1e-320", r"t_max / oracle\.dt must be finite"),
         ("oracle", "sample_points = 0", "at least 1"),
         ("output", "dir =", "nonempty"),
     ],

@@ -254,6 +254,13 @@ def test_path_integral_argument_validation(cubic):
         _path_integral(fld, lin, [1], np.zeros((1, 2)), dt=0.0)
 
 
+def test_path_integral_step_count_overflow(cubic):
+    # t_max / dt overflows to inf for a finite, positive dt
+    fld, lin = cubic
+    with pytest.raises(DynamicsError, match="not finite"):
+        _path_integral(fld, lin, [1], np.zeros((1, 2)), t_max=20.0, dt=1e-320)
+
+
 def test_path_integral_blow_up():
     # stable linearization, unstable far field: the trajectory from x1 = 2
     # escapes and the quadrature must fail loudly
