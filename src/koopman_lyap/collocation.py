@@ -66,9 +66,12 @@ Wendland, SIAM J. Numer. Anal. 45, 2007) and a ridge eta is added to its
 diagonal, so it is solved by Cholesky: numpy's factor L, then forward and
 back substitution in _CHUNK-row blocks of L, each diagonal block solved
 densely (numpy has no triangular solve, and a dense solve with all of L
-would cost O(m^3) again). A system with a non-finite entry is rejected
-before the factorization; one that is not numerically positive definite,
-or whose solution fails the residual check, falls back to least squares.
+would cost O(m^3) again). A zero right-hand side (w . G vanishing at every
+center, as for a linear eigenfunction) has the exact solution alpha = 0,
+so its system is never formed; its ridge comes from the diagonal in closed
+form. A system with a non-finite entry is rejected before the
+factorization; one that is not numerically positive definite, or whose
+solution fails the residual check, falls back to least squares.
 Assembly and evaluation are chunked so memory stays flat in the number of
 points.
 """
@@ -242,16 +245,45 @@ def _origin_columns(X: np.ndarray, s2: float):
     return values, grads
 
 
-def assemble_system(problem: CollocationProblem):
-    """Gram matrices, right-hand sides and ridges of every eigenvalue's
-    system, one chunk of PDE rows at a time: A of shape (k, m, m), each A[i]
-    symmetric with its ridge eta[i] on the diagonal; b (k, m); eta (k,)."""
+def _rhs(problem: CollocationProblem) -> np.ndarray:
+    """b of every eigenvalue's system, shape (k, m): -w . G at the centers,
+    0 on the origin rows."""
+    Z = problem.centers
+    n = len(Z)
+    b = np.zeros((len(problem.lin.eigenvalues), problem.size))
+    if n:
+        G = nonlinear_part(problem.fld, problem.lin, Z.T).T
+        for bi, w in zip(b, problem.lin.left_eigenvectors):
+            bi[:n] = -(G @ w)
+    return b
+
+
+def _ridges(problem: CollocationProblem, F: np.ndarray) -> np.ndarray:
+    """The ridge of every eigenvalue's system, shape (k,); F is f at the
+    centers. eta None means 1e-10 trace(A) / m, with the diagonal of A in
+    closed form (u = 0 on it): |f(z_a)|^2 / sigma^2 + lambda^2 on the PDE
+    rows, 1 on the value row and 1 / sigma^2 on the derivative rows, each
+    rounded as assembly rounds it."""
+    lams = problem.lin.eigenvalues
+    if problem.eta is not None:
+        return np.full(len(lams), float(problem.eta))
+    d = problem.fld.dim
+    s2 = problem.kernel.sigma**2
+    ff = sum(F[:, l] * F[:, l] for l in range(d)) / s2
+    origin = np.r_[1.0, np.full(d, 1.0 / s2)]
+    return np.array(
+        [1e-10 * float(np.sum(np.r_[ff + lam * lam, origin])) / problem.size for lam in lams]
+    )
+
+
+def _gram(problem: CollocationProblem, F: np.ndarray, lams, etas) -> np.ndarray:
+    """Gram matrices of the eigenvalues lams, shape (len(lams), m, m), each
+    symmetric with its ridge from etas on the diagonal, one chunk of PDE
+    rows at a time; F is f at the centers."""
     Z = problem.centers
     n, d = Z.shape
     m = n + 1 + d
     s2 = problem.kernel.sigma**2
-    lams = problem.lin.eigenvalues
-    F = problem.fld.evaluate_at(Z)
     axes, index = problem.lattice
     gram_1d = [np.exp(np.subtract.outer(a, a) ** 2 / (-2.0 * s2)) for a in axes]
 
@@ -281,25 +313,22 @@ def assemble_system(problem: CollocationProblem):
     # the Gram matrix is symmetric, so the origin rows are the origin
     # columns transposed, then the origin functionals at x = 0
     values, grads = _origin_columns(np.zeros((1, d)), s2)
-    for Ai in A:
+    for Ai, e in zip(A, etas):
         Ai[n:, :n] = Ai[:n, n:].T
         Ai[n, n:] = values[0]
         Ai[n + 1 :, n:] = grads[0].T
+        if e:
+            Ai[np.diag_indices(m)] += e
+    return A
 
-    b = np.zeros((len(lams), m))
-    if n:
-        G = nonlinear_part(problem.fld, problem.lin, Z.T).T
-        for bi, w in zip(b, problem.lin.left_eigenvectors):
-            bi[:n] = -(G @ w)
 
-    eta = np.empty(len(lams))
-    for i, Ai in enumerate(A):
-        eta[i] = (
-            1e-10 * float(np.trace(Ai)) / m if problem.eta is None else float(problem.eta)
-        )
-        if eta[i]:
-            Ai[np.diag_indices(m)] += eta[i]
-    return A, b, eta
+def assemble_system(problem: CollocationProblem):
+    """Gram matrices, right-hand sides and ridges of every eigenvalue's
+    system: A of shape (k, m, m), each A[i] symmetric with its ridge eta[i]
+    on the diagonal; b (k, m); eta (k,)."""
+    F = problem.fld.evaluate_at(problem.centers)
+    eta = _ridges(problem, F)
+    return _gram(problem, F, problem.lin.eigenvalues, eta), _rhs(problem), eta
 
 
 @dataclass
@@ -310,7 +339,7 @@ class CollocationSolution:
     problem: CollocationProblem
     alpha: np.ndarray  # (k, m)
     eta_used: np.ndarray  # (k,)
-    method: tuple  # (k,) of "cholesky" | "lstsq"
+    method: tuple  # (k,) of "cholesky" | "lstsq" | "zero"
     center_field_values: np.ndarray = dc_field(repr=False, default=None)
 
     def __post_init__(self):
@@ -401,21 +430,29 @@ def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve(problem: CollocationProblem) -> CollocationSolution:
     """Assemble and solve the Gram system of every eigenvalue.
 
-    A system with a non-finite entry raises CollocationError before any
-    factorization. Each system is factored by Cholesky; least squares takes
-    over when the matrix is not numerically positive definite, or when the
-    Cholesky solution is not finite or leaves a residual above 1e-8 of the
-    system's scale. method records which of the two solved each system.
+    A zero right-hand side has the exact solution alpha = 0, the Gram
+    matrix being positive definite, so its system is neither assembled nor
+    factored and method records "zero"; NaN counts as nonzero. A system
+    with a non-finite entry raises CollocationError before any
+    factorization. Each other system is factored by Cholesky; least
+    squares takes over when the matrix is not numerically positive
+    definite, or when the Cholesky solution is not finite or leaves a
+    residual above 1e-8 of the system's scale. method records which of the
+    three solved each system.
     """
-    A, b, eta = assemble_system(problem)
-    for Ai, bi, lam in zip(A, b, problem.lin.eigenvalues):
-        if not (np.all(np.isfinite(Ai)) and np.all(np.isfinite(bi))):
+    F = problem.fld.evaluate_at(problem.centers)
+    b, eta = _rhs(problem), _ridges(problem, F)
+    solved = np.flatnonzero(np.any(b, axis=1))
+    A = _gram(problem, F, problem.lin.eigenvalues[solved], eta[solved])
+    for Ai, i in zip(A, solved):
+        if not (np.all(np.isfinite(Ai)) and np.all(np.isfinite(b[i]))):
             raise CollocationError(
-                f"the Gram system of lambda = {lam:.6g} has non-finite entries; "
-                "is the field finite at every collocation center?"
+                f"the Gram system of lambda = {problem.lin.eigenvalues[i]:.6g} has "
+                "non-finite entries; is the field finite at every collocation center?"
             )
-    alphas, methods = [], []
-    for Ai, bi in zip(A, b):
+    alphas, methods = np.zeros(b.shape), ["zero"] * len(b)
+    for Ai, i in zip(A, solved):
+        bi = b[i]
         method = "cholesky"
         try:
             alpha = _cholesky_solve(Ai, bi)
@@ -437,9 +474,12 @@ def solve(problem: CollocationProblem) -> CollocationSolution:
                 raise SingularSystemError(str(exc)) from exc
             if not np.all(np.isfinite(alpha)):
                 raise SingularSystemError("least-squares solution is not finite")
-        alphas.append(alpha)
-        methods.append(method)
+        alphas[i], methods[i] = alpha, method
 
     return CollocationSolution(
-        problem=problem, alpha=np.array(alphas), eta_used=eta, method=tuple(methods)
+        problem=problem,
+        alpha=alphas,
+        eta_used=eta,
+        method=tuple(methods),
+        center_field_values=F,
     )

@@ -39,6 +39,9 @@ __all__ = [
 _TAIL_FLOOR = 1e-12
 _TAIL_STEPS = 100
 
+# RK4 steps whose states are kept before their integrand is evaluated at once.
+_BLOCK = 256
+
 
 class ConvergenceConditionError(DynamicsError):
     """The path integral does not converge for this eigenvalue."""
@@ -165,6 +168,15 @@ def path_integral_phi(
     below 1e-12 for 100 consecutive steps, and a point leaves the batch once
     all its pairs have stopped. Requires -lambda + 2 max_j lambda_j < 0 for
     every requested lambda.
+
+    The step loop only advances the state, reusing f at each new state as
+    the next step's k1. States and f are kept for _BLOCK steps; then the
+    block's integrands, trapezoid terms (added in step order) and quiet
+    counts are formed at once, and stopped points leave the batch. The
+    result is bitwise that of forming each step's term as it is taken, and a
+    trajectory that blows up while its point is in the batch raises
+    BlowUpError at the time of its first non-finite state. Memory is
+    O(_BLOCK d c).
     """
     lams = np.asarray(lams, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -184,28 +196,42 @@ def path_integral_phi(
     n_steps = max(1, int(round(steps)))
     h = t_max / n_steps
 
-    def integrand(t, state, f):
-        # f = f(state) also serves the next RK4 step as its first stage
-        return np.exp(-lams * t)[:, None] * (W @ (f - lin.E @ state))
+    def integrand(t, S, F):
+        # (b,) times, (b, d, c) states and f -> (b, k, c); matmul takes one
+        # (d, c) slice at a time, as for a single step
+        return np.exp(np.multiply.outer(t, -lams))[:, :, None] * (W @ (F - lin.E @ S))
 
     total = np.zeros((len(lams), len(X)))
     cols = np.arange(len(X))  # columns of total whose points are in the batch
     state = X.T.copy()
     f = fld.evaluate(state)
-    g_prev = integrand(0.0, state, f)
+    g_prev = integrand(np.zeros(1), state[None], f[None])[0]
     quiet = np.zeros(total.shape, dtype=int)
-    for k in range(n_steps):
-        t_next = (k + 1) * h
-        state = rk4_step(fld, state, h, k1=f)
-        if not np.all(np.isfinite(state)):
-            raise BlowUpError(t_next)
-        f = fld.evaluate(state)
-        g_next = integrand(t_next, state, f)
-        active = quiet < _TAIL_STEPS
-        total[:, cols] += np.where(active, 0.5 * h * (g_prev + g_next), 0.0)
-        g_prev = g_next
-        quiet = np.where(active & (np.abs(g_next) >= _TAIL_FLOOR), 0, quiet + 1)
-        live = (quiet < _TAIL_STEPS).any(axis=0)
+    for start in range(0, n_steps, _BLOCK):
+        states, fs = [], []
+        for _ in range(min(_BLOCK, n_steps - start)):
+            state = rk4_step(fld, state, h, k1=f)
+            f = fld.evaluate(state)
+            states.append(state)
+            fs.append(f)
+        S = np.array(states)
+        step = np.arange(1, len(S) + 1)
+        G = integrand((start + step) * h, S, np.array(fs))
+        # q: the quiet counts as if no pair had stopped. A pair stops for good
+        # at its first count of _TAIL_STEPS, so it adds a step's term while
+        # the running maximum of its counts, seeded with quiet, is below that.
+        step = step[:, None, None]
+        q = step - np.maximum.accumulate(np.where(np.abs(G) >= _TAIL_FLOOR, step, -quiet))
+        q_max = np.maximum.accumulate(np.concatenate([quiet[None], q]))
+        active = q_max[:-1] < _TAIL_STEPS
+        blown = active.any(axis=1) & ~np.isfinite(S).all(axis=1)
+        if blown.any():
+            raise BlowUpError((start + int(np.argmax(blown.any(axis=1))) + 1) * h)
+        terms = np.where(active, 0.5 * h * (np.concatenate([g_prev[None], G[:-1]]) + G), 0.0)
+        total[:, cols] = np.add.accumulate(np.concatenate([total[None, :, cols], terms]))[-1]
+        running = q_max[-1] < _TAIL_STEPS
+        g_prev, quiet = G[-1], np.where(running, q[-1], _TAIL_STEPS)
+        live = running.any(axis=0)
         if not live.all():
             if not live.any():
                 break

@@ -71,6 +71,13 @@ _EIGENFUNCTIONS = "eigenfunctions.json"
 _MODEL = "model.json"
 _MANIFEST = "manifest.json"
 
+# Keys the later stages read from eigenfunctions.json and from each of its
+# eigenfunction entries.
+_EIGENFUNCTIONS_KEYS = (
+    "alpha_files", "centers_file", "eigenfunctions", "eta_config", "fill_distance", "sigma"
+)
+_ENTRY_KEYS = ("eigenvalue", "eta_used", "left_eigenvector", "method")
+
 
 class MissingArtifactError(OSError):
     def __init__(self, path):
@@ -85,6 +92,14 @@ def ensure_output_dir(path) -> Path:
     probe.write_text("")
     probe.unlink()
     return out
+
+
+def _require(obj, keys, where: str) -> None:
+    """A ValueError naming where (the file, and the entry in it) for the
+    first of keys that obj, read from a persisted artifact, lacks."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where} has no key {key!r}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -170,7 +185,7 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
 def eigenfunctions_summary(meta: dict) -> str:
     """Text report of the eigenfunctions stage from its eigenfunctions.json
     contents: fill distance, then one line per eigenvalue with its ridge,
-    largest PDE residual and solver."""
+    largest PDE residual and solver (cholesky, lstsq or zero)."""
     lines = [f"fill distance: {meta['fill_distance']:.12g}"]
     for e in meta["eigenfunctions"]:
         lines.append(
@@ -187,6 +202,9 @@ def load_eigenfunctions(cfg: RunConfig, outdir: Path):
         raise MissingArtifactError(meta_path)
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
+    _require(meta, _EIGENFUNCTIONS_KEYS, str(meta_path))
+    for i, entry in enumerate(meta["eigenfunctions"]):
+        _require(entry, _ENTRY_KEYS, f"{meta_path} eigenfunctions[{i}]")
 
     fld, lin = _field_and_lin(cfg)
     stored = np.array([e["eigenvalue"] for e in meta["eigenfunctions"]])
@@ -247,6 +265,7 @@ def _load_model(cfg: RunConfig, outdir: Path):
         raise MissingArtifactError(model_path)
     with open(model_path, "r", encoding="utf-8") as fh:
         saved = json.load(fh)
+    _require(saved, ("P",), str(model_path))
     fld, lin, eigset, meta = load_eigenfunctions(cfg, outdir)
     model = LyapunovModel(eigenfunctions=eigset, P=np.array(saved["P"]))
     return fld, model

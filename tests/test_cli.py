@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,9 @@ def test_run_prints_stage_summaries(tiny_cfg_path, tmp_path, capsys):
     for marker in ("fill distance:", "diagnostics", "cpa certification",
                    "oracle check", "artifacts written to"):
         assert marker in out
+    # w1 . G = 0 on the tiny system, so its first system is skipped
+    assert "eigenvalue -2: eta = 0, max PDE residual = 0.000000e+00 (zero)" in out
+    assert "(cholesky)" in out
 
 
 def test_oracle_check_skips_divergent_eigenvalue(tmp_path, capsys):
@@ -275,6 +279,28 @@ def test_exit_code_missing_config(capsys):
 def test_bundled_config_by_name(tmp_path, capsys):
     assert cli.main(["linearize", "example1", "--output-dir", str(tmp_path)]) == 0
     assert "eigenvalues: -2  -3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stage", ["lyapunov", "certify", "oracle-check"])
+def test_eigenfunction_entry_without_method_exits_1(
+    tiny_cfg_path, finished_run, tmp_path, capsys, stage
+):
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    meta_path = tmp_path / "eigenfunctions.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["eigenfunctions"][1]["method"]
+    meta_path.write_text(json.dumps(meta))
+    assert cli.main([stage, str(tiny_cfg_path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(meta_path) in err and "'method'" in err
+
+
+def test_empty_model_json_exits_1(tiny_cfg_path, finished_run, tmp_path, capsys):
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "model.json").write_text("{}")
+    assert cli.main(["certify", str(tiny_cfg_path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "model.json") in err and "'P'" in err
 
 
 def test_classify_error_mapping():

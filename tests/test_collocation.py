@@ -279,6 +279,9 @@ def test_eta_semantics(setup):
     np.testing.assert_allclose(sol_auto.eta_used, expected, rtol=1e-12)
     assert np.all(sol_auto.eta_used > 0)
     assert sol_auto.eta_used[0] != sol_auto.eta_used[1]
+    # the skipped system's ridge comes from the closed-form diagonal
+    assert sol_auto.method[0] == "zero"
+    assert abs(sol_auto.eta_used[0] - expected[0]) <= 1e-15 * expected[0]
 
 
 def test_explicit_ridge_lands_on_diagonal(setup):
@@ -298,7 +301,26 @@ def solved(setup):
 
 
 def test_solver_used_factorization(solved):
-    assert solved.method == ("cholesky", "cholesky")
+    # the first eigenvalue's right-hand side is zero, so its system is skipped
+    assert solved.method == ("zero", "cholesky")
+
+
+def test_zero_rhs_system_is_not_factored(setup, monkeypatch):
+    # w1 . G vanishes identically, so alpha_1 = 0 is the exact minimum-norm
+    # collocant and only the second system reaches the factorization
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    sol = solve(_problem(setup))
+    assert len(calls) == 1
+    assert sol.method == ("zero", "cholesky")
+    np.testing.assert_array_equal(sol.alpha[0], np.zeros(sol.problem.size))
+    assert np.any(sol.alpha[1])
 
 
 def test_pde_residual_at_centers(setup, solved):
@@ -387,20 +409,32 @@ def test_solve_matches_reference_cholesky(setup):
     # number near 2e4, so the two factorizations agree to rounding
     sol = solve(_problem(setup, eta=0.1, centers=uniform_centers(setup[2], 12)))
     A, b, _ = assemble_system(sol.problem)
-    assert sol.method == ("cholesky", "cholesky")
+    assert sol.method == ("zero", "cholesky")
     for Ai, bi, alpha in zip(A, b, sol.alpha):
         expected = cho_solve(cho_factor(Ai), bi)
         assert np.max(np.abs(alpha - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1e-300)
 
 
-def test_non_finite_system_rejected_before_factoring(setup):
-    # exp(100 x1^2) overflows on the outer centers, so A and b hold inf and nan
-    fld = parse_vector_field(["-x1 + x1^2*exp(100*x1^2)", "-2*x2"])
+def _overflowing_problem(f1):
+    fld = parse_vector_field([f1, "-2*x2"])
     domain = Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
-    prob = CollocationProblem(
+    return CollocationProblem(
         kernel=GaussianKernel(sigma=1.0, dim=2), fld=fld, lin=linearize(fld),
         centers=uniform_centers(domain, 10), domain=domain, eta=0.0,
     )
+
+
+def test_non_finite_system_rejected_before_factoring(setup):
+    # exp(100 x1^2) overflows on the outer centers, so A and b hold inf and nan
+    prob = _overflowing_problem("-x1 + x1^2*exp(100*x1^2)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CollocationError, match="non-finite"):
+            solve(prob)
+
+
+def test_nan_right_hand_side_is_not_skipped_as_zero():
+    # inf - inf: b holds only zeros and nan, and nan must not pass as zero
+    prob = _overflowing_problem("-x1 + x1^2*(exp(100*x1^2) - exp(100*x1^2))")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(CollocationError, match="non-finite"):
             solve(prob)

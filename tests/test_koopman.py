@@ -261,14 +261,87 @@ def test_path_integral_step_count_overflow(cubic):
         _path_integral(fld, lin, [1], np.zeros((1, 2)), t_max=20.0, dt=1e-320)
 
 
+def _per_step_path_integral(fld, lin, lams, W, X, t_max, dt):
+    """Reference: path_integral_phi with the integrand, trapezoid term, quiet
+    counts and batch formed after every step, and the finiteness check on
+    every step. Also returns the step after which each point left the batch
+    (None if it stayed to the end)."""
+    lams, W, X = (np.asarray(a, dtype=float) for a in (lams, W, X))
+    n_steps = max(1, int(round(t_max / dt)))
+    h = t_max / n_steps
+
+    def integrand(t, state, f):
+        return np.exp(-lams * t)[:, None] * (W @ (f - lin.E @ state))
+
+    total = np.zeros((len(lams), len(X)))
+    left = [None] * len(X)
+    cols = np.arange(len(X))
+    state = X.T.copy()
+    f = fld.evaluate(state)
+    g_prev = integrand(0.0, state, f)
+    quiet = np.zeros(total.shape, dtype=int)
+    for k in range(n_steps):
+        t_next = (k + 1) * h
+        state = rk4_step(fld, state, h, k1=f)
+        if not np.all(np.isfinite(state)):
+            raise BlowUpError(t_next)
+        f = fld.evaluate(state)
+        g_next = integrand(t_next, state, f)
+        active = quiet < koopman._TAIL_STEPS
+        total[:, cols] += np.where(active, 0.5 * h * (g_prev + g_next), 0.0)
+        g_prev = g_next
+        quiet = np.where(active & (np.abs(g_next) >= koopman._TAIL_FLOOR), 0, quiet + 1)
+        live = (quiet < koopman._TAIL_STEPS).any(axis=0)
+        if not live.all():
+            for p in cols[~live]:
+                left[p] = k + 1
+            if not live.any():
+                break
+            cols, state, quiet = cols[live], state[:, live], quiet[:, live]
+            f, g_prev = f[:, live], g_prev[:, live]
+    return X @ W.T + total.T, left
+
+
+@pytest.mark.parametrize("blocks", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+def test_blocked_path_integral_matches_per_step_reference(monkeypatch, blocks):
+    # n_steps = 1, B - 1, B, B + 1 and 3B + 7 for the block size B. E is not
+    # diagonal, so every step's products go through BLAS. With the raised
+    # floor the pairs go quiet at different steps, most of them inside a
+    # block, and the origin leaves the batch after _TAIL_STEPS steps.
+    monkeypatch.setattr(koopman, "_TAIL_FLOOR", 1e-3)
+    monkeypatch.setattr(koopman, "_TAIL_STEPS", 20)
+    n_steps = blocks[0] * koopman._BLOCK + blocks[1]
+    fld = parse_vector_field(["-2*x1 + 0.5*x2 + x2^2", "-3*x2 + x1^2"])
+    lin = linearize(fld)
+    X = np.vstack([np.zeros(2), np.random.default_rng(4).uniform(-1.5, 1.5, size=(7, 2))])
+    dt = 1e-2
+    val = path_integral_phi(fld, lin, lin.eigenvalues, lin.left_eigenvectors, X,
+                            t_max=n_steps * dt, dt=dt)
+    ref, left = _per_step_path_integral(fld, lin, lin.eigenvalues, lin.left_eigenvectors, X,
+                                        t_max=n_steps * dt, dt=dt)
+    np.testing.assert_array_equal(val, ref)
+    if n_steps > 3 * koopman._BLOCK:
+        gone = [s for s in left if s is not None]
+        assert len(gone) >= 3 and any(s % koopman._BLOCK for s in gone)
+        assert left[0] == koopman._TAIL_STEPS
+
+
+def _blow_up_time(fn, *args, **kw):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as info:
+            fn(*args, **kw)
+    return info.value.t
+
+
 def test_path_integral_blow_up():
     # stable linearization, unstable far field: the trajectory from x1 = 2
-    # escapes and the quadrature must fail loudly
+    # escapes and the quadrature must fail loudly, at the time of the first
+    # non-finite state
     fld = parse_vector_field(["-1*x1 + x1^3", "-2*x2"])
     lin = linearize(fld)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(BlowUpError):
-            _path_integral(fld, lin, [0], [[2.0, 0.0]])
+    args = (fld, lin, lin.eigenvalues[:1], lin.left_eigenvectors[:1], [[2.0, 0.0]])
+    t = _blow_up_time(path_integral_phi, *args, t_max=20.0, dt=1e-3)
+    assert t == _blow_up_time(_per_step_path_integral, *args, t_max=20.0, dt=1e-3)
 
 
 def test_path_integral_blow_up_of_one_point_fails_the_batch():
@@ -277,6 +350,23 @@ def test_path_integral_blow_up_of_one_point_fails_the_batch():
     fld = parse_vector_field(["-1*x1 + x1^3", "-2*x2"])
     lin = linearize(fld)
     X = np.array([[0.5, 0.0], [2.0, 0.0], [0.0, 0.3]])
+    args = (fld, lin, lin.eigenvalues[:1], lin.left_eigenvectors[:1], X)
+    t = _blow_up_time(path_integral_phi, *args, t_max=2.0, dt=1e-2)
+    assert t == _blow_up_time(_per_step_path_integral, *args, t_max=2.0, dt=1e-2)
+
+
+def test_path_integral_point_that_left_the_batch_may_blow_up():
+    # w1 . G = 0, so the pair of lambda = -1 is quiet from the start and the
+    # point leaves the batch after _TAIL_STEPS = 100 steps; x2 = 7 then
+    # escapes near t = ln(1.4) / 2 = 0.168, inside the same block. That
+    # trajectory no longer counts.
+    fld = parse_vector_field(["-1*x1", "x2^2 - 2*x2"])
+    lin = linearize(fld)
+    X = np.array([[0.5, 7.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(BlowUpError):
-            _path_integral(fld, lin, [0], X, t_max=2.0, dt=1e-2)
+        val = _path_integral(fld, lin, [0], X)
+    ref, left = _per_step_path_integral(
+        fld, lin, lin.eigenvalues[:1], lin.left_eigenvectors[:1], X, t_max=20.0, dt=1e-3
+    )
+    assert left == [koopman._TAIL_STEPS]
+    np.testing.assert_array_equal(val, ref)
