@@ -57,9 +57,14 @@ Assembly. With u = z_a - z_b, T = u . f(z_b) / sigma^2, R = u . f(z_a) / sigma^2
     A[a, b] = K(z_a, z_b) (f(z_a) . f(z_b) / sigma^2 - (T - lambda)(R + lambda)),
 
 K gathered from the 1-D Gram factors k(a_li, a_lj): sum_l n_l^2
-exponentials, not n^2. Its origin columns are the table's rows n .. n + d
-at x = z_a, the origin rows their transpose. Only lambda and w differ
-between eigenvalues, so one problem covers the whole spectrum.
+exponentials, not n^2. u_ba = -u_ab exactly, so the entries below the
+diagonal equal those above bit for bit: each chunk of PDE rows forms its
+columns from its own first row onward and writes their transpose below, and
+every off-diagonal block is computed once. The origin columns are the
+table's rows n .. n + d at x = z_a, the origin rows their transpose. Only
+lambda and w differ between eigenvalues, so one problem covers the whole
+spectrum, solved one eigenvalue at a time: each Gram matrix is assembled,
+factored and freed before the next is assembled.
 
 For distinct functionals the Gram matrix is positive definite (Giesl &
 Wendland, SIAM J. Numer. Anal. 45, 2007) and a ridge eta is added to its
@@ -69,9 +74,10 @@ densely (numpy has no triangular solve, and a dense solve with all of L
 would cost O(m^3) again). A zero right-hand side (w . G vanishing at every
 center, as for a linear eigenfunction) has the exact solution alpha = 0,
 so its system is never formed; its ridge comes from the diagonal in closed
-form. A system with a non-finite entry is rejected before the
-factorization; one that is not numerically positive definite, or whose
-solution fails the residual check, falls back to least squares.
+form. f at the centers and every right-hand side are checked for
+non-finite entries before any system is assembled, and each Gram matrix
+before it is factored; one that is not numerically positive definite, or
+whose solution fails the residual check, falls back to least squares.
 Assembly and evaluation are chunked so memory stays flat in the number of
 points.
 """
@@ -100,6 +106,7 @@ __all__ = [
 ]
 
 _CHUNK = 128
+_NON_FINITE = "non-finite entries; is the field finite at every collocation center?"
 
 
 class CollocationError(ValueError):
@@ -276,10 +283,10 @@ def _ridges(problem: CollocationProblem, F: np.ndarray) -> np.ndarray:
     )
 
 
-def _gram(problem: CollocationProblem, F: np.ndarray, lams, etas) -> np.ndarray:
-    """Gram matrices of the eigenvalues lams, shape (len(lams), m, m), each
-    symmetric with its ridge from etas on the diagonal, one chunk of PDE
-    rows at a time; F is f at the centers."""
+def _gram(problem: CollocationProblem, F: np.ndarray, lam: float, eta: float) -> np.ndarray:
+    """Gram matrix of the eigenvalue lam, shape (m, m), symmetric with the
+    ridge eta on its diagonal, one chunk of PDE rows at a time, each block
+    off the diagonal formed once and mirrored; F is f at the centers."""
     Z = problem.centers
     n, d = Z.shape
     m = n + 1 + d
@@ -287,48 +294,47 @@ def _gram(problem: CollocationProblem, F: np.ndarray, lams, etas) -> np.ndarray:
     axes, index = problem.lattice
     gram_1d = [np.exp(np.subtract.outer(a, a) ** 2 / (-2.0 * s2)) for a in axes]
 
-    A = np.empty((len(lams), m, m))
+    A = np.empty((m, m))
     for s in range(0, n, _CHUNK):
         rows = slice(s, min(s + _CHUNK, n))
-        Za, Fa = Z[rows], F[rows]
-        K = np.ones((len(Za), n))
+        Za, Fa, Zb, Fb = Z[rows], F[rows], Z[s:], F[s:]
+        K = np.ones((len(Za), n - s))
         for G1, i in zip(gram_1d, index.T):
-            K *= G1[np.ix_(i[rows], i)]
+            K *= G1[np.ix_(i[rows], i[s:])]
         # u = z_a - z_b per axis; T = u . f(z_b), R = u . f(z_a), FF = f(z_a) . f(z_b).
-        # u_ba = -u_ab exactly, so these rows are symmetric as computed.
-        U = [Za[:, l, None] - Z[:, l] for l in range(d)]
-        T = sum(u * F[:, l] for l, u in enumerate(U)) / s2
+        # u_ba = -u_ab exactly, so the mirrored entries are those computed from row b.
+        U = [Za[:, l, None] - Zb[:, l] for l in range(d)]
+        T = sum(u * Fb[:, l] for l, u in enumerate(U)) / s2
         R = sum(u * Fa[:, l, None] for l, u in enumerate(U)) / s2
-        FF = sum(np.multiply.outer(Fa[:, l], F[:, l]) for l in range(d)) / s2
+        FF = sum(np.multiply.outer(Fa[:, l], Fb[:, l]) for l in range(d)) / s2
+        out = A[rows, s:n]
+        np.add(R, lam, out=out)
+        out *= T - lam
+        np.subtract(FF, out, out=out)
+        out *= K
+        A[s:n, rows] = out.T
         values, grads = _origin_columns(Za, s2)
-        origin = np.einsum("cqd,cd->cq", grads, Fa)
-        for Ai, lam in zip(A, lams):
-            out = Ai[rows, :n]
-            np.add(R, lam, out=out)
-            out *= T - lam
-            np.subtract(FF, out, out=out)
-            out *= K
-            Ai[rows, n:] = origin - lam * values
+        A[rows, n:] = np.einsum("cqd,cd->cq", grads, Fa) - lam * values
 
-    # the Gram matrix is symmetric, so the origin rows are the origin
-    # columns transposed, then the origin functionals at x = 0
+    # the origin rows are the origin columns transposed, then the origin
+    # functionals at x = 0
     values, grads = _origin_columns(np.zeros((1, d)), s2)
-    for Ai, e in zip(A, etas):
-        Ai[n:, :n] = Ai[:n, n:].T
-        Ai[n, n:] = values[0]
-        Ai[n + 1 :, n:] = grads[0].T
-        if e:
-            Ai[np.diag_indices(m)] += e
+    A[n:, :n] = A[:n, n:].T
+    A[n, n:] = values[0]
+    A[n + 1 :, n:] = grads[0].T
+    if eta:
+        A[np.diag_indices(m)] += eta
     return A
 
 
 def assemble_system(problem: CollocationProblem):
     """Gram matrices, right-hand sides and ridges of every eigenvalue's
-    system: A of shape (k, m, m), each A[i] symmetric with its ridge eta[i]
-    on the diagonal; b (k, m); eta (k,)."""
+    system: A (k, m, m), the stacked _gram of each eigenvalue, each A[i] with
+    its ridge eta[i] on the diagonal; b (k, m); eta (k,). solve never holds it."""
     F = problem.fld.evaluate_at(problem.centers)
     eta = _ridges(problem, F)
-    return _gram(problem, F, problem.lin.eigenvalues, eta), _rhs(problem), eta
+    A = np.stack([_gram(problem, F, lam, e) for lam, e in zip(problem.lin.eigenvalues, eta)])
+    return A, _rhs(problem), eta
 
 
 @dataclass
@@ -427,55 +433,51 @@ def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(problem: CollocationProblem) -> CollocationSolution:
-    """Assemble and solve the Gram system of every eigenvalue.
+def _solve_system(A: np.ndarray, b: np.ndarray, lam: float):
+    """alpha with A alpha = b and the method that found it. solve passes each
+    Gram matrix straight in, so it is freed on return."""
+    if not np.all(np.isfinite(A)):
+        raise CollocationError(f"the Gram system of lambda = {lam:.6g} has {_NON_FINITE}")
+    try:
+        alpha = _cholesky_solve(A, b)
+        scale = float(
+            np.abs(A).sum(axis=1).max() * np.max(np.abs(alpha), initial=0.0)
+            + np.max(np.abs(b), initial=0.0)
+        )
+        resid = float(np.max(np.abs(A @ alpha - b)))
+        if np.all(np.isfinite(alpha)) and not resid > 1e-8 * max(scale, 1e-300):
+            return alpha, "cholesky"
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        alpha = np.linalg.lstsq(A, b, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    if not np.all(np.isfinite(alpha)):
+        raise SingularSystemError("least-squares solution is not finite")
+    return alpha, "lstsq"
 
-    A zero right-hand side has the exact solution alpha = 0, the Gram
-    matrix being positive definite, so its system is neither assembled nor
-    factored and method records "zero"; NaN counts as nonzero. A system
-    with a non-finite entry raises CollocationError before any
-    factorization. Each other system is factored by Cholesky; least
-    squares takes over when the matrix is not numerically positive
-    definite, or when the Cholesky solution is not finite or leaves a
-    residual above 1e-8 of the system's scale. method records which of the
-    three solved each system.
+
+def solve(problem: CollocationProblem) -> CollocationSolution:
+    """Assemble and solve the Gram system of every eigenvalue, one at a time.
+
+    A non-finite f at the centers or right-hand side raises CollocationError
+    before any system is assembled. A zero right-hand side has the exact
+    solution alpha = 0, so its system is neither assembled nor factored and
+    method records "zero". Each other Gram matrix is assembled, checked for
+    non-finite entries, solved and freed before the next is assembled. It is
+    factored by Cholesky; least squares takes over when it is not numerically
+    positive definite, or when the Cholesky solution is not finite or leaves
+    a residual above 1e-8 of the system's scale. method records the solver.
     """
     F = problem.fld.evaluate_at(problem.centers)
     b, eta = _rhs(problem), _ridges(problem, F)
-    solved = np.flatnonzero(np.any(b, axis=1))
-    A = _gram(problem, F, problem.lin.eigenvalues[solved], eta[solved])
-    for Ai, i in zip(A, solved):
-        if not (np.all(np.isfinite(Ai)) and np.all(np.isfinite(b[i]))):
-            raise CollocationError(
-                f"the Gram system of lambda = {problem.lin.eigenvalues[i]:.6g} has "
-                "non-finite entries; is the field finite at every collocation center?"
-            )
+    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(b))):
+        raise CollocationError(f"the collocation systems have {_NON_FINITE}")
+    lams = problem.lin.eigenvalues
     alphas, methods = np.zeros(b.shape), ["zero"] * len(b)
-    for Ai, i in zip(A, solved):
-        bi = b[i]
-        method = "cholesky"
-        try:
-            alpha = _cholesky_solve(Ai, bi)
-            scale = float(
-                np.abs(Ai).sum(axis=1).max() * np.max(np.abs(alpha), initial=0.0)
-                + np.max(np.abs(bi), initial=0.0)
-            )
-            resid = float(np.max(np.abs(Ai @ alpha - bi)))
-            if not np.all(np.isfinite(alpha)) or resid > 1e-8 * max(scale, 1e-300):
-                alpha = None
-        except np.linalg.LinAlgError:
-            alpha = None
-
-        if alpha is None:
-            method = "lstsq"
-            try:
-                alpha = np.linalg.lstsq(Ai, bi, rcond=None)[0]
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(str(exc)) from exc
-            if not np.all(np.isfinite(alpha)):
-                raise SingularSystemError("least-squares solution is not finite")
-        alphas[i], methods[i] = alpha, method
-
+    for i in np.flatnonzero(np.any(b, axis=1)):
+        alphas[i], methods[i] = _solve_system(_gram(problem, F, lams[i], eta[i]), b[i], lams[i])
     return CollocationSolution(
         problem=problem,
         alpha=alphas,

@@ -175,7 +175,8 @@ def path_integral_phi(
     counts are formed at once, and stopped points leave the batch. The
     result is bitwise that of forming each step's term as it is taken, and a
     trajectory that blows up while its point is in the batch raises
-    BlowUpError at the time of its first non-finite state. Memory is
+    BlowUpError at the time of its first non-finite state; one whose point
+    has left the batch is ignored, numpy's warnings included. Memory is
     O(_BLOCK d c).
     """
     lams = np.asarray(lams, dtype=float)
@@ -196,38 +197,43 @@ def path_integral_phi(
     n_steps = max(1, int(round(steps)))
     h = t_max / n_steps
 
-    def integrand(t, S, F):
-        # (b,) times, (b, d, c) states and f -> (b, k, c); matmul takes one
-        # (d, c) slice at a time, as for a single step
-        return np.exp(np.multiply.outer(t, -lams))[:, :, None] * (W @ (F - lin.E @ S))
+    def integrand(decay, S, F):
+        # (b, k) factors exp(-lambda t), (b, d, c) states and f -> (b, k, c);
+        # matmul takes one (d, c) slice at a time, as for a single step
+        return decay[:, :, None] * (W @ (F - lin.E @ S))
 
     total = np.zeros((len(lams), len(X)))
     cols = np.arange(len(X))  # columns of total whose points are in the batch
     state = X.T.copy()
     f = fld.evaluate(state)
-    g_prev = integrand(np.zeros(1), state[None], f[None])[0]
+    g_prev = integrand(np.ones((1, len(lams))), state[None], f[None])[0]
     quiet = np.zeros(total.shape, dtype=int)
     for start in range(0, n_steps, _BLOCK):
-        states, fs = [], []
-        for _ in range(min(_BLOCK, n_steps - start)):
-            state = rk4_step(fld, state, h, k1=f)
-            f = fld.evaluate(state)
-            states.append(state)
-            fs.append(f)
-        S = np.array(states)
-        step = np.arange(1, len(S) + 1)
-        G = integrand((start + step) * h, S, np.array(fs))
-        # q: the quiet counts as if no pair had stopped. A pair stops for good
-        # at its first count of _TAIL_STEPS, so it adds a step's term while
-        # the running maximum of its counts, seeded with quiet, is below that.
-        step = step[:, None, None]
-        q = step - np.maximum.accumulate(np.where(np.abs(G) >= _TAIL_FLOOR, step, -quiet))
-        q_max = np.maximum.accumulate(np.concatenate([quiet[None], q]))
-        active = q_max[:-1] < _TAIL_STEPS
-        blown = active.any(axis=1) & ~np.isfinite(S).all(axis=1)
-        if blown.any():
-            raise BlowUpError((start + int(np.argmax(blown.any(axis=1))) + 1) * h)
-        terms = np.where(active, 0.5 * h * (np.concatenate([g_prev[None], G[:-1]]) + G), 0.0)
+        step = np.arange(1, min(_BLOCK, n_steps - start) + 1)
+        decay = np.exp(np.multiply.outer((start + step) * h, -lams))
+        # a point that leaves the batch inside the block is still advanced to its
+        # end and may escape there, unused: numpy's overflow and invalid-value
+        # warnings are off until the terms are masked (an escape in the batch raises)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states, fs = [], []
+            for _ in step:
+                state = rk4_step(fld, state, h, k1=f)
+                f = fld.evaluate(state)
+                states.append(state)
+                fs.append(f)
+            S = np.array(states)
+            G = integrand(decay, S, np.array(fs))
+            # q: the quiet counts as if no pair had stopped. A pair stops for good at
+            # its first count of _TAIL_STEPS, so it adds a step's term while the
+            # running maximum of its counts, seeded with quiet, is below that.
+            step = step[:, None, None]
+            q = step - np.maximum.accumulate(np.where(np.abs(G) >= _TAIL_FLOOR, step, -quiet))
+            q_max = np.maximum.accumulate(np.concatenate([quiet[None], q]))
+            active = q_max[:-1] < _TAIL_STEPS
+            blown = active.any(axis=1) & ~np.isfinite(S).all(axis=1)
+            if blown.any():
+                raise BlowUpError((start + int(np.argmax(blown.any(axis=1))) + 1) * h)
+            terms = np.where(active, 0.5 * h * (np.concatenate([g_prev[None], G[:-1]]) + G), 0.0)
         total[:, cols] = np.add.accumulate(np.concatenate([total[None, :, cols], terms]))[-1]
         running = q_max[-1] < _TAIL_STEPS
         g_prev, quiet = G[-1], np.where(running, q[-1], _TAIL_STEPS)

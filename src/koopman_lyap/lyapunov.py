@@ -87,9 +87,6 @@ class LyapunovModel:
         Phi = self.eigenfunctions.value_many(X)
         return np.einsum("mi,ij,mj->m", Phi, self.P, Phi)
 
-    def value(self, x) -> float:
-        return float(self.value_many(np.asarray(x, dtype=float)[None, :])[0])
-
     def evaluate_with_derivative(self, fld: VectorField, X: np.ndarray):
         """Phi (m, d), V (m,) and Vdot along the field (m,) at a batch of
         points, from one phi/grad phi evaluation of the eigenfunction set."""
@@ -103,11 +100,6 @@ class LyapunovModel:
     def orbital_derivative_many(self, fld: VectorField, X: np.ndarray) -> np.ndarray:
         """Vdot along the field at a batch of points (m, d) -> (m,)."""
         return self.evaluate_with_derivative(fld, X)[2]
-
-    def orbital_derivative(self, fld: VectorField, x) -> float:
-        return float(
-            self.orbital_derivative_many(fld, np.asarray(x, dtype=float)[None, :])[0]
-        )
 
 
 @dataclass(frozen=True)

@@ -130,9 +130,9 @@ def test_criterion_05_exact_eigenfunction_values():
         P=solve_p([-2.0, -3.0]),
     )
     fld = parse_vector_field(["-2*x1", "-3*(x2 - x1^2)"])
-    x = np.array([1.0, 0.0])
-    assert model.value(x) == pytest.approx(1.75, abs=1e-10)
-    assert model.orbital_derivative(fld, x) == pytest.approx(-10.0, abs=1e-10)
+    x = np.array([[1.0, 0.0]])
+    assert model.value_many(x)[0] == pytest.approx(1.75, abs=1e-10)
+    assert model.orbital_derivative_many(fld, x)[0] == pytest.approx(-10.0, abs=1e-10)
 
 
 def test_criterion_06_v_positive_vdot_negative_on_annulus(ex1, ex1_model):

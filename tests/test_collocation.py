@@ -1,10 +1,12 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import cKDTree
 
+from koopman_lyap import collocation
 from koopman_lyap.box import Box
 from koopman_lyap.collocation import (
     CollocationError,
@@ -247,6 +249,37 @@ def test_assembly_matches_scalar_reference(setup):
         assert np.max(np.abs(Ai - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.fixture(scope="module")
+def odd_grid_and_scattered(setup):
+    # the 9 x 9 grid moves its center off the origin; the scattered centers
+    # fill a sparse lattice. Each with its scalar reference per eigenvalue.
+    _, lin, domain, _, _ = setup
+    cases = {}
+    for name, Z in [
+        ("odd-grid", uniform_centers(domain, 9)),
+        ("scattered", np.random.default_rng(11).uniform(-2, 2, size=(20, 2))),
+    ]:
+        prob = _problem(setup, centers=Z)
+        cases[name] = prob, [scalar_gram(prob, lam) for lam in lin.eigenvalues]
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [128, 16, 7])
+@pytest.mark.parametrize("case", ["odd-grid", "scattered"])
+def test_mirrored_assembly_is_symmetric_and_matches_scalar_reference(
+    odd_grid_and_scattered, case, chunk, monkeypatch
+):
+    # one chunk of PDE rows, and several with a ragged last one, so blocks
+    # below the diagonal are written only as mirrors of blocks above it
+    monkeypatch.setattr(collocation, "_CHUNK", chunk)
+    prob, refs = odd_grid_and_scattered[case]
+    A, _, _ = assemble_system(prob)
+    assert A.shape == (2, prob.size, prob.size)
+    for Ai, ref in zip(A, refs, strict=True):
+        np.testing.assert_array_equal(Ai, Ai.T)
+        assert np.max(np.abs(Ai - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_gram_matrix_symmetric_and_near_psd(setup):
     prob = _problem(setup)
     A, b, _ = assemble_system(prob)
@@ -321,6 +354,54 @@ def test_zero_rhs_system_is_not_factored(setup, monkeypatch):
     assert sol.method == ("zero", "cholesky")
     np.testing.assert_array_equal(sol.alpha[0], np.zeros(sol.problem.size))
     assert np.any(sol.alpha[1])
+
+
+def _two_system_problem(setup, eta=0.0):
+    # w1 . G = x2^2 and w2 . G = 3 x1^2: both right-hand sides are nonzero
+    _, _, domain, kern, centers = setup
+    fld = parse_vector_field(["-2*x1 + x2^2", "-3*(x2 - x1^2)"])
+    return CollocationProblem(
+        kernel=kern, fld=fld, lin=linearize(fld), centers=centers, domain=domain, eta=eta
+    )
+
+
+def test_one_gram_matrix_alive_at_a_time(setup, monkeypatch):
+    # each system is assembled, factored and freed before the next one is
+    # assembled, so no earlier Gram matrix exists during a factorization
+    grams, factored = [], []
+    gram, cholesky = collocation._gram, np.linalg.cholesky
+
+    def alive():
+        return [r for r in grams if r() is not None]
+
+    def tracked_gram(*args):
+        assert not alive()
+        A = gram(*args)
+        grams.append(weakref.ref(A))
+        return A
+
+    def tracked_cholesky(a):
+        factored.append(len(grams))
+        assert len(grams) == len(factored)
+        assert [r() for r in grams[:-1]] == [None] * (len(grams) - 1)
+        return cholesky(a)
+
+    monkeypatch.setattr(collocation, "_gram", tracked_gram)
+    monkeypatch.setattr(np.linalg, "cholesky", tracked_cholesky)
+    sol = solve(_two_system_problem(setup))
+    assert sol.method == ("cholesky", "cholesky")
+    assert factored == [1, 2]
+    assert not alive()
+
+
+def test_solve_matches_cholesky_solve_of_assembled_systems(setup):
+    prob = _two_system_problem(setup, eta=None)
+    sol = solve(prob)
+    A, b, eta = assemble_system(prob)
+    assert sol.method == ("cholesky", "cholesky")
+    np.testing.assert_array_equal(sol.eta_used, eta)
+    for Ai, bi, alpha in zip(A, b, sol.alpha, strict=True):
+        np.testing.assert_array_equal(alpha, _cholesky_solve(Ai, bi))
 
 
 def test_pde_residual_at_centers(setup, solved):
@@ -430,6 +511,27 @@ def test_non_finite_system_rejected_before_factoring(setup):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(CollocationError, match="non-finite"):
             solve(prob)
+
+
+def test_non_finite_field_is_rejected_before_any_assembly(setup, monkeypatch):
+    # both right-hand sides are nonzero and f overflows at the outer centers:
+    # no system is assembled, so none is factored
+    calls = []
+    gram, cholesky = collocation._gram, np.linalg.cholesky
+    monkeypatch.setattr(collocation, "_gram", lambda *a: calls.append("gram") or gram(*a))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append("chol") or cholesky(a))
+    fld = parse_vector_field(["-x1 + x2^2 + x1^2*exp(100*x1^2)", "-2*x2 + x1^2"])
+    domain = Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+    prob = CollocationProblem(
+        kernel=GaussianKernel(sigma=1.0, dim=2), fld=fld, lin=linearize(fld),
+        centers=uniform_centers(domain, 10), domain=domain, eta=0.0,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.any(assemble_system(prob)[1], axis=1))
+        calls.clear()
+        with pytest.raises(CollocationError, match="non-finite"):
+            solve(prob)
+    assert calls == []
 
 
 def test_nan_right_hand_side_is_not_skipped_as_zero():

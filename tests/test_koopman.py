@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -370,3 +372,16 @@ def test_path_integral_point_that_left_the_batch_may_blow_up():
     )
     assert left == [koopman._TAIL_STEPS]
     np.testing.assert_array_equal(val, ref)
+
+
+def test_path_integral_escape_after_leaving_the_batch_is_silent():
+    # the point leaves the batch at step 100 and x2 escapes near step 168 of
+    # the same 256-step block; that trajectory no longer counts, so numpy's
+    # overflow and invalid-value warnings about it are not shown
+    fld = parse_vector_field(["-x1", "x2^2 - 2*x2"])
+    lin = linearize(fld)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = _path_integral(fld, lin, [0], [[0.5, 7.0]])
+    assert lin.eigenvalues[0] == -1.0
+    assert val[0, 0] == 0.5

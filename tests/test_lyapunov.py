@@ -65,17 +65,17 @@ def test_solve_p_rejects_bad_spectra():
 
 
 def test_value_at_benchmark_point(exact_model):
-    assert exact_model.value(np.array([1.0, 0.0])) == pytest.approx(1.75, abs=1e-10)
+    assert exact_model.value_many(np.array([[1.0, 0.0]]))[0] == pytest.approx(1.75, abs=1e-10)
 
 
 def test_orbital_derivative_at_benchmark_point(exact_model, cubic_field):
-    vdot = exact_model.orbital_derivative(cubic_field, np.array([1.0, 0.0]))
+    vdot = exact_model.orbital_derivative_many(cubic_field, np.array([[1.0, 0.0]]))[0]
     assert vdot == pytest.approx(-10.0, abs=1e-10)
 
 
 def test_value_and_derivative_vanish_at_origin(exact_model, cubic_field):
-    assert exact_model.value(np.zeros(2)) == 0.0
-    assert exact_model.orbital_derivative(cubic_field, np.zeros(2)) == 0.0
+    assert exact_model.value_many(np.zeros((1, 2)))[0] == 0.0
+    assert exact_model.orbital_derivative_many(cubic_field, np.zeros((1, 2)))[0] == 0.0
 
 
 def test_value_positive_away_from_origin(exact_model):
@@ -103,19 +103,20 @@ def test_one_dimensional_model():
         eigenfunctions=EigenfunctionSet([-2.0], [[1.0]], ZeroH()), P=solve_p([-2.0])
     )
     for t in (-1.5, 0.3, 2.0):
-        x = np.array([t])
-        assert model.value(x) == pytest.approx(0.25 * t * t, abs=1e-14)
-        assert model.orbital_derivative(fld, x) == pytest.approx(-t * t, abs=1e-13)
+        x = np.array([[t]])
+        assert model.value_many(x)[0] == pytest.approx(0.25 * t * t, abs=1e-14)
+        assert model.orbital_derivative_many(fld, x)[0] == pytest.approx(-t * t, abs=1e-13)
 
 
 def test_batch_forms_match_pointwise(exact_model, cubic_field):
     X = np.random.default_rng(3).uniform(-2, 2, size=(15, 2))
     vals = exact_model.value_many(X)
     vdots = exact_model.orbital_derivative_many(cubic_field, X)
-    for i, x in enumerate(X):
-        assert vals[i] == pytest.approx(exact_model.value(x), rel=1e-12)
+    for i in range(len(X)):
+        row = X[i : i + 1]
+        assert vals[i] == pytest.approx(exact_model.value_many(row)[0], rel=1e-12)
         assert vdots[i] == pytest.approx(
-            exact_model.orbital_derivative(cubic_field, x), rel=1e-12
+            exact_model.orbital_derivative_many(cubic_field, row)[0], rel=1e-12
         )
 
 
