@@ -7,6 +7,10 @@ Subcommands: run, linearize, eigenfunctions, lyapunov, certify, oracle-check.
 configuration ("example1", "duffing").
 Exit codes: 0 success, 1 validation error, 2 numeric failure, 3 I/O error.
 
+_COMMANDS maps each subcommand to the name of its pipeline function, which
+returns (result, text); the CLI prints the text. The name is looked up at
+call time, so a wrapper rebound in pipeline (a tracer's span) runs too.
+
 Heavy imports happen after argument parsing so --threads can cap the BLAS
 thread pools through environment variables before numpy loads.
 """
@@ -17,14 +21,14 @@ import argparse
 import os
 import sys
 
-_COMMANDS = (
-    "run",
-    "linearize",
-    "eigenfunctions",
-    "lyapunov",
-    "certify",
-    "oracle-check",
-)
+_COMMANDS = {
+    "run": "run_pipeline",
+    "linearize": "stage_linearize",
+    "eigenfunctions": "stage_eigenfunctions",
+    "lyapunov": "stage_lyapunov",
+    "certify": "stage_certify",
+    "oracle-check": "stage_oracle_check",
+}
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -94,36 +98,8 @@ def main(argv=None) -> int:
                 pass  # load_config reports the missing file (exit code 3)
         cfg = load_config(path)
         outdir = pipeline.ensure_output_dir(args.output_dir or cfg.output_dir)
-
-        if args.command == "run":
-            result = pipeline.run_pipeline(cfg, outdir)
-            for name in ("eigenfunctions", "lyapunov", "certify", "oracle"):
-                if name in result["summaries"]:
-                    print(result["summaries"][name], end="")
-            print(f"artifacts written to {result['output_dir']}")
-        elif args.command == "linearize":
-            _, lin = pipeline.stage_linearize(cfg, outdir)
-            print("E =")
-            for row in lin.E:
-                print("   " + "  ".join(f"{v: .12g}" for v in row))
-            print("eigenvalues:", "  ".join(f"{v:.12g}" for v in lin.eigenvalues))
-            for lam, w in zip(lin.eigenvalues, lin.left_eigenvectors):
-                print(
-                    f"left eigenvector for {lam:.12g}: "
-                    + "  ".join(f"{v: .12g}" for v in w)
-                )
-        elif args.command == "eigenfunctions":
-            _, meta = pipeline.stage_eigenfunctions(cfg, outdir)
-            print(pipeline.eigenfunctions_summary(meta), end="")
-        elif args.command == "lyapunov":
-            _, diag = pipeline.stage_lyapunov(cfg, outdir)
-            print(diag.format_text(), end="")
-        elif args.command == "certify":
-            report = pipeline.stage_certify(cfg, outdir)
-            print(report.summary_text(), end="")
-        elif args.command == "oracle-check":
-            text, _ = pipeline.stage_oracle_check(cfg, outdir)
-            print(text, end="")
+        _, text = getattr(pipeline, _COMMANDS[args.command])(cfg, outdir)
+        print(text, end="")
     except Exception as exc:  # noqa: BLE001 - classified into exit codes
         code = pipeline.classify_error(exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,11 @@
 The format is INI-style (parsed with configparser): sections in brackets,
 one key = value per line, full-line comments starting with '#'. See the
 bundled configs for complete examples. Only [system] and [domain] are
-required; everything else falls back to the defaults below.
+required; everything else falls back to the RunConfig defaults.
+
+Besides [system] (f1..fd), the schema is two tables: _BOXES, the sections
+holding a lower and an upper corner, and _KEYS, one row per optional key.
+Key checks, parsing, range checks and RunConfig.to_dict loop over them.
 """
 
 from __future__ import annotations
@@ -24,17 +28,6 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "bundled_config_path"]
 
 class ConfigError(ValueError):
     pass
-
-
-_KNOWN_KEYS = {
-    "system": None,  # f1..fd, validated separately
-    "domain": {"lower", "upper"},
-    "collocation": {"grid_n", "sigma", "eta"},
-    "test_grid": {"lower", "upper", "resolution"},
-    "cpa": {"lower", "upper", "cells", "safety", "b_override"},
-    "oracle": {"enabled", "t_max", "dt", "sample_points"},
-    "output": {"dir"},
-}
 
 
 @dataclass(frozen=True)
@@ -66,39 +59,16 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Plain-types echo of the configuration, for the run manifest."""
-        return {
-            "system": list(self.system),
-            "domain": {
-                "lower": self.domain.lower.tolist(),
-                "upper": self.domain.upper.tolist(),
-            },
-            "collocation": {
-                "grid_n": self.grid_n,
-                "sigma": self.sigma,
-                "eta": self.eta,
-            },
-            "test_grid": {
-                "lower": self.test_domain.lower.tolist(),
-                "upper": self.test_domain.upper.tolist(),
-                "resolution": self.test_resolution,
-            },
-            "cpa": {
-                "lower": self.cpa_domain.lower.tolist(),
-                "upper": self.cpa_domain.upper.tolist(),
-                "cells": self.cpa_cells,
-                "safety": self.cpa_safety,
-                "b_override": None
-                if self.cpa_b_override is None
-                else self.cpa_b_override.tolist(),
-            },
-            "oracle": {
-                "enabled": self.oracle_enabled,
-                "t_max": self.oracle_t_max,
-                "dt": self.oracle_dt,
-                "sample_points": self.oracle_sample_points,
-            },
-            "output": {"dir": self.output_dir},
-        }
+        out = {"system": list(self.system)}
+        for section, attr in _BOXES.items():
+            box = getattr(self, attr)
+            out[section] = {"lower": box.lower.tolist(), "upper": box.upper.tolist()}
+        for section, key, attr, *_ in _KEYS:
+            value = getattr(self, attr)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            out.setdefault(section, {})[key] = value
+        return out
 
 
 def _float(raw: str, where: str) -> float:
@@ -134,6 +104,46 @@ def _floats(raw: str, count: int, where: str) -> np.ndarray:
     return np.array([_float(p, where) for p in parts])
 
 
+def _matrix(raw: str, where: str) -> np.ndarray:
+    """A row-major 2 x 2 matrix: the pipeline is planar."""
+    return _floats(raw, 4, where).reshape(2, 2)
+
+
+def _text(raw: str, where: str) -> str:
+    return raw
+
+
+# Each window section holds the lower and upper corner of the RunConfig box
+# field it names.
+_BOXES = {"domain": "domain", "test_grid": "test_domain", "cpa": "cpa_domain"}
+
+# One row per optional key: section, key, RunConfig field, parser, the
+# condition the parsed value must meet (None: any) and the message when it
+# does not.
+_KEYS = (
+    ("collocation", "grid_n", "grid_n", _int, lambda v: v >= 2, "must be at least 2"),
+    ("collocation", "sigma", "sigma", _float, lambda v: v > 0, "must be positive"),
+    ("collocation", "eta", "eta", _float, lambda v: v >= 0, "must be nonnegative"),
+    ("test_grid", "resolution", "test_resolution", _int, lambda v: v >= 2,
+     "must be at least 2"),
+    ("cpa", "cells", "cpa_cells", _int, lambda v: v >= 2, "must be at least 2"),
+    ("cpa", "safety", "cpa_safety", _float, lambda v: v >= 1.0, "must be at least 1"),
+    ("cpa", "b_override", "cpa_b_override", _matrix, lambda v: np.all(v >= 0),
+     "entries must be nonnegative"),
+    ("oracle", "enabled", "oracle_enabled", _bool, None, None),
+    ("oracle", "t_max", "oracle_t_max", _float, lambda v: v > 0, "must be positive"),
+    ("oracle", "dt", "oracle_dt", _float, lambda v: v > 0, "must be positive"),
+    ("oracle", "sample_points", "oracle_sample_points", _int, lambda v: v >= 1,
+     "must be at least 1"),
+    ("output", "dir", "output_dir", _text, bool, "must be nonempty"),
+)
+
+
+def _allowed_keys(section: str) -> set:
+    corners = {"lower", "upper"} if section in _BOXES else set()
+    return corners | {row[1] for row in _KEYS if row[0] == section}
+
+
 def _box(section, name: str, dim: int) -> Box:
     for key in ("lower", "upper"):
         if key not in section:
@@ -152,19 +162,18 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section == "system":
+            continue
+        allowed = _allowed_keys(section)
+        if not allowed:
             raise ConfigError(f"unknown section [{section}]")
-        allowed = _KNOWN_KEYS[section]
-        if allowed is not None:
-            for key in parser[section]:
-                if key not in allowed:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        for key in parser[section]:
+            if key not in allowed:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
     if "system" not in parser:
         raise ConfigError("missing required section [system]")
@@ -189,78 +198,22 @@ def load_config(path) -> RunConfig:
         except ExprError as exc:
             raise ConfigError(f"system.{name}: {exc}") from None
 
-    kwargs: dict = {"system": system, "domain": _box(parser["domain"], "domain", d)}
-
-    if "collocation" in parser:
-        sec = parser["collocation"]
-        if "grid_n" in sec:
-            kwargs["grid_n"] = _int(sec["grid_n"], "collocation.grid_n")
-        if "sigma" in sec:
-            kwargs["sigma"] = _float(sec["sigma"], "collocation.sigma")
-        if "eta" in sec:
-            kwargs["eta"] = _float(sec["eta"], "collocation.eta")
-
-    if "test_grid" in parser:
-        sec = parser["test_grid"]
-        kwargs["test_domain"] = _box(sec, "test_grid", d)
-        if "resolution" in sec:
-            kwargs["test_resolution"] = _int(sec["resolution"], "test_grid.resolution")
-
-    if "cpa" in parser:
-        sec = parser["cpa"]
-        kwargs["cpa_domain"] = _box(sec, "cpa", d)
-        if "cells" in sec:
-            kwargs["cpa_cells"] = _int(sec["cells"], "cpa.cells")
-        if "safety" in sec:
-            kwargs["cpa_safety"] = _float(sec["safety"], "cpa.safety")
-        if "b_override" in sec:
-            flat = _floats(sec["b_override"], d * d, "cpa.b_override")
-            kwargs["cpa_b_override"] = flat.reshape(d, d)
-
-    if "oracle" in parser:
-        sec = parser["oracle"]
-        if "enabled" in sec:
-            kwargs["oracle_enabled"] = _bool(sec["enabled"], "oracle.enabled")
-        if "t_max" in sec:
-            kwargs["oracle_t_max"] = _float(sec["t_max"], "oracle.t_max")
-        if "dt" in sec:
-            kwargs["oracle_dt"] = _float(sec["dt"], "oracle.dt")
-        if "sample_points" in sec:
-            kwargs["oracle_sample_points"] = _int(
-                sec["sample_points"], "oracle.sample_points"
-            )
-
-    if "output" in parser and "dir" in parser["output"]:
-        kwargs["output_dir"] = parser["output"]["dir"]
+    kwargs: dict = {"system": system}
+    for section, attr in _BOXES.items():
+        if section in parser:
+            kwargs[attr] = _box(parser[section], section, d)
+    for section, key, attr, parse, ok, message in _KEYS:
+        if section in parser and key in parser[section]:
+            where = f"{section}.{key}"
+            value = parse(parser[section][key], where)
+            if ok is not None and not ok(value):
+                raise ConfigError(f"{where} {message}")
+            kwargs[attr] = value
 
     cfg = RunConfig(**kwargs)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.grid_n < 2:
-        raise ConfigError("collocation.grid_n must be at least 2")
-    if not cfg.sigma > 0:
-        raise ConfigError("collocation.sigma must be positive")
-    if cfg.eta is not None and cfg.eta < 0:
-        raise ConfigError("collocation.eta must be nonnegative")
-    if cfg.test_resolution < 2:
-        raise ConfigError("test_grid.resolution must be at least 2")
-    if cfg.cpa_cells < 2:
-        raise ConfigError("cpa.cells must be at least 2")
-    if cfg.cpa_safety < 1.0:
-        raise ConfigError("cpa.safety must be at least 1")
-    if cfg.cpa_b_override is not None and np.any(cfg.cpa_b_override < 0):
-        raise ConfigError("cpa.b_override entries must be nonnegative")
-    if cfg.oracle_t_max <= 0 or cfg.oracle_dt <= 0:
-        raise ConfigError("oracle.t_max and oracle.dt must be positive")
     if not math.isfinite(cfg.oracle_t_max / cfg.oracle_dt):
         raise ConfigError("oracle.t_max / oracle.dt must be finite")
-    if cfg.oracle_sample_points < 1:
-        raise ConfigError("oracle.sample_points must be at least 1")
-    if not cfg.output_dir:
-        raise ConfigError("output.dir must be nonempty")
+    return cfg
 
 
 def bundled_config_path(name: str) -> Path:

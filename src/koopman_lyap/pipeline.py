@@ -13,6 +13,9 @@ run on its own against a prior run's artifacts:
     oracle-check     + oracle_check.csv (requires eigenfunctions.json)
     run              everything above + manifest.json
 
+Each stage, and run_pipeline, is called as stage(cfg, outdir) and returns
+(result, text): what it computed, and exactly the text the CLI prints for it.
+
 Outputs are deterministic: no timestamps, fixed float formatting, sorted JSON
 keys. The manifest lists every other file in the directory with a sha256
 checksum.
@@ -57,7 +60,6 @@ __all__ = [
     "ensure_output_dir",
     "stage_linearize",
     "stage_eigenfunctions",
-    "eigenfunctions_summary",
     "stage_lyapunov",
     "stage_certify",
     "stage_oracle_check",
@@ -74,9 +76,10 @@ _MANIFEST = "manifest.json"
 # Keys the later stages read from eigenfunctions.json and from each of its
 # eigenfunction entries.
 _EIGENFUNCTIONS_KEYS = (
-    "alpha_files", "centers_file", "eigenfunctions", "eta_config", "fill_distance", "sigma"
+    "alpha_files", "centers_file", "eigenfunctions", "eta_config", "fill_distance", "sigma",
+    "system",
 )
-_ENTRY_KEYS = ("eigenvalue", "eta_used", "left_eigenvector", "method")
+_ENTRY_KEYS = ("eta_used", "method")
 
 
 class MissingArtifactError(OSError):
@@ -108,14 +111,11 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _field_and_lin(cfg: RunConfig):
-    fld = parse_vector_field(cfg.system)
-    return fld, linearize(fld)
-
-
 def stage_linearize(cfg: RunConfig, outdir: Path):
-    """Write linearization.json; returns the field and its linearization."""
-    fld, lin = _field_and_lin(cfg)
+    """Write linearization.json; the field and its linearization, and E with
+    the eigenpairs as text."""
+    fld = parse_vector_field(cfg.system)
+    lin = linearize(fld)
     _write_json(
         outdir / _LINEARIZATION,
         {
@@ -124,7 +124,14 @@ def stage_linearize(cfg: RunConfig, outdir: Path):
             "left_eigenvectors": lin.left_eigenvectors.tolist(),
         },
     )
-    return fld, lin
+    lines = ["E ="]
+    lines += ["   " + "  ".join(f"{v: .12g}" for v in row) for row in lin.E]
+    lines.append("eigenvalues: " + "  ".join(f"{v:.12g}" for v in lin.eigenvalues))
+    lines += [
+        f"left eigenvector for {lam:.12g}: " + "  ".join(f"{v: .12g}" for v in w)
+        for lam, w in zip(lin.eigenvalues, lin.left_eigenvectors)
+    ]
+    return (fld, lin), "\n".join(lines) + "\n"
 
 
 def _residual_probes(box: Box) -> np.ndarray:
@@ -140,9 +147,9 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
     """Solve the collocation problem of the whole spectrum, persist the
     coefficients, and report each eigenfunction's PDE residual
     |grad phi . f - lambda phi| on the residual probe grid of the test
-    window. Returns the eigenfunction set and the eigenfunctions.json
-    contents."""
-    fld, lin = stage_linearize(cfg, outdir)
+    window. The eigenfunction set, and as text the fill distance and each
+    eigenvalue's ridge, largest residual and solver (cholesky, lstsq, zero)."""
+    (fld, lin), _ = stage_linearize(cfg, outdir)
 
     kern = GaussianKernel(sigma=cfg.sigma, dim=cfg.dim)
     centers = uniform_centers(cfg.domain, cfg.grid_n)
@@ -160,6 +167,7 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
     phi, dphi = eigset.evaluate_with_derivative(fld, X)
     resid = np.abs(dphi - phi * eigset.eigenvalues)
     meta = {
+        "system": list(cfg.system),
         "sigma": cfg.sigma,
         "eta_config": cfg.eta,
         "fill_distance": rho,
@@ -179,24 +187,18 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
         ],
     }
     _write_json(outdir / _EIGENFUNCTIONS, meta)
-    return eigset, meta
-
-
-def eigenfunctions_summary(meta: dict) -> str:
-    """Text report of the eigenfunctions stage from its eigenfunctions.json
-    contents: fill distance, then one line per eigenvalue with its ridge,
-    largest PDE residual and solver (cholesky, lstsq or zero)."""
-    lines = [f"fill distance: {meta['fill_distance']:.12g}"]
-    for e in meta["eigenfunctions"]:
-        lines.append(
-            f"eigenvalue {e['eigenvalue']:.6g}: eta = {e['eta_used']:.6g}, max PDE "
-            f"residual = {e['pde_residual_max']:.6e} ({e['method']})"
-        )
-    return "\n".join(lines) + "\n"
+    lines = [f"fill distance: {rho:.12g}"]
+    lines += [
+        f"eigenvalue {e['eigenvalue']:.6g}: eta = {e['eta_used']:.6g}, max PDE "
+        f"residual = {e['pde_residual_max']:.6e} ({e['method']})"
+        for e in meta["eigenfunctions"]
+    ]
+    return eigset, "\n".join(lines) + "\n"
 
 
 def load_eigenfunctions(cfg: RunConfig, outdir: Path):
-    """Rebuild the eigenfunction set from persisted coefficients."""
+    """Rebuild the eigenfunction set from persisted coefficients, solved for
+    the configuration's system, and the configuration's linearization."""
     meta_path = outdir / _EIGENFUNCTIONS
     if not meta_path.exists():
         raise MissingArtifactError(meta_path)
@@ -206,14 +208,12 @@ def load_eigenfunctions(cfg: RunConfig, outdir: Path):
     for i, entry in enumerate(meta["eigenfunctions"]):
         _require(entry, _ENTRY_KEYS, f"{meta_path} eigenfunctions[{i}]")
 
-    fld, lin = _field_and_lin(cfg)
-    stored = np.array([e["eigenvalue"] for e in meta["eigenfunctions"]])
-    if stored.shape != lin.eigenvalues.shape or np.max(
-        np.abs(stored - lin.eigenvalues)
-    ) > 1e-9 * max(1.0, float(np.max(np.abs(lin.eigenvalues)))):
+    fld = parse_vector_field(cfg.system)
+    if parse_vector_field(meta["system"]) != fld:
         raise ConfigError(
             "persisted eigenfunctions do not match this configuration's system"
         )
+    lin = linearize(fld)
 
     centers_path = outdir / meta["centers_file"]
     if not centers_path.exists():
@@ -234,15 +234,13 @@ def load_eigenfunctions(cfg: RunConfig, outdir: Path):
         eta_used=np.array([e["eta_used"] for e in entries]),
         method=tuple(e["method"] for e in entries),
     )
-    eigset = EigenfunctionSet(
-        [e["eigenvalue"] for e in entries], [e["left_eigenvector"] for e in entries], sol
-    )
+    eigset = EigenfunctionSet(lin.eigenvalues, lin.left_eigenvectors, sol)
     return fld, lin, eigset, meta
 
 
 def stage_lyapunov(cfg: RunConfig, outdir: Path):
     """Build the Lyapunov model from persisted eigenfunctions; write the
-    surfaces, the diagnostics report, and model.json."""
+    surfaces, the diagnostics report (also the text), and model.json."""
     fld, lin, eigset, meta = load_eigenfunctions(cfg, outdir)
     P = solve_p(eigset.eigenvalues)
     model = LyapunovModel(eigenfunctions=eigset, P=P)
@@ -250,13 +248,13 @@ def stage_lyapunov(cfg: RunConfig, outdir: Path):
     grid = grid_eval(model, fld, cfg.test_domain, cfg.test_resolution)
     grid.V.to_csv(outdir / "V.csv")
     grid.Vdot.to_csv(outdir / "Vdot.csv")
-    report = diagnostics(model, meta["fill_distance"], grid)
-    (outdir / "diagnostics.txt").write_text(report.format_text(), encoding="utf-8")
+    text = diagnostics(model, meta["fill_distance"], grid).format_text()
+    (outdir / "diagnostics.txt").write_text(text, encoding="utf-8")
     _write_json(
         outdir / _MODEL,
         {"P": P.tolist(), "eigenfunctions_file": _EIGENFUNCTIONS},
     )
-    return model, report
+    return model, text
 
 
 def _load_model(cfg: RunConfig, outdir: Path):
@@ -272,7 +270,8 @@ def _load_model(cfg: RunConfig, outdir: Path):
 
 
 def stage_certify(cfg: RunConfig, outdir: Path):
-    """Certify the persisted model on the configured triangulation."""
+    """Certify the persisted model on the configured triangulation; the
+    report, and its summary as text."""
     fld, model = _load_model(cfg, outdir)
     tri = build_triangulation(cfg.cpa_domain, cfg.cpa_cells)
     b = estimate_b_bound(
@@ -284,10 +283,12 @@ def stage_certify(cfg: RunConfig, outdir: Path):
     values = model.value_many(tri.vertices)
     report = certify(tri, values, fld, b)
 
-    text = report.summary_text() + f"  B bound rows:        {b.matrix.tolist()}\n"
-    (outdir / "certification.txt").write_text(text, encoding="utf-8")
+    text = report.summary_text()
+    (outdir / "certification.txt").write_text(
+        text + f"  B bound rows:        {b.matrix.tolist()}\n", encoding="utf-8"
+    )
     report.write_failures_csv(outdir / "certification_failures.csv")
-    return report
+    return report, text
 
 
 def _oracle_points(cfg: RunConfig) -> np.ndarray:
@@ -306,8 +307,8 @@ def _oracle_points(cfg: RunConfig) -> np.ndarray:
 def stage_oracle_check(cfg: RunConfig, outdir: Path):
     """Compare collocated eigenfunctions against the path-integral route.
 
-    Returns (table_text, per-eigenvalue max abs differences; NaN = skipped
-    because the convergence condition fails for that eigenvalue).
+    The per-eigenvalue max abs differences (NaN = skipped because the
+    convergence condition fails for that eigenvalue), and them as text.
     """
     fld, lin, eigset, _ = load_eigenfunctions(cfg, outdir)
     pts = _oracle_points(cfg)
@@ -347,7 +348,7 @@ def stage_oracle_check(cfg: RunConfig, outdir: Path):
                 f"  eigenvalue {e.lam:.6g}: max |phi - integral| = "
                 f"{max_diffs[i]:.6e} over {len(pts)} points"
             )
-    return "\n".join(text_lines) + "\n", max_diffs
+    return max_diffs, "\n".join(text_lines) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -378,26 +379,15 @@ def write_manifest(cfg: RunConfig, outdir: Path) -> dict:
     return manifest
 
 
-def run_pipeline(cfg: RunConfig, output_dir=None) -> dict:
-    """All stages in order; returns a summary dict of texts and the manifest."""
-    outdir = ensure_output_dir(output_dir or cfg.output_dir)
-    summaries = {}
-
-    _, meta = stage_eigenfunctions(cfg, outdir)
-    summaries["eigenfunctions"] = eigenfunctions_summary(meta)
-
-    model, diag = stage_lyapunov(cfg, outdir)
-    summaries["lyapunov"] = diag.format_text()
-
-    report = stage_certify(cfg, outdir)
-    summaries["certify"] = report.summary_text()
-
+def run_pipeline(cfg: RunConfig, outdir: Path):
+    """All stages in order, then the manifest; the manifest, and the stages'
+    texts and where the artifacts went as text."""
+    stages = [stage_eigenfunctions, stage_lyapunov, stage_certify]
     if cfg.oracle_enabled:
-        text, _ = stage_oracle_check(cfg, outdir)
-        summaries["oracle"] = text
-
+        stages.append(stage_oracle_check)
+    texts = [stage(cfg, outdir)[1] for stage in stages]
     manifest = write_manifest(cfg, outdir)
-    return {"summaries": summaries, "manifest": manifest, "output_dir": str(outdir)}
+    return manifest, "".join(texts) + f"artifacts written to {outdir}\n"
 
 
 def classify_error(exc: BaseException) -> int:

@@ -12,7 +12,7 @@ import pytest
 
 from koopman_lyap import cli, collocation, koopman, pipeline
 from koopman_lyap.collocation import SingularSystemError
-from koopman_lyap.config import ConfigError, load_config
+from koopman_lyap.config import ConfigError, bundled_config_path, load_config
 from koopman_lyap.dynamics import BlowUpError, EquilibriumError, SpectrumError
 from koopman_lyap.koopman import ConvergenceConditionError
 from koopman_lyap.pipeline import MissingArtifactError, classify_error
@@ -457,7 +457,7 @@ def test_thread_count_changes_results_within_stated_tolerance(tmp_path):
     # only failed checks are on disk, so every pair's margin is recomputed
     # here, at one thread count, from each run's persisted eigenfunctions
     cfg = load_config(cfg_path)
-    reports = [pipeline.stage_certify(cfg, r) for r in runs]
+    reports = [pipeline.stage_certify(cfg, r)[0] for r in runs]
     assert np.array_equal(reports[0].lc2_checked, reports[1].lc2_checked)
     m1, m2 = (np.where(r.lc2_checked, r.lc2_margins, 0.0) for r in reports)
     assert np.max(np.abs(m1 - m2)) <= MARGIN_RTOL * np.max(np.abs(m1))
@@ -473,6 +473,34 @@ def test_readme_library_use_runs_as_written(capsys):
     assert vdot == pytest.approx(-10.0, abs=1e-2)
 
 
+def test_readme_config_loads_as_written(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration format", 1)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    assert load_config(path).to_dict() == load_config(bundled_config_path("example1")).to_dict()
+
+
+# --- stage contract ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_names_a_pipeline_function(command):
+    assert callable(getattr(pipeline, cli._COMMANDS[command], None))
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_stdout_is_the_text_the_stage_returns(
+    tiny_cfg_path, finished_run, tmp_path, capsys, command
+):
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    assert cli.main([command, str(tiny_cfg_path), "--output-dir", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    stage = getattr(pipeline, cli._COMMANDS[command])
+    _, text = stage(load_config(tiny_cfg_path), tmp_path)
+    assert printed == text
+
+
 # --- pipeline internals ----------------------------------------------------------
 
 
@@ -486,6 +514,23 @@ def test_load_eigenfunctions_rejects_system_swap(tiny_cfg_path, tmp_path):
     )
     with pytest.raises(ConfigError, match="do not match"):
         pipeline.load_eigenfunctions(load_config(other), tmp_path)
+
+
+def test_system_with_the_same_linearization_does_not_load(tiny_cfg_path, tmp_path, capsys):
+    # f2 = -3 (x2 - 4 x1^2) has the tiny system's Jacobian at 0, so its
+    # eigenpairs, but other eigenfunctions: the persisted coefficients do
+    # not solve its PDE
+    assert cli.main(["eigenfunctions", str(tiny_cfg_path), "--output-dir", str(tmp_path)]) == 0
+    tiny = tiny_cfg_path.read_text()
+    swapped = tmp_path / "swapped.cfg"
+    swapped.write_text(tiny.replace("f2 = -3*(x2 - x1^2)", "f2 = -3*(x2 - 4*x1^2)"))
+    assert cli.main(["lyapunov", str(swapped), "--output-dir", str(tmp_path)]) == 1
+    assert "do not match" in capsys.readouterr().err
+
+    # the comparison is of parsed expressions, so spacing does not matter
+    respaced = tmp_path / "respaced.cfg"
+    respaced.write_text(tiny.replace("f2 = -3*(x2 - x1^2)", "f2 = -3 * ( x2 - x1 ^ 2 )"))
+    assert cli.main(["lyapunov", str(respaced), "--output-dir", str(tmp_path)]) == 0
 
 
 def test_certify_exponentials_scale_with_axis_lengths(tiny_cfg_path, tmp_path, monkeypatch):

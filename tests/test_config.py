@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from koopman_lyap.box import Box
 from koopman_lyap.config import (
     ConfigError,
     RunConfig,
@@ -243,3 +246,79 @@ def test_runconfig_direct_construction():
     cfg = RunConfig(system=("-2*x1", "-3*x2"), domain=domain)
     assert cfg.dim == 2
     assert cfg.to_dict()["collocation"]["eta"] is None
+
+
+# Every optional key set away from its default, and every window moved.
+_EVERY_KEY = """\
+[system]
+f1 = -1*x1
+f2 = -4*(x2 - x1^2)
+
+[domain]
+lower = -4 -3
+upper = 3 4
+
+[collocation]
+grid_n = 7
+sigma = 1.5
+eta = 1e-8
+
+[test_grid]
+lower = -1 -1.5
+upper = 1.5 1
+resolution = 11
+
+[cpa]
+lower = -1.5 -1
+upper = 1 1.5
+cells = 12
+safety = 1.25
+b_override = 1 2 3 4
+
+[oracle]
+enabled = true
+t_max = 7
+dt = 0.02
+sample_points = 4
+
+[output]
+dir = elsewhere
+"""
+
+
+def _plain(value):
+    if isinstance(value, Box):
+        return value.lower.tolist(), value.upper.tolist()
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _to_ini(echo: dict) -> str:
+    lines = []
+    for section, values in echo.items():
+        lines.append(f"[{section}]")
+        if section == "system":
+            values = {f"f{i}": text for i, text in enumerate(values, 1)}
+        for key, value in values.items():
+            if isinstance(value, bool):
+                value = str(value).lower()
+            elif isinstance(value, list):
+                value = " ".join(map(str, np.ravel(value)))
+            if value is not None:
+                lines.append(f"{key} = {value}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def test_every_key_round_trips_through_to_dict(tmp_path):
+    # a key parsed but not echoed comes back at its default; one echoed but
+    # not parsed is rejected as unknown
+    cfg = load_config(_write(tmp_path, _EVERY_KEY))
+    default = RunConfig(system=cfg.system, domain=cfg.domain)
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    for name in names[2:]:
+        assert _plain(getattr(cfg, name)) != _plain(getattr(default, name)), name
+
+    again = load_config(_write(tmp_path, _to_ini(cfg.to_dict())))
+    for name in names:
+        assert _plain(getattr(again, name)) == _plain(getattr(cfg, name)), name
+    assert again.to_dict() == cfg.to_dict()
