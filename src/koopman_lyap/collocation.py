@@ -137,8 +137,8 @@ class CollocationProblem:
 
     def __post_init__(self):
         d = self.fld.dim
-        if self.kernel.dim != d or self.lin.dim != d:
-            raise CollocationError("kernel, field, and linearization disagree on dimension")
+        if self.lin.dim != d:
+            raise CollocationError("field and linearization disagree on dimension")
 
         centers = np.asarray(self.centers, dtype=float).reshape(-1, d)
         n = centers.shape[0]

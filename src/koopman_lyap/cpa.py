@@ -222,8 +222,9 @@ class CertificationReport:
 
     @cached_property
     def lc2_failed(self) -> np.ndarray:
-        """(ns, 3) bool: checked pairs whose decrease margin is not negative."""
-        return self.lc2_checked & (self.lc2_margins >= 0.0)
+        """(ns, 3) bool: checked pairs whose decrease margin is not negative,
+        NaN included."""
+        return self.lc2_checked & ~(self.lc2_margins < 0.0)
 
     @property
     def n_lc1_failures(self) -> int:

@@ -165,7 +165,7 @@ def _call(name: str, a: _Node) -> _Node:
     return Call(name, a)
 
 
-# --- evaluation / differentiation / printing -------------------------------
+# --- evaluation / differentiation -----------------------------------------
 
 
 def _eval(node: _Node, x):
@@ -221,51 +221,6 @@ def _deriv(node: _Node, var: int) -> _Node:
     raise TypeError(f"unknown node {node!r}")
 
 
-def _fmt_const(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def _fmt(node: _Node) -> str:
-    # Parenthesization preserves evaluation, not tree identity: -(a*b) prints
-    # as -a*b, which reparses to (-a)*b with the same value everywhere.
-    if isinstance(node, Const):
-        return _fmt_const(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Add):
-        return f"{_fmt(node.left)} + {_fmt(node.right)}"
-    if isinstance(node, Sub):
-        rhs = _fmt(node.right)
-        if isinstance(node.right, (Add, Sub)):
-            rhs = f"({rhs})"
-        return f"{_fmt(node.left)} - {rhs}"
-    if isinstance(node, Mul):
-        lhs, rhs = _fmt(node.left), _fmt(node.right)
-        if isinstance(node.left, (Add, Sub)):
-            lhs = f"({lhs})"
-        if isinstance(node.right, (Add, Sub)):
-            rhs = f"({rhs})"
-        return f"{lhs}*{rhs}"
-    if isinstance(node, Neg):
-        inner = _fmt(node.arg)
-        if isinstance(node.arg, (Add, Sub)):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
-        base = _fmt(node.base)
-        atomic = isinstance(node.base, (Var, Call)) or (
-            isinstance(node.base, Const) and node.base.value >= 0
-        )
-        if not atomic:
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, Call):
-        return f"{node.name}({_fmt(node.arg)})"
-    raise TypeError(f"unknown node {node!r}")
-
-
 # --- public wrapper types ---------------------------------------------------
 
 
@@ -287,9 +242,6 @@ class ExprAST:
         if not 1 <= var <= self.dim:
             raise ExprError(f"variable index {var} out of range 1..{self.dim}")
         return ExprAST(_deriv(self.root, var), self.dim)
-
-    def __str__(self) -> str:
-        return _fmt(self.root)
 
 
 @dataclass(frozen=True)

@@ -97,10 +97,6 @@ class LyapunovModel:
         )
         return Phi, V, Vdot
 
-    def orbital_derivative_many(self, fld: VectorField, X: np.ndarray) -> np.ndarray:
-        """Vdot along the field at a batch of points (m, d) -> (m,)."""
-        return self.evaluate_with_derivative(fld, X)[2]
-
 
 @dataclass(frozen=True)
 class DiagnosticsReport:

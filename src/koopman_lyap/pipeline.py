@@ -151,7 +151,7 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
     eigenvalue's ridge, largest residual and solver (cholesky, lstsq, zero)."""
     (fld, lin), _ = stage_linearize(cfg, outdir)
 
-    kern = GaussianKernel(sigma=cfg.sigma, dim=cfg.dim)
+    kern = GaussianKernel(sigma=cfg.sigma)
     centers = uniform_centers(cfg.domain, cfg.grid_n)
     rho = fill_distance(centers, cfg.domain)
 
@@ -205,6 +205,9 @@ def load_eigenfunctions(cfg: RunConfig, outdir: Path):
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     _require(meta, _EIGENFUNCTIONS_KEYS, str(meta_path))
+    for key in ("alpha_files", "eigenfunctions"):
+        if not isinstance(meta[key], list) or len(meta[key]) != cfg.dim:
+            raise ValueError(f"{meta_path} {key} must list one entry per eigenvalue ({cfg.dim})")
     for i, entry in enumerate(meta["eigenfunctions"]):
         _require(entry, _ENTRY_KEYS, f"{meta_path} eigenfunctions[{i}]")
 
@@ -219,17 +222,24 @@ def load_eigenfunctions(cfg: RunConfig, outdir: Path):
     if not centers_path.exists():
         raise MissingArtifactError(centers_path)
     centers = np.loadtxt(centers_path, delimiter=",", ndmin=2)
+    if not np.all(np.isfinite(centers)):
+        raise ValueError(f"{centers_path} has non-finite centers")
+    problem = CollocationProblem(
+        GaussianKernel(sigma=meta["sigma"]), fld, lin, centers, cfg.domain, meta["eta_config"]
+    )
 
     alphas = []
     for alpha_file in meta["alpha_files"]:
         alpha_path = outdir / alpha_file
         if not alpha_path.exists():
             raise MissingArtifactError(alpha_path)
-        alphas.append(np.atleast_1d(np.loadtxt(alpha_path, delimiter=",")))
+        alpha = np.atleast_1d(np.loadtxt(alpha_path, delimiter=","))
+        if alpha.shape != (problem.size,) or not np.all(np.isfinite(alpha)):
+            raise ValueError(f"{alpha_path} must hold {problem.size} finite coefficients")
+        alphas.append(alpha)
     entries = meta["eigenfunctions"]
-    kern = GaussianKernel(sigma=meta["sigma"], dim=cfg.dim)
     sol = CollocationSolution(
-        problem=CollocationProblem(kern, fld, lin, centers, cfg.domain, meta["eta_config"]),
+        problem=problem,
         alpha=np.array(alphas),
         eta_used=np.array([e["eta_used"] for e in entries]),
         method=tuple(e["method"] for e in entries),

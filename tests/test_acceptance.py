@@ -26,7 +26,8 @@ from koopman_lyap.koopman import (
 from koopman_lyap.lyapunov import LyapunovModel, solve_p
 
 from fakes import CubicExact
-from fdtools import fd_gradient, rel_err
+from fdtools import fd_gradient, fd_jacobian, rel_err
+from kernel_reference import basis_solution
 
 _EX1_DOMAIN = Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
 _TEST_WINDOW = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
@@ -42,7 +43,7 @@ def ex1():
 def ex1_eigs(ex1):
     # the calibrated production configuration for the cubic benchmark
     fld, lin = ex1
-    kern = GaussianKernel(sigma=3.0, dim=2)
+    kern = GaussianKernel(sigma=3.0)
     centers = uniform_centers(_EX1_DOMAIN, 60)
     return build_eigenfunctions(fld, lin, kern, centers, _EX1_DOMAIN, eta=1e-10)
 
@@ -65,7 +66,7 @@ def duffing_model(duffing):
     # calibrated configuration for the overdamped Duffing benchmark
     fld, lin = duffing
     domain = Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
-    kern = GaussianKernel(sigma=2.0, dim=2)
+    kern = GaussianKernel(sigma=2.0)
     centers = uniform_centers(domain, 60)
     eigs = build_eigenfunctions(fld, lin, kern, centers, domain, eta=1e-10)
     return fld, LyapunovModel(eigenfunctions=eigs, P=solve_p(eigs.eigenvalues))
@@ -90,7 +91,7 @@ def test_criterion_03_error_decreases_with_fill_distance(ex1, ex1_eigs):
     fld, lin = ex1
     probes = _TEST_WINDOW.grid(41)
     exact = probes[:, 1] + 3.0 * probes[:, 0] ** 2
-    kern = GaussianKernel(sigma=3.0, dim=2)
+    kern = GaussianKernel(sigma=3.0)
 
     errors = []
     fills = []
@@ -132,7 +133,7 @@ def test_criterion_05_exact_eigenfunction_values():
     fld = parse_vector_field(["-2*x1", "-3*(x2 - x1^2)"])
     x = np.array([[1.0, 0.0]])
     assert model.value_many(x)[0] == pytest.approx(1.75, abs=1e-10)
-    assert model.orbital_derivative_many(fld, x)[0] == pytest.approx(-10.0, abs=1e-10)
+    assert model.evaluate_with_derivative(fld, x)[2][0] == pytest.approx(-10.0, abs=1e-10)
 
 
 def test_criterion_06_v_positive_vdot_negative_on_annulus(ex1, ex1_model):
@@ -140,7 +141,7 @@ def test_criterion_06_v_positive_vdot_negative_on_annulus(ex1, ex1_model):
     probes = _TEST_WINDOW.grid(81)
     off_origin = np.linalg.norm(probes, axis=1) > 0.1
     V = ex1_model.value_many(probes[off_origin])
-    Vdot = ex1_model.orbital_derivative_many(fld, probes[off_origin])
+    Vdot = ex1_model.evaluate_with_derivative(fld, probes[off_origin])[2]
     assert np.min(V) > 0.0
     assert np.max(Vdot) < 0.0
 
@@ -184,13 +185,13 @@ def test_criterion_10_duffing_vdot_negative(duffing_model):
     probes = _TEST_WINDOW.grid(41)
     r = np.linalg.norm(probes, axis=1)
     ring = (r >= 0.1) & (r <= 2.0)
-    vdot = model.orbital_derivative_many(fld, probes[ring])
+    vdot = model.evaluate_with_derivative(fld, probes[ring])[2]
     assert np.max(vdot) < 0.0
     # the energy function is only weakly decreasing on the x2 = 0 axis; the
     # constructed V must be strictly decreasing there
     axis = np.column_stack([np.linspace(-2.0, 2.0, 81), np.zeros(81)])
     axis = axis[np.abs(axis[:, 0]) >= 0.1]
-    vdot_axis = model.orbital_derivative_many(fld, axis)
+    vdot_axis = model.evaluate_with_derivative(fld, axis)[2]
     assert np.max(vdot_axis) < 0.0
 
 
@@ -208,17 +209,24 @@ def test_criterion_11_finite_difference_stack(ex1):
         fd = fd_gradient(lambda v: ast.evaluate(v), p)
         assert rel_err(fd, [d1.evaluate(p), d2.evaluate(p)]) <= 1e-6
 
-    # kernel derivatives at production bandwidth
-    k = GaussianKernel(sigma=3.0, dim=2)
-    for _ in range(100):
-        x, y = rng.uniform(-5, 5, size=(2, 2))
-        assert rel_err(fd_gradient(lambda v: k.value(x, v), y), k.grad_y(x, y)) <= 1e-6
-        assert rel_err(fd_gradient(lambda v: k.value(v, y), x), k.grad_x(x, y)) <= 1e-6
+    # kernel-block derivatives at production bandwidth: every basis column of
+    # the engine, the PDE columns, the value column and the derivative columns
+    kernel_problem = CollocationProblem(
+        kernel=GaussianKernel(sigma=3.0), fld=fld, lin=lin,
+        centers=rng.uniform(-5, 5, size=(3, 2)), domain=_EX1_DOMAIN, eta=0.0,
+    )
+    X = rng.uniform(-5, 5, size=(100, 2))
+    for j in range(kernel_problem.size):
+        column = basis_solution(kernel_problem, j)
+        _, grads = column.evaluate_with_gradient(X)
+        for x, grad in zip(X, grads):
+            fd = fd_jacobian(lambda v: column.evaluate_many(v[None, :])[0], x)
+            assert rel_err(fd, grad) <= 1e-6
 
     # collocation solution gradient on a well-conditioned solve
     window = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     problem = CollocationProblem(
-        kernel=GaussianKernel(sigma=1.0, dim=2), fld=fld, lin=lin,
+        kernel=GaussianKernel(sigma=1.0), fld=fld, lin=lin,
         centers=uniform_centers(window, 7), domain=window, eta=0.0,
     )
     sol = solve(problem)

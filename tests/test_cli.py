@@ -295,6 +295,35 @@ def test_eigenfunction_entry_without_method_exits_1(
     assert str(meta_path) in err and "'method'" in err
 
 
+def _nan_alpha(outdir):
+    path = outdir / "eigenfunction_1_alpha.csv"
+    path.write_text("nan\n" + path.read_text().split("\n", 1)[1])
+    return path
+
+
+def _truncated_alpha(outdir):
+    path = outdir / "eigenfunction_1_alpha.csv"
+    path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
+    return path
+
+
+def _alpha_files_string(outdir):
+    path = outdir / "eigenfunctions.json"
+    meta = json.loads(path.read_text())
+    meta["alpha_files"] = meta["alpha_files"][0]
+    path.write_text(json.dumps(meta))
+    return path
+
+
+@pytest.mark.parametrize("damage", [_nan_alpha, _truncated_alpha, _alpha_files_string])
+def test_malformed_coefficients_exit_1(tiny_cfg_path, finished_run, tmp_path, capsys, damage):
+    # a NaN coefficient would otherwise give an all-NaN V.csv and exit 0
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    path = damage(tmp_path)
+    assert cli.main(["lyapunov", str(tiny_cfg_path), "--output-dir", str(tmp_path)]) == 1
+    assert str(path) in capsys.readouterr().err
+
+
 def test_empty_model_json_exits_1(tiny_cfg_path, finished_run, tmp_path, capsys):
     shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
     (tmp_path / "model.json").write_text("{}")
@@ -396,6 +425,18 @@ def test_module_entry_point_fresh_interpreter(tiny_cfg_path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "E =" in proc.stdout
     assert "numpy already imported" not in proc.stderr
+
+
+def test_traced_cli_runs(tiny_cfg_path, tmp_path):
+    # the benchmark's tracer imports every module it wraps, so a module
+    # deleted from src/ fails here and not only in the benchmark
+    traced = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    spans = tmp_path / "spans.json"
+    proc = _fresh_python(
+        traced, spans, "run", tiny_cfg_path, "--output-dir", tmp_path / "out", "--threads", 1
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cli.main" in [span[0] for span in json.loads(spans.read_text())["spans"]]
 
 
 # The README's cross-thread-count contract: V and Vdot agree to THREAD_RTOL

@@ -21,6 +21,7 @@ from koopman_lyap.dynamics import linearize
 from koopman_lyap.expr import parse_vector_field
 from koopman_lyap.kernel import GaussianKernel
 
+import kernel_reference as kr
 from fdtools import fd_gradient, rel_err
 from kernel_reference import basis_solution, scalar_gram
 
@@ -34,7 +35,7 @@ def setup():
     fld = parse_vector_field(["-2*x1", "-3*(x2 - x1^2)"])
     lin = linearize(fld)
     domain = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-    kern = GaussianKernel(sigma=SIGMA, dim=2)
+    kern = GaussianKernel(sigma=SIGMA)
     centers = uniform_centers(domain, 7)
     return fld, lin, domain, kern, centers
 
@@ -194,12 +195,10 @@ def test_negative_eta_rejected(setup):
 
 
 def test_dimension_mismatch_rejected(setup):
-    fld, lin, domain, _, centers = setup
+    fld, _, domain, kern, centers = setup
+    lin = linearize(parse_vector_field(["-2*x1"]))
     with pytest.raises(CollocationError, match="dimension"):
-        CollocationProblem(
-            kernel=GaussianKernel(sigma=1.0, dim=3), fld=fld, lin=lin,
-            centers=centers, domain=domain,
-        )
+        CollocationProblem(kernel=kern, fld=fld, lin=lin, centers=centers, domain=domain)
 
 
 # --- assembly -------------------------------------------------------------------
@@ -216,13 +215,13 @@ def test_pde_functional_at_its_own_center(setup):
 def test_pde_functional_matches_finite_difference(setup):
     rng = np.random.default_rng(0)
     prob = _problem(setup, centers=rng.uniform(-2, 2, size=(20, 2)))
-    k = prob.kernel
+    s = prob.kernel.sigma
     F = prob.fld.evaluate_at(prob.centers)
     X = rng.uniform(-2, 2, size=(20, 2))
     for i, (x, z) in enumerate(zip(X, prob.centers)):
         values = basis_solution(prob, i).evaluate_many(x[None, :])[0]
         for lam, value in zip(prob.lin.eigenvalues, values, strict=True):
-            fd = fd_gradient(lambda v: k.value(x, v), z) @ F[i] - lam * k.value(x, z)
+            fd = fd_gradient(lambda v: kr.value(s, x, v), z) @ F[i] - lam * kr.value(s, x, z)
             assert rel_err(fd, value) <= 1e-6
 
 
@@ -462,7 +461,7 @@ def test_ill_conditioned_solve_is_silent(setup):
     # the solve reports its method, never a warning
     fld, lin, domain, _, _ = setup
     prob = CollocationProblem(
-        kernel=GaussianKernel(sigma=1.5, dim=2),
+        kernel=GaussianKernel(sigma=1.5),
         fld=fld, lin=lin,
         centers=uniform_centers(domain, 9), domain=domain, eta=0.0,
     )
@@ -500,7 +499,7 @@ def _overflowing_problem(f1):
     fld = parse_vector_field([f1, "-2*x2"])
     domain = Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
     return CollocationProblem(
-        kernel=GaussianKernel(sigma=1.0, dim=2), fld=fld, lin=linearize(fld),
+        kernel=GaussianKernel(sigma=1.0), fld=fld, lin=linearize(fld),
         centers=uniform_centers(domain, 10), domain=domain, eta=0.0,
     )
 
@@ -523,7 +522,7 @@ def test_non_finite_field_is_rejected_before_any_assembly(setup, monkeypatch):
     fld = parse_vector_field(["-x1 + x2^2 + x1^2*exp(100*x1^2)", "-2*x2 + x1^2"])
     domain = Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
     prob = CollocationProblem(
-        kernel=GaussianKernel(sigma=1.0, dim=2), fld=fld, lin=linearize(fld),
+        kernel=GaussianKernel(sigma=1.0), fld=fld, lin=linearize(fld),
         centers=uniform_centers(domain, 10), domain=domain, eta=0.0,
     )
     with np.errstate(over="ignore", invalid="ignore"):
@@ -547,7 +546,7 @@ def test_cholesky_failure_falls_back_to_lstsq(setup):
     # positive definite, so the factorization fails
     fld, lin, domain, _, _ = setup
     prob = CollocationProblem(
-        kernel=GaussianKernel(sigma=3.0, dim=2),
+        kernel=GaussianKernel(sigma=3.0),
         fld=fld, lin=lin,
         centers=uniform_centers(domain, 10), domain=domain, eta=0.0,
     )

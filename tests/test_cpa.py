@@ -266,6 +266,22 @@ def test_certify_flat_values_fail_positivity(radial_setup):
     assert report.pair_pass_fraction == 0.0
 
 
+def test_nan_margin_counts_as_failure():
+    # a NaN vertex value makes the margins of its simplices NaN; a pair
+    # passes only on a margin known to be negative
+    fld = parse_vector_field(["-1*x1", "-1*x2"])
+    tri = build_triangulation(_box(-1.0, 1.0), 4)
+    vals = np.sum(tri.vertices**2, axis=1)
+    vals[np.flatnonzero(np.all(tri.vertices == [0.5, 0.5], axis=1))] = np.nan
+    report = certify(tri, vals, fld, BBound(np.zeros((2, 2))))
+    nan_pairs = int(np.sum(report.lc2_checked & np.isnan(report.lc2_margins)))
+    assert nan_pairs > 0
+    # every other checked margin is negative (f = -x, V = ||x||^2, B = 0)
+    assert report.n_lc2_failures == nan_pairs
+    assert report.pair_pass_fraction == 1.0 - nan_pairs / report.n_pairs_checked
+    assert not report.certified
+
+
 def test_origin_positivity_tolerance(radial_setup):
     fld, tri, vals = radial_setup
     noisy = vals.copy()

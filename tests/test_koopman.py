@@ -36,7 +36,7 @@ def eigs(cubic):
     fld, lin = cubic
     domain = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     centers = uniform_centers(domain, 7)
-    kern = GaussianKernel(sigma=1.0, dim=2)
+    kern = GaussianKernel(sigma=1.0)
     return build_eigenfunctions(fld, lin, kern, centers, domain, eta=0.0)
 
 
@@ -73,7 +73,7 @@ def test_fast_eigenfunction_tracks_closed_form(cubic):
     fld, lin = cubic
     domain = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     dense = build_eigenfunctions(
-        fld, lin, GaussianKernel(sigma=1.0, dim=2),
+        fld, lin, GaussianKernel(sigma=1.0),
         uniform_centers(domain, 15), domain, eta=1e-10,
     )
     X = np.random.default_rng(1).uniform(-1.5, 1.5, size=(60, 2))

@@ -69,13 +69,13 @@ def test_value_at_benchmark_point(exact_model):
 
 
 def test_orbital_derivative_at_benchmark_point(exact_model, cubic_field):
-    vdot = exact_model.orbital_derivative_many(cubic_field, np.array([[1.0, 0.0]]))[0]
+    vdot = exact_model.evaluate_with_derivative(cubic_field, np.array([[1.0, 0.0]]))[2][0]
     assert vdot == pytest.approx(-10.0, abs=1e-10)
 
 
 def test_value_and_derivative_vanish_at_origin(exact_model, cubic_field):
     assert exact_model.value_many(np.zeros((1, 2)))[0] == 0.0
-    assert exact_model.orbital_derivative_many(cubic_field, np.zeros((1, 2)))[0] == 0.0
+    assert exact_model.evaluate_with_derivative(cubic_field, np.zeros((1, 2)))[2][0] == 0.0
 
 
 def test_value_positive_away_from_origin(exact_model):
@@ -93,7 +93,7 @@ def test_orbital_derivative_spectral_identity(exact_model, cubic_field):
     expected = np.einsum(
         "ij,si,sj->s", P * (lams[:, None] + lams[None, :]), phis, phis
     )
-    got = exact_model.orbital_derivative_many(cubic_field, X)
+    got = exact_model.evaluate_with_derivative(cubic_field, X)[2]
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -105,18 +105,18 @@ def test_one_dimensional_model():
     for t in (-1.5, 0.3, 2.0):
         x = np.array([[t]])
         assert model.value_many(x)[0] == pytest.approx(0.25 * t * t, abs=1e-14)
-        assert model.orbital_derivative_many(fld, x)[0] == pytest.approx(-t * t, abs=1e-13)
+        assert model.evaluate_with_derivative(fld, x)[2][0] == pytest.approx(-t * t, abs=1e-13)
 
 
 def test_batch_forms_match_pointwise(exact_model, cubic_field):
     X = np.random.default_rng(3).uniform(-2, 2, size=(15, 2))
     vals = exact_model.value_many(X)
-    vdots = exact_model.orbital_derivative_many(cubic_field, X)
+    vdots = exact_model.evaluate_with_derivative(cubic_field, X)[2]
     for i in range(len(X)):
         row = X[i : i + 1]
         assert vals[i] == pytest.approx(exact_model.value_many(row)[0], rel=1e-12)
         assert vdots[i] == pytest.approx(
-            exact_model.orbital_derivative_many(cubic_field, row)[0], rel=1e-12
+            exact_model.evaluate_with_derivative(cubic_field, row)[2][0], rel=1e-12
         )
 
 
