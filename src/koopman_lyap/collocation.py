@@ -304,9 +304,16 @@ def _gram(problem: CollocationProblem, F: np.ndarray, lam: float, eta: float) ->
         # u = z_a - z_b per axis; T = u . f(z_b), R = u . f(z_a), FF = f(z_a) . f(z_b).
         # u_ba = -u_ab exactly, so the mirrored entries are those computed from row b.
         U = [Za[:, l, None] - Zb[:, l] for l in range(d)]
-        T = sum(u * Fb[:, l] for l, u in enumerate(U)) / s2
-        R = sum(u * Fa[:, l, None] for l, u in enumerate(U)) / s2
-        FF = sum(np.multiply.outer(Fa[:, l], Fb[:, l]) for l in range(d)) / s2
+        T = U[0] * Fb[:, 0]
+        R = U[0] * Fa[:, 0, None]
+        FF = np.multiply.outer(Fa[:, 0], Fb[:, 0])
+        for l in range(1, d):
+            T += U[l] * Fb[:, l]
+            R += U[l] * Fa[:, l, None]
+            FF += np.multiply.outer(Fa[:, l], Fb[:, l])
+        T /= s2
+        R /= s2
+        FF /= s2
         out = A[rows, s:n]
         np.add(R, lam, out=out)
         out *= T - lam

@@ -26,7 +26,9 @@ whose vertex is the origin are skipped. That exception is only sound when
 the origin is the designated first vertex of every triangle containing it;
 the builder rotates vertex triples to guarantee it.
 
-All checks are pure arithmetic on per-simplex rows, evaluated vectorized.
+All checks are pure arithmetic on per-simplex rows, evaluated vectorized
+over blocks of _CHUNK rows, so that the memory certify needs beyond its
+report does not grow with the mesh.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ __all__ = [
     "CertificationReport",
     "certify",
 ]
+
+_CHUNK = 1024  # simplex rows per block of certify
 
 
 class CPAError(ValueError):
@@ -102,19 +106,30 @@ def build_triangulation(domain: Box, cells: int) -> Triangulation:
         origin_vertex = int(hits[0])
 
     # cell (i, j) in row-major order gives triangles (v00, v10, v11) and
-    # (v00, v11, v01), with vid(i, j) = i * n1 + j
+    # (v00, v11, v01), with vid(i, j) = i * n1 + j; v10 = v00 + n1,
+    # v11 = v00 + n1 + 1 and v01 = v00 + 1
     v00 = (np.arange(cells, dtype=np.int64)[:, None] * n1 + np.arange(cells)).ravel()
-    v10, v01, v11 = v00 + n1, v00 + 1, v00 + n1 + 1
-    simplices = np.stack(
-        [v00, v10, v11, v00, v11, v01], axis=1
-    ).reshape(2 * cells * cells, 3)
+    simplices = np.empty((cells * cells, 6), dtype=np.int64)
+    for col, offset in enumerate((0, n1, n1 + 1, 0, n1 + 1, 1)):
+        np.add(v00, offset, out=simplices[:, col])
+    simplices = simplices.reshape(2 * cells * cells, 3)
 
     if origin_vertex is not None:
-        # Rotate triples so the origin is the base vertex wherever it occurs;
-        # argmax is 0 for triangles without it.
-        shift = np.argmax(simplices == origin_vertex, axis=1)
-        simplices = np.take_along_axis(
-            simplices, (np.arange(3) + shift[:, None]) % 3, axis=1
+        # Rotate triples so the origin is the base vertex wherever it occurs.
+        # Only the triangles of the (up to four) cells around it can hold it;
+        # argmax is 0 for those that do not.
+        i0, j0 = divmod(origin_vertex, n1)
+        near = [
+            2 * (i * cells + j) + k
+            for i in (i0 - 1, i0)
+            for j in (j0 - 1, j0)
+            if 0 <= i < cells and 0 <= j < cells
+            for k in (0, 1)
+        ]
+        sub = simplices[near]
+        shift = np.argmax(sub == origin_vertex, axis=1)
+        simplices[near] = np.take_along_axis(
+            sub, (np.arange(3) + shift[:, None]) % 3, axis=1
         )
 
     vertices.setflags(write=False)
@@ -128,14 +143,19 @@ def build_triangulation(domain: Box, cells: int) -> Triangulation:
     )
 
 
-def _simplex_gradients(tri: Triangulation, vertex_values: np.ndarray) -> np.ndarray:
-    """Affine-interpolant gradient on every simplex, shape (n_simplices, 2)."""
+def _simplex_gradients(
+    tri: Triangulation, vertex_values: np.ndarray, rows=slice(None)
+) -> np.ndarray:
+    """Affine-interpolant gradient on the simplices of rows (all by default),
+    shape (n_rows, 2)."""
     vals = np.asarray(vertex_values, dtype=float)
     if vals.shape != (tri.n_vertices,):
         raise CPAError(f"vertex_values must have shape ({tri.n_vertices},)")
-    pts = tri.vertices[tri.simplices]  # (ns, 3, 2)
+    S = tri.simplices[rows]
+    pts = tri.vertices[S]  # (ns, 3, 2)
     M = pts[:, 1:, :] - pts[:, 0:1, :]  # (ns, 2, 2)
-    rhs = vals[tri.simplices][:, 1:] - vals[tri.simplices][:, 0:1]
+    v = vals[S]
+    rhs = v[:, 1:] - v[:, 0:1]
     # trailing axis keeps numpy's stacked-solve from reading rhs as one matrix
     return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
 
@@ -196,10 +216,11 @@ def estimate_b_bound(
     return BBound(safety * probe_max)
 
 
-def _curvature_corrections(tri: Triangulation, b: BBound) -> np.ndarray:
-    """E_{nu,i} for every simplex and local vertex, shape (n_simplices, 3)."""
+def _curvature_corrections(tri: Triangulation, b: BBound, rows=slice(None)) -> np.ndarray:
+    """E_{nu,i} for the simplices of rows (all by default) and each local
+    vertex, shape (n_rows, 3)."""
     B = b.matrix
-    pts = tri.vertices[tri.simplices]
+    pts = tri.vertices[tri.simplices[rows]]
     D = np.abs(pts - pts[:, 0:1, :])  # |x_i - x_0|, (ns, 3, 2)
     quad = np.einsum("sir,ru,siu->si", D, B, D)
     lin = np.einsum("sir,r->si", D, B.sum(axis=1))
@@ -310,16 +331,22 @@ def certify(
     if tri.origin_vertex is not None:
         vertex_ok[tri.origin_vertex] = abs(vals[tri.origin_vertex]) <= 1e-10
 
-    grads = _simplex_gradients(tri, vals)
-    E = _curvature_corrections(tri, b)
-    fV = fld.evaluate_at(tri.vertices)
-    lhs = (
-        np.einsum("sd,sid->si", grads, fV[tri.simplices])
-        + np.abs(grads).sum(axis=1)[:, None] * E
-    )
-    checked = np.ones_like(lhs, dtype=bool)
-    if tri.origin_vertex is not None:
-        checked[tri.simplices == tri.origin_vertex] = False
+    ns = tri.n_simplices
+    lhs = np.empty((ns, 3))
+    checked = np.ones((ns, 3), dtype=bool)
+    for s in range(0, ns, _CHUNK):
+        rows = slice(s, min(s + _CHUNK, ns))
+        S = tri.simplices[rows]
+        # f on the block's contiguous range of vertex indices only
+        lo = int(S.min())
+        fV = fld.evaluate_at(tri.vertices[lo : int(S.max()) + 1])[S - lo]
+        grads = _simplex_gradients(tri, vals, rows)
+        lhs[rows] = (
+            np.einsum("sd,sid->si", grads, fV)
+            + np.abs(grads).sum(axis=1)[:, None] * _curvature_corrections(tri, b, rows)
+        )
+        if tri.origin_vertex is not None:
+            checked[rows] = S != tri.origin_vertex
 
     return CertificationReport(
         tri=tri,

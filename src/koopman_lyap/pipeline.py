@@ -23,7 +23,6 @@ checksum.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -362,6 +361,9 @@ def stage_oracle_check(cfg: RunConfig, outdir: Path):
 
 
 def _sha256(path: Path) -> str:
+    # imported here: hashlib loads OpenSSL, which only the manifest needs
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):

@@ -403,6 +403,18 @@ def test_no_stage_loads_scipy(tiny_cfg_path, tmp_path):
     assert loaded == dict.fromkeys(loaded, [])
 
 
+def test_import_does_not_load_hashlib():
+    # hashlib maps OpenSSL into every stage's process; only the manifest of
+    # run hashes files, and test_run_produces_complete_manifest checks the hashes
+    proc = _fresh_python(
+        "-c",
+        "import sys, koopman_lyap.cli, koopman_lyap.pipeline; "
+        "print('_hashlib' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_non_finite_gram_system_exits_1_before_lapack(tmp_path):
     # exp(100 x1^2) overflows at the outer centers; the system is rejected
     # before any factorization, so LAPACK prints nothing

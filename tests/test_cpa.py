@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from koopman_lyap import cpa
 from koopman_lyap.box import Box
 from koopman_lyap.cpa import (
     BBound,
@@ -317,3 +320,107 @@ def test_certify_input_validation(radial_setup):
         certify(tri, vals[:-1], fld, BBound(np.zeros((2, 2))))
     with pytest.raises(CPAError, match="2x2"):
         certify(tri, vals, fld, BBound(np.zeros((3, 3))))
+
+
+# --- block-wise certification ------------------------------------------------------
+
+
+def _unrotated_simplices(cells):
+    n1 = cells + 1
+    v00 = (np.arange(cells, dtype=np.int64)[:, None] * n1 + np.arange(cells)).ravel()
+    v10, v01, v11 = v00 + n1, v00 + 1, v00 + n1 + 1
+    return np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(2 * cells * cells, 3)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, cells",
+    [
+        (-1.0, 1.0, 2), (-1.0, 1.0, 4), (-2.0, 2.0, 10),
+        (0.0, 2.0, 4), (-2.0, 0.0, 4), (0.5, 1.5, 3),
+    ],
+    ids=["sym2", "sym4", "sym10", "origin_lower_corner", "origin_upper_corner", "no_origin"],
+)
+def test_triangulation_rotation_matches_full_rotation(lo, hi, cells):
+    tri = build_triangulation(_box(lo, hi), cells)
+    plain = _unrotated_simplices(cells)
+    ov = tri.origin_vertex
+    if ov is None:
+        np.testing.assert_array_equal(tri.simplices, plain)
+        return
+    # the reference: every triple rotated so the origin comes first
+    shift = np.argmax(plain == ov, axis=1)
+    full = np.take_along_axis(plain, (np.arange(3) + shift[:, None]) % 3, axis=1)
+    np.testing.assert_array_equal(tri.simplices, full)
+    changed = np.any(tri.simplices != plain, axis=1)
+    assert np.all(np.any(plain[changed] == ov, axis=1))
+
+
+def _whole_mesh_margins(tri, vals, fld, b):
+    # the formulas of the whole-mesh certify, one pass over every simplex
+    pts = tri.vertices[tri.simplices]
+    M = pts[:, 1:, :] - pts[:, 0:1, :]
+    rhs = vals[tri.simplices][:, 1:] - vals[tri.simplices][:, 0:1]
+    grads = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    D = np.abs(pts - pts[:, 0:1, :])
+    quad = np.einsum("sir,ru,siu->si", D, b.matrix, D)
+    lin = np.einsum("sir,r->si", D, b.matrix.sum(axis=1))
+    E = 0.5 * (quad + lin * D[:, :, -1])
+    fV = fld.evaluate_at(tri.vertices)
+    lhs = (
+        np.einsum("sd,sid->si", grads, fV[tri.simplices])
+        + np.abs(grads).sum(axis=1)[:, None] * E
+    )
+    checked = np.ones_like(lhs, dtype=bool)
+    checked[tri.simplices == tri.origin_vertex] = False
+    return lhs, checked
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+def test_blockwise_certify_matches_whole_mesh(chunk, monkeypatch, tmp_path):
+    fld = parse_vector_field(["x2 - sin(x1)", "-3*x2 - x1^3 + exp(x1) - 1"])
+    tri = build_triangulation(_box(-1.0, 1.0), 10)
+    x1, x2 = tri.vertices.T
+    vals = x1**2 + 0.5 * x1 * x2 + x2**2
+    vals[np.argmin(np.sum((tri.vertices - [0.4, -0.2]) ** 2, axis=1))] = np.nan
+    b = BBound(np.array([[12.0, 0.5], [0.5, 1.0]]))
+    ref_lhs, ref_checked = _whole_mesh_margins(tri, vals, fld, b)
+
+    monkeypatch.setattr(cpa, "_CHUNK", chunk)
+    report = certify(tri, vals, fld, b)
+
+    # A NaN's sign bit depends on which of numpy's loops produced it (a vector
+    # body or a tail), so NaN margins are compared by position only.
+    nan = np.isnan(ref_lhs)
+    assert 0 < nan.sum() < nan.size
+    np.testing.assert_array_equal(np.isnan(report.lc2_margins), nan)
+    np.testing.assert_array_equal(
+        report.lc2_margins[~nan].view(np.uint64), ref_lhs[~nan].view(np.uint64)
+    )
+    np.testing.assert_array_equal(report.lc2_checked, ref_checked)
+
+    ref = cpa.CertificationReport(tri, report.vertex_ok, ref_lhs, ref_checked, vals)
+    for attr in ("n_lc1_failures", "n_pairs_checked", "n_lc2_failures"):
+        assert getattr(report, attr) == getattr(ref, attr), attr
+    assert 0 < report.n_lc2_failures < report.n_pairs_checked
+    report.write_failures_csv(tmp_path / "blocks.csv")
+    ref.write_failures_csv(tmp_path / "whole.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_certify_working_set_does_not_grow_with_mesh():
+    # beyond its report, certify holds one block of simplex rows at a time
+    fld = parse_vector_field(["x2", "-3*x2 - 1*x1 - 1*x1^3"])
+    b = BBound(np.array([[12.0, 0.0], [0.0, 0.0]]))
+    extra = {}
+    for cells in (64, 256):
+        tri = build_triangulation(_box(-2.0, 2.0), cells)
+        vals = np.sum(tri.vertices**2, axis=1)
+        tracemalloc.start()
+        try:
+            report = certify(tri, vals, fld, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (report.vertex_ok, report.lc2_margins, report.lc2_checked))
+        extra[cells] = peak - held
+    assert extra[256] - extra[64] <= 1 << 20, extra
