@@ -68,8 +68,12 @@ factored and freed before the next is assembled.
 
 For distinct functionals the Gram matrix is positive definite (Giesl &
 Wendland, SIAM J. Numer. Anal. 45, 2007) and a ridge eta is added to its
-diagonal, so it is solved by Cholesky: numpy's factor L, then forward and
-back substitution in _CHUNK-row blocks of L, each diagonal block solved
+diagonal, so it is solved by Cholesky, factored in place: L overwrites the
+lower triangle of A, diagonal included, one _PANEL-column panel at a time
+(one product with the columns already factored, numpy's factor of the
+diagonal block, a dense solve of the rows below it), while the strict upper
+triangle and a saved copy of the diagonal keep A. Forward and back
+substitution run in _CHUNK-row blocks of L, each diagonal block solved
 densely (numpy has no triangular solve, and a dense solve with all of L
 would cost O(m^3) again). A zero right-hand side (w . G vanishing at every
 center, as for a linear eigenfunction) has the exact solution alpha = 0,
@@ -77,9 +81,11 @@ so its system is never formed; its ridge comes from the diagonal in closed
 form. f at the centers and every right-hand side are checked for
 non-finite entries before any system is assembled, and each Gram matrix
 before it is factored; one that is not numerically positive definite, or
-whose solution fails the residual check, falls back to least squares.
-Assembly and evaluation are chunked so memory stays flat in the number of
-points.
+whose solution fails the residual check, falls back to least squares. The
+non-finite check, the residual check and the rebuild of A for least
+squares each pass over A in _CHUNK-row blocks, so solving a system holds
+no second m x m array. Assembly and evaluation are chunked so memory stays
+flat in the number of points.
 """
 
 from __future__ import annotations
@@ -106,6 +112,7 @@ __all__ = [
 ]
 
 _CHUNK = 128
+_PANEL = 64
 _NON_FINITE = "non-finite entries; is the field finite at every collocation center?"
 
 
@@ -298,27 +305,34 @@ def _gram(problem: CollocationProblem, F: np.ndarray, lam: float, eta: float) ->
     for s in range(0, n, _CHUNK):
         rows = slice(s, min(s + _CHUNK, n))
         Za, Fa, Zb, Fb = Z[rows], F[rows], Z[s:], F[s:]
-        K = np.ones((len(Za), n - s))
-        for G1, i in zip(gram_1d, index.T):
-            K *= G1[np.ix_(i[rows], i[s:])]
-        # u = z_a - z_b per axis; T = u . f(z_b), R = u . f(z_a), FF = f(z_a) . f(z_b).
+        # out = f(z_a) . f(z_b) / sigma^2 - (T - lambda)(R + lambda) with
+        # u = z_a - z_b per axis, T = u . f(z_b) / sigma^2, R = u . f(z_a) / sigma^2.
         # u_ba = -u_ab exactly, so the mirrored entries are those computed from row b.
-        U = [Za[:, l, None] - Zb[:, l] for l in range(d)]
-        T = U[0] * Fb[:, 0]
-        R = U[0] * Fa[:, 0, None]
-        FF = np.multiply.outer(Fa[:, 0], Fb[:, 0])
+        out = A[rows, s:n]
+        np.multiply.outer(Fa[:, 0], Fb[:, 0], out=out)
         for l in range(1, d):
-            T += U[l] * Fb[:, l]
-            R += U[l] * Fa[:, l, None]
-            FF += np.multiply.outer(Fa[:, l], Fb[:, l])
+            out += np.multiply.outer(Fa[:, l], Fb[:, l])
+        out /= s2
+        u = Za[:, 0, None] - Zb[:, 0]
+        T = u * Fb[:, 0]
+        R = u * Fa[:, 0, None]
+        for l in range(1, d):
+            np.subtract(Za[:, l, None], Zb[:, l], out=u)
+            T += u * Fb[:, l]
+            R += u * Fa[:, l, None]
         T /= s2
         R /= s2
-        FF /= s2
-        out = A[rows, s:n]
-        np.add(R, lam, out=out)
-        out *= T - lam
-        np.subtract(FF, out, out=out)
-        out *= K
+        T -= lam
+        R += lam
+        R *= T
+        out -= R
+        # T is spent; its buffer takes K, gathered from the 1-D Gram factors.
+        # Freeing u, T and R here instead lets the allocator trim the heap
+        # and fault it back in every chunk (60 000 more page faults at m = 3603).
+        T.fill(1.0)
+        for G1, i in zip(gram_1d, index.T):
+            T *= G1[np.ix_(i[rows], i[s:])]
+        out *= T
         A[s:n, rows] = out.T
         values, grads = _origin_columns(Za, s2)
         A[rows, n:] = np.einsum("cqd,cd->cq", grads, Fa) - lam * values
@@ -422,40 +436,75 @@ class CollocationSolution:
 
 
 def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with A x = b for a symmetric A, from its Cholesky factor L: forward,
-    then back substitution in _CHUNK-row blocks, each diagonal block solved
-    densely. L is freed on return."""
-    # A.T is A in Fortran order, which numpy copies into LAPACK's layout
-    # column by column without strided reads (about 0.1 s at m = 3603)
-    L = np.linalg.cholesky(A.T)
+    """x with A x = b for a symmetric A, factored in place: its Cholesky
+    factor L overwrites the lower triangle, diagonal included, and the strict
+    upper triangle keeps A. Left-looking, one _PANEL-column panel at a time:
+    one product with the columns already factored updates the panel, its
+    diagonal block is factored densely and the rows below are solved against
+    that block. A panel that is not numerically positive definite raises
+    LinAlgError. Forward, then back substitution run in _CHUNK-row blocks,
+    each diagonal block solved densely."""
     m = len(b)
+    for s in range(0, m, _PANEL):
+        e = min(s + _PANEL, m)
+        P = A[s:, :s] @ A[s:e, :s].T
+        np.subtract(A[s:, s:e], P, out=P)
+        L = np.linalg.cholesky(P[: e - s])
+        np.copyto(A[s:e, s:e], L, where=np.tri(e - s, dtype=bool))
+        A[e:, s:e] = np.linalg.solve(L, P[e - s :].T).T
     y = np.empty(m)
     for s in range(0, m, _CHUNK):
         e = min(s + _CHUNK, m)
-        y[s:e] = np.linalg.solve(L[s:e, s:e], b[s:e] - L[s:e, :s] @ y[:s])
+        y[s:e] = np.linalg.solve(np.tril(A[s:e, s:e]), b[s:e] - A[s:e, :s] @ y[:s])
     x = np.empty(m)
     for s in reversed(range(0, m, _CHUNK)):
         e = min(s + _CHUNK, m)
-        x[s:e] = np.linalg.solve(L[s:e, s:e].T, y[s:e] - L[e:, s:e].T @ x[e:])
+        x[s:e] = np.linalg.solve(np.tril(A[s:e, s:e]).T, y[s:e] - A[e:, s:e].T @ x[e:])
     return x
 
 
+def _rows(A: np.ndarray, diag: np.ndarray):
+    """(s, e, rows s:e) of the symmetric matrix whose strict upper triangle A
+    holds and whose diagonal is diag, one _CHUNK-row block at a time."""
+    m = len(diag)
+    for s in range(0, m, _CHUNK):
+        e = min(s + _CHUNK, m)
+        R = np.hstack([A[:s, s:e].T, A[s:e, s:]])
+        i, j = np.tril_indices(e - s, -1)
+        R[i, s + j] = R[j, s + i]
+        r = np.arange(e - s)
+        R[r, s + r] = diag[s:e]
+        yield s, e, R
+
+
 def _solve_system(A: np.ndarray, b: np.ndarray, lam: float):
-    """alpha with A alpha = b and the method that found it. solve passes each
-    Gram matrix straight in, so it is freed on return."""
-    if not np.all(np.isfinite(A)):
+    """alpha with A alpha = b and the method that found it. A is overwritten:
+    the Cholesky factor takes its lower triangle, and the residual check reads
+    A's rows back from the strict upper triangle and the saved diagonal, as
+    does least squares, which gets A rebuilt in place. solve passes each Gram
+    matrix straight in, so it is freed on return."""
+    m = len(b)
+    if not all(np.isfinite(A[s : s + _CHUNK]).all() for s in range(0, m, _CHUNK)):
         raise CollocationError(f"the Gram system of lambda = {lam:.6g} has {_NON_FINITE}")
+    diag = A.diagonal().copy()
     try:
         alpha = _cholesky_solve(A, b)
-        scale = float(
-            np.abs(A).sum(axis=1).max() * np.max(np.abs(alpha), initial=0.0)
-            + np.max(np.abs(b), initial=0.0)
+        norm, resid = np.max(
+            [
+                (np.abs(R).sum(axis=1).max(), np.max(np.abs(R @ alpha - b[s:e])))
+                for s, e, R in _rows(A, diag)
+            ],
+            axis=0,
         )
-        resid = float(np.max(np.abs(A @ alpha - b)))
+        scale = float(
+            norm * np.max(np.abs(alpha), initial=0.0) + np.max(np.abs(b), initial=0.0)
+        )
         if np.all(np.isfinite(alpha)) and not resid > 1e-8 * max(scale, 1e-300):
             return alpha, "cholesky"
     except np.linalg.LinAlgError:
         pass
+    for s, e, R in _rows(A, diag):
+        A[s:e] = R
     try:
         alpha = np.linalg.lstsq(A, b, rcond=None)[0]
     except np.linalg.LinAlgError as exc:

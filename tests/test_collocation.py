@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 import weakref
 
@@ -337,38 +338,46 @@ def test_solver_used_factorization(solved):
     assert solved.method == ("zero", "cholesky")
 
 
+def _count_factorizations(monkeypatch, calls):
+    # one _cholesky_solve call factors one system, however many panels it has
+    factor = collocation._cholesky_solve
+    monkeypatch.setattr(
+        collocation, "_cholesky_solve", lambda A, b: calls.append("chol") or factor(A, b)
+    )
+
+
 def test_zero_rhs_system_is_not_factored(setup, monkeypatch):
     # w1 . G vanishes identically, so alpha_1 = 0 is the exact minimum-norm
-    # collocant and only the second system reaches the factorization
+    # collocant and only the second system reaches the factorization; with
+    # 12 x 12 centers m = 147 spans several panels
     calls = []
-    cholesky = np.linalg.cholesky
-
-    def counting_cholesky(a):
-        calls.append(a.shape)
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-    sol = solve(_problem(setup))
-    assert len(calls) == 1
-    assert sol.method == ("zero", "cholesky")
-    np.testing.assert_array_equal(sol.alpha[0], np.zeros(sol.problem.size))
-    assert np.any(sol.alpha[1])
+    _count_factorizations(monkeypatch, calls)
+    for n_per_axis in (7, 12):
+        calls.clear()
+        sol = solve(_problem(setup, centers=uniform_centers(setup[2], n_per_axis)))
+        assert sol.problem.size == n_per_axis**2 + 3
+        assert calls == ["chol"]
+        assert sol.method == ("zero", "cholesky")
+        np.testing.assert_array_equal(sol.alpha[0], np.zeros(sol.problem.size))
+        assert np.any(sol.alpha[1])
 
 
-def _two_system_problem(setup, eta=0.0):
+def _two_system_problem(setup, eta=0.0, n_per_axis=7, sigma=SIGMA):
     # w1 . G = x2^2 and w2 . G = 3 x1^2: both right-hand sides are nonzero
-    _, _, domain, kern, centers = setup
+    domain = setup[2]
     fld = parse_vector_field(["-2*x1 + x2^2", "-3*(x2 - x1^2)"])
     return CollocationProblem(
-        kernel=kern, fld=fld, lin=linearize(fld), centers=centers, domain=domain, eta=eta
+        kernel=GaussianKernel(sigma=sigma), fld=fld, lin=linearize(fld),
+        centers=uniform_centers(domain, n_per_axis), domain=domain, eta=eta,
     )
 
 
 def test_one_gram_matrix_alive_at_a_time(setup, monkeypatch):
     # each system is assembled, factored and freed before the next one is
-    # assembled, so no earlier Gram matrix exists during a factorization
+    # assembled, so no earlier Gram matrix exists during a factorization;
+    # with 12 x 12 centers m = 147 spans several panels
     grams, factored = [], []
-    gram, cholesky = collocation._gram, np.linalg.cholesky
+    gram, factor = collocation._gram, collocation._cholesky_solve
 
     def alive():
         return [r for r in grams if r() is not None]
@@ -379,18 +388,21 @@ def test_one_gram_matrix_alive_at_a_time(setup, monkeypatch):
         grams.append(weakref.ref(A))
         return A
 
-    def tracked_cholesky(a):
+    def tracked_factor(A, b):
         factored.append(len(grams))
         assert len(grams) == len(factored)
         assert [r() for r in grams[:-1]] == [None] * (len(grams) - 1)
-        return cholesky(a)
+        return factor(A, b)
 
     monkeypatch.setattr(collocation, "_gram", tracked_gram)
-    monkeypatch.setattr(np.linalg, "cholesky", tracked_cholesky)
-    sol = solve(_two_system_problem(setup))
-    assert sol.method == ("cholesky", "cholesky")
-    assert factored == [1, 2]
-    assert not alive()
+    monkeypatch.setattr(collocation, "_cholesky_solve", tracked_factor)
+    for n_per_axis in (7, 12):
+        grams.clear()
+        factored.clear()
+        sol = solve(_two_system_problem(setup, n_per_axis=n_per_axis))
+        assert sol.method == ("cholesky", "cholesky")
+        assert factored == [1, 2]
+        assert not alive()
 
 
 def test_solve_matches_cholesky_solve_of_assembled_systems(setup):
@@ -471,17 +483,48 @@ def test_ill_conditioned_solve_is_silent(setup):
     assert np.all(np.isfinite(sol.alpha))
 
 
-@pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
-def test_blocked_cholesky_solve_matches_reference(m):
-    # block edges of the 128-row substitution: one block, one short of a
-    # block, exactly one, one past, and several with a ragged last block
-    rng = np.random.default_rng(m)
+def _spd(m, rng):
     M = rng.standard_normal((m, m))
     A = M @ M.T + m * np.eye(m)
+    return (A + A.T) / 2  # symmetric bit for bit, as assembly makes A
+
+
+def _bits(A):
+    return np.ascontiguousarray(A).view(np.uint64)
+
+
+def _upper(A):
+    return _bits(A[np.triu_indices(len(A), 1)])
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129, 300])
+def test_blocked_cholesky_solve_matches_reference(m):
+    # edges of the 64-column panels and of the 128-row substitution blocks:
+    # one block, one short of a block, exactly one, one past, and several
+    # with a ragged last one. The factor lands in the lower triangle and
+    # leaves the upper one as it was.
+    rng = np.random.default_rng(m)
+    A0 = _spd(m, rng)
+    A = A0.copy()
     b = rng.standard_normal(m)
-    expected = cho_solve(cho_factor(A), b)
+    expected = cho_solve(cho_factor(A0), b)
     err = np.max(np.abs(_cholesky_solve(A, b) - expected))
     assert err <= 1e-12 * np.max(np.abs(expected))
+    L = np.linalg.cholesky(A0)
+    assert np.max(np.abs(np.tril(A) - L)) <= 1e-12 * np.max(np.abs(L))
+    np.testing.assert_array_equal(_upper(A), _upper(A0))
+
+
+def test_factor_failing_in_a_later_panel_keeps_upper_triangle():
+    # the leading 250 x 250 block is positive definite, the leading 251 x 251
+    # is not, so the fourth panel fails after three were written in place
+    A0 = _spd(300, np.random.default_rng(0))
+    A0[250, 250] = -1.0
+    A = A0.copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        _cholesky_solve(A, np.ones(300))
+    assert not np.array_equal(A[64:, :64], A0[64:, :64])
+    np.testing.assert_array_equal(_upper(A), _upper(A0))
 
 
 def test_solve_matches_reference_cholesky(setup):
@@ -514,23 +557,24 @@ def test_non_finite_system_rejected_before_factoring(setup):
 
 def test_non_finite_field_is_rejected_before_any_assembly(setup, monkeypatch):
     # both right-hand sides are nonzero and f overflows at the outer centers:
-    # no system is assembled, so none is factored
+    # no system is assembled, so none is factored, also at m = 147 > _CHUNK
     calls = []
-    gram, cholesky = collocation._gram, np.linalg.cholesky
+    gram = collocation._gram
     monkeypatch.setattr(collocation, "_gram", lambda *a: calls.append("gram") or gram(*a))
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append("chol") or cholesky(a))
+    _count_factorizations(monkeypatch, calls)
     fld = parse_vector_field(["-x1 + x2^2 + x1^2*exp(100*x1^2)", "-2*x2 + x1^2"])
     domain = Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
-    prob = CollocationProblem(
-        kernel=GaussianKernel(sigma=1.0), fld=fld, lin=linearize(fld),
-        centers=uniform_centers(domain, 10), domain=domain, eta=0.0,
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.all(np.any(assemble_system(prob)[1], axis=1))
-        calls.clear()
-        with pytest.raises(CollocationError, match="non-finite"):
-            solve(prob)
-    assert calls == []
+    for n_per_axis in (10, 12):
+        prob = CollocationProblem(
+            kernel=GaussianKernel(sigma=1.0), fld=fld, lin=linearize(fld),
+            centers=uniform_centers(domain, n_per_axis), domain=domain, eta=0.0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.any(assemble_system(prob)[1], axis=1))
+            calls.clear()
+            with pytest.raises(CollocationError, match="non-finite"):
+                solve(prob)
+        assert calls == []
 
 
 def test_nan_right_hand_side_is_not_skipped_as_zero():
@@ -539,6 +583,91 @@ def test_nan_right_hand_side_is_not_skipped_as_zero():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(CollocationError, match="non-finite"):
             solve(prob)
+
+
+def _upper_mirrored(A, n):
+    """A read from its upper triangle and diagonal: A bit for bit but for the
+    d entries [n + 1 + l, n], d/dx_l k(x, 0) at x = 0. _gram writes them as
+    -0.0 (-x_l K0 / sigma^2) and their mirrors [n, n + 1 + l] as +0.0
+    (x_l K0 / sigma^2)."""
+    S = A.copy()
+    i, j = np.tril_indices(len(A), -1)
+    S[i, j] = A[j, i]
+    np.testing.assert_array_equal(S, A)
+    d = len(A) - n - 1
+    assert np.argwhere(_bits(S) != _bits(A)).tolist() == [[n + 1 + l, n] for l in range(d)]
+    return S
+
+
+def test_residual_check_reads_back_the_assembled_rows(setup, monkeypatch):
+    # m = 147: the rows come back from the upper triangle and the saved
+    # diagonal after the factor has overwritten the lower triangle
+    prob = _two_system_problem(setup, eta=None, n_per_axis=12)
+    A, _, _ = assemble_system(prob)
+    read, rows = [], collocation._rows
+
+    def recording_rows(*args):
+        read.append([(s, e, R.copy()) for s, e, R in rows(*args)])
+        return read[-1]
+
+    monkeypatch.setattr(collocation, "_rows", recording_rows)
+    sol = solve(prob)
+    assert sol.method == ("cholesky", "cholesky")
+    assert len(read) == 2
+    for Ai, blocks in zip(A, read):
+        assert [(s, e) for s, e, _ in blocks] == [(0, 128), (128, 147)]
+        S = _upper_mirrored(Ai, prob.n_centers)
+        np.testing.assert_array_equal(_bits(np.vstack([R for *_, R in blocks])), _bits(S))
+
+
+def test_lstsq_receives_the_assembled_matrix(setup, monkeypatch):
+    # with sigma = 1.5 and eta = 0 the m = 147 systems are positive definite
+    # in their first 64-column panel and fail in the second, so least squares
+    # gets A rebuilt from the upper triangle and the saved diagonal
+    prob = _two_system_problem(setup, n_per_axis=12, sigma=1.5)
+    A, b, _ = assemble_system(prob)
+    panels, received = [], []
+    cholesky, lstsq = np.linalg.cholesky, np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: panels.append(1) or cholesky(a))
+
+    def recording_lstsq(a, rhs, rcond=None):
+        received.append((len(panels), a.copy(), rhs.copy()))
+        panels.clear()
+        return lstsq(a, rhs, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    sol = solve(prob)
+    assert sol.method == ("lstsq", "lstsq")
+    assert len(received) == 2
+    for (n_panels, a, rhs), Ai, bi in zip(received, A, b):
+        assert n_panels == 2
+        np.testing.assert_array_equal(_bits(a), _bits(_upper_mirrored(Ai, prob.n_centers)))
+        np.testing.assert_array_equal(rhs, bi)
+
+
+def test_solve_working_set_is_a_few_row_blocks(setup):
+    # m = 579, so one Gram matrix is 4.5 blocks of _CHUNK rows. Beside the one
+    # Gram matrix alive, solve holds a few such blocks at a time, and the
+    # solve of an assembled system holds no second m x m array
+    prob = _two_system_problem(setup, eta=None, n_per_axis=24)
+    m = prob.size
+    assert m == 579
+    gram, block = 8 * m * m, 8 * collocation._CHUNK * m
+    A, b, _ = assemble_system(prob)
+    tracemalloc.start()
+    try:
+        sol = solve(prob)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        alpha, method = collocation._solve_system(A[1], b[1], prob.lin.eigenvalues[1])
+        system_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sol.method == ("cholesky", "cholesky") and method == "cholesky"
+    np.testing.assert_array_equal(alpha, sol.alpha[1])
+    assert solve_peak - gram <= 5 * block
+    assert system_peak <= 3 * block
 
 
 def test_cholesky_failure_falls_back_to_lstsq(setup):
