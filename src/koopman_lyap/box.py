@@ -50,29 +50,14 @@ class Box:
         )
         return bool(inside) if p.ndim == 1 else inside
 
-    def axes(self, resolution) -> list[np.ndarray]:
-        """Per-axis uniform nodes including both endpoints.
-
-        resolution is a single int or one int per axis, each >= 2.
-        """
-        res = self._resolution_tuple(resolution)
-        return [
-            np.linspace(self.lower[i], self.upper[i], res[i])
-            for i in range(self.dim)
-        ]
-
-    def grid(self, resolution) -> np.ndarray:
-        """Uniform grid as an (m, d) array, first axis varying slowest."""
-        mesh = np.meshgrid(*self.axes(resolution), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def _resolution_tuple(self, resolution) -> tuple[int, ...]:
-        if np.isscalar(resolution):
-            res = (int(resolution),) * self.dim
-        else:
-            res = tuple(int(r) for r in resolution)
-            if len(res) != self.dim:
-                raise ValueError("resolution must be scalar or one per axis")
-        if any(r < 2 for r in res):
+    def axes(self, n: int) -> list[np.ndarray]:
+        """n uniform nodes per axis (n >= 2), both endpoints included."""
+        if n < 2:
             raise ValueError("grid resolution must be at least 2 per axis")
-        return res
+        return [np.linspace(lo, hi, n) for lo, hi in zip(self.lower, self.upper)]
+
+    def grid(self, n: int) -> np.ndarray:
+        """Uniform grid of n nodes per axis as an (n^d, d) array, first axis
+        varying slowest."""
+        mesh = np.meshgrid(*self.axes(n), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)

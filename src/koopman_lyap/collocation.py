@@ -90,6 +90,7 @@ flat in the number of points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -243,6 +244,8 @@ def _partial(C: np.ndarray, factors, k: int) -> np.ndarray:
     if not factors:
         return C.T[None]
     c = factors[0].shape[0]
+    if not C.size:  # no centers
+        return np.zeros((c, k, 0))
     R = factors[0] @ C
     for l, K in enumerate(factors[1:], start=2):
         R = np.einsum("crjs,cj->crs", R.reshape(c, k, K.shape[1], -1), K)
@@ -338,11 +341,13 @@ def _gram(problem: CollocationProblem, F: np.ndarray, lam: float, eta: float) ->
         A[rows, n:] = np.einsum("cqd,cd->cq", grads, Fa) - lam * values
 
     # the origin rows are the origin columns transposed, then the origin
-    # functionals at x = 0
+    # functionals at x = 0; column n mirrors row n, as -x_l K0 / sigma^2 gives
+    # -0.0 where x_l K0 / sigma^2 gives +0.0
     values, grads = _origin_columns(np.zeros((1, d)), s2)
     A[n:, :n] = A[:n, n:].T
     A[n, n:] = values[0]
     A[n + 1 :, n:] = grads[0].T
+    A[n + 1 :, n] = A[n, n + 1 :]
     if eta:
         A[np.diag_indices(m)] += eta
     return A
@@ -386,7 +391,7 @@ class CollocationSolution:
         beta += [a * f / prob.kernel.sigma**2 for f in self.center_field_values.T]
         C = np.zeros((d + 1, len(a), *map(len, prob.lattice[0])))
         C[(slice(None), slice(None), *prob.lattice[1].T)] = beta
-        return np.moveaxis(C, 2, 1).reshape(d + 1, C.shape[2], -1 if n else 0)
+        return np.moveaxis(C, 2, 1).reshape(d + 1, C.shape[2], len(a) * math.prod(C.shape[3:]))
 
     def _evaluate(self, X: np.ndarray, gradients: bool):
         prob = self.problem

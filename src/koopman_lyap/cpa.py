@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _CHUNK = 1024  # simplex rows per block of certify
+_B_PROBES = 201  # probe-grid nodes per axis of estimate_b_bound
 
 
 class CPAError(ValueError):
@@ -147,14 +148,11 @@ def _simplex_gradients(
     tri: Triangulation, vertex_values: np.ndarray, rows=slice(None)
 ) -> np.ndarray:
     """Affine-interpolant gradient on the simplices of rows (all by default),
-    shape (n_rows, 2)."""
-    vals = np.asarray(vertex_values, dtype=float)
-    if vals.shape != (tri.n_vertices,):
-        raise CPAError(f"vertex_values must have shape ({tri.n_vertices},)")
+    shape (n_rows, 2), from the (n_vertices,) vertex values."""
     S = tri.simplices[rows]
     pts = tri.vertices[S]  # (ns, 3, 2)
     M = pts[:, 1:, :] - pts[:, 0:1, :]  # (ns, 2, 2)
-    v = vals[S]
+    v = vertex_values[S]
     rhs = v[:, 1:] - v[:, 0:1]
     # trailing axis keeps numpy's stacked-solve from reading rhs as one matrix
     return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
@@ -181,7 +179,6 @@ class BBound:
 def estimate_b_bound(
     fld: VectorField,
     domain: Box,
-    probe_resolution: int = 201,
     safety: float = 1.1,
     override=None,
 ) -> BBound:
@@ -194,7 +191,7 @@ def estimate_b_bound(
     if safety < 1.0:
         raise CPAError("safety factor must be at least 1")
     d = fld.dim
-    cols = [c for c in domain.grid(probe_resolution).T]
+    cols = [c for c in domain.grid(_B_PROBES).T]
     probe_max = np.zeros((d, d))
     for r in range(d):
         for s in range(r, d):
@@ -294,24 +291,6 @@ class CertificationReport:
             f"  certified:           {self.certified}",
         ]
         return "\n".join(lines) + "\n"
-
-    def write_failures_csv(self, path) -> None:
-        """Failed checks, one row each: simplex_index, vertex_index, x1, x2,
-        lhs_margin. Positivity failures use simplex_index -1 and the global
-        vertex index; their margin column holds the offending V value."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("simplex_index,vertex_index,x1,x2,lhs_margin\n")
-            for v in np.nonzero(~self.vertex_ok)[0]:
-                x1, x2 = self.tri.vertices[v]
-                fh.write(
-                    f"-1,{v},{x1:.17g},{x2:.17g},{self.vertex_values[v]:.17g}\n"
-                )
-            bad_s, bad_i = np.nonzero(self.lc2_failed)
-            for s, i in zip(bad_s, bad_i):
-                x1, x2 = self.tri.vertices[self.tri.simplices[s, i]]
-                fh.write(
-                    f"{s},{i},{x1:.17g},{x2:.17g},{self.lc2_margins[s, i]:.17g}\n"
-                )
 
 
 def certify(

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .box import Box
 from .expr import VectorField
 from .koopman import EigenfunctionSet
 
@@ -28,11 +27,7 @@ __all__ = [
     "LyapunovError",
     "solve_p",
     "LyapunovModel",
-    "DiagnosticsReport",
     "diagnostics",
-    "SurfaceGrid",
-    "GridEvaluation",
-    "grid_eval",
 ]
 
 
@@ -98,93 +93,19 @@ class LyapunovModel:
         return Phi, V, Vdot
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Scale factors that enter the a-priori error bound, reported as-is.
-    ||P||_2 equals 1 / (2 alpha) for the diagonal P = diag(1 / (2 |lambda_i|))."""
-
-    fill_dist: float
-    lambda_bar: float
-    alpha: float
-    p_norm2: float
-    sup_phi: np.ndarray
-
-    def format_text(self) -> str:
-        lines = [
-            "diagnostics",
-            f"  fill distance (probe estimate): {self.fill_dist:.12g}",
-            f"  lambda_bar (max eigenvalue):    {self.lambda_bar:.12g}",
-            f"  alpha (min |eigenvalue|):       {self.alpha:.12g}",
-            f"  ||P||_2 (= 1 / (2 alpha)):      {self.p_norm2:.12g}",
-        ]
-        for i, s in enumerate(self.sup_phi, start=1):
-            lines.append(f"  sup |phi_{i}| on probe grid:     {s:.12g}")
-        return "\n".join(lines) + "\n"
-
-
-def diagnostics(
-    model: LyapunovModel, fill_dist: float, grid: GridEvaluation
-) -> DiagnosticsReport:
-    """Report bound ingredients, with sup |phi_i| over an evaluated grid;
-    values are for inspection, nothing here raises."""
+def diagnostics(model: LyapunovModel, fill_dist: float, phi: np.ndarray) -> str:
+    """Report text of the scale factors that enter the a-priori error bound,
+    as-is, with sup |phi_i| over phi (m, d), the eigenfunctions at m probe
+    points; ||P||_2 equals 1 / (2 alpha) for the diagonal
+    P = diag(1 / (2 |lambda_i|)). Values are for inspection, nothing here raises."""
     lams = model.eigenvalues
-    return DiagnosticsReport(
-        fill_dist=float(fill_dist),
-        lambda_bar=float(np.max(lams)),
-        alpha=float(np.min(np.abs(lams))),
-        p_norm2=float(np.linalg.norm(model.P, 2)),
-        sup_phi=np.max(np.abs(grid.phi), axis=0),
-    )
-
-
-@dataclass(frozen=True)
-class SurfaceGrid:
-    """Scalar samples over a uniform 2-D grid, row-major in the first axis."""
-
-    domain: Box
-    resolution: tuple
-    quantity: str
-    values: np.ndarray  # shape (nx, ny)
-
-    def to_csv(self, path) -> None:
-        """CSV with one comment header line and rows x1,x2,value."""
-        nx, ny = self.resolution
-        xs, ys = self.domain.axes((nx, ny))
-        lo1, lo2 = self.domain.lower
-        hi1, hi2 = self.domain.upper
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                f"# domain {lo1:.17g} {hi1:.17g} {lo2:.17g} {hi2:.17g}; "
-                f"resolution {nx} {ny}; quantity {self.quantity}\n"
-            )
-            for i in range(nx):
-                for j in range(ny):
-                    fh.write(
-                        f"{xs[i]:.17g},{ys[j]:.17g},{self.values[i, j]:.17g}\n"
-                    )
-
-
-@dataclass(frozen=True)
-class GridEvaluation:
-    """Phi, V and Vdot over one uniform 2-D grid, from one evaluation pass."""
-
-    phi: np.ndarray  # (nx * ny, d), grid points row-major in the first axis
-    V: SurfaceGrid
-    Vdot: SurfaceGrid
-
-
-def grid_eval(
-    model: LyapunovModel, fld: VectorField, domain: Box, resolution
-) -> GridEvaluation:
-    """Sample Phi, V and Vdot over a uniform grid of the (2-D) domain."""
-    if domain.dim != 2:
-        raise LyapunovError("surface grids are 2-D only")
-    res = domain._resolution_tuple(resolution)
-    Phi, V, Vdot = model.evaluate_with_derivative(fld, domain.grid(res))
-    return GridEvaluation(
-        phi=Phi,
-        V=SurfaceGrid(domain=domain, resolution=res, quantity="V", values=V.reshape(res)),
-        Vdot=SurfaceGrid(
-            domain=domain, resolution=res, quantity="Vdot", values=Vdot.reshape(res)
-        ),
-    )
+    lines = [
+        "diagnostics",
+        f"  fill distance (probe estimate): {float(fill_dist):.12g}",
+        f"  lambda_bar (max eigenvalue):    {np.max(lams):.12g}",
+        f"  alpha (min |eigenvalue|):       {np.min(np.abs(lams)):.12g}",
+        f"  ||P||_2 (= 1 / (2 alpha)):      {np.linalg.norm(model.P, 2):.12g}",
+    ]
+    for i, s in enumerate(np.max(np.abs(phi), axis=0), start=1):
+        lines.append(f"  sup |phi_{i}| on probe grid:     {s:.12g}")
+    return "\n".join(lines) + "\n"

@@ -17,8 +17,10 @@ Each stage, and run_pipeline, is called as stage(cfg, outdir) and returns
 (result, text): what it computed, and exactly the text the CLI prints for it.
 
 Outputs are deterministic: no timestamps, fixed float formatting, sorted JSON
-keys. The manifest lists every other file in the directory with a sha256
-checksum.
+keys. Every CSV artifact is written by _write_csv, one np.savetxt call:
+comma-separated columns, floats as %.17g (index columns as %d), and at
+most one header line. The manifest lists every other file in the directory
+with a sha256 checksum.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .koopman import (
     build_eigenfunctions,
     path_integral_phi,
 )
-from .lyapunov import LyapunovModel, diagnostics, grid_eval, solve_p
+from .lyapunov import LyapunovModel, diagnostics, solve_p
 
 __all__ = [
     "MissingArtifactError",
@@ -102,6 +104,12 @@ def _require(obj, keys, where: str) -> None:
     for key in keys:
         if key not in obj:
             raise ValueError(f"{where} has no key {key!r}")
+
+
+def _write_csv(path: Path, rows, header: str = "", fmt="%.17g") -> None:
+    """rows (2-D, or 1-D for one column) in fmt, one format or one per
+    column, after header as the first line unless it is empty."""
+    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=header, comments="")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -154,13 +162,13 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
     centers = uniform_centers(cfg.domain, cfg.grid_n)
     rho = fill_distance(centers, cfg.domain)
 
-    np.savetxt(outdir / _CENTERS, centers, fmt="%.17g", delimiter=",")
+    _write_csv(outdir / _CENTERS, centers)
 
     eigset = build_eigenfunctions(fld, lin, kern, centers, cfg.domain, cfg.eta)
     sol = eigset.h
     alpha_files = [f"eigenfunction_{i}_alpha.csv" for i in range(1, len(eigset) + 1)]
     for name, alpha in zip(alpha_files, sol.alpha):
-        np.savetxt(outdir / name, alpha, fmt="%.17g", delimiter=",")
+        _write_csv(outdir / name, alpha)
 
     X = _residual_probes(cfg.test_domain)
     phi, dphi = eigset.evaluate_with_derivative(fld, X)
@@ -248,16 +256,25 @@ def load_eigenfunctions(cfg: RunConfig, outdir: Path):
 
 
 def stage_lyapunov(cfg: RunConfig, outdir: Path):
-    """Build the Lyapunov model from persisted eigenfunctions; write the
-    surfaces, the diagnostics report (also the text), and model.json."""
+    """Build the Lyapunov model from persisted eigenfunctions; write V and
+    Vdot on the test grid (rows x1, x2, value, the first axis slowest), the
+    diagnostics report (also the text), and model.json."""
     fld, lin, eigset, meta = load_eigenfunctions(cfg, outdir)
     P = solve_p(eigset.eigenvalues)
     model = LyapunovModel(eigenfunctions=eigset, P=P)
 
-    grid = grid_eval(model, fld, cfg.test_domain, cfg.test_resolution)
-    grid.V.to_csv(outdir / "V.csv")
-    grid.Vdot.to_csv(outdir / "Vdot.csv")
-    text = diagnostics(model, meta["fill_distance"], grid).format_text()
+    box, n = cfg.test_domain, cfg.test_resolution
+    X = box.grid(n)
+    phi, V, Vdot = model.evaluate_with_derivative(fld, X)
+    (lo1, lo2), (hi1, hi2) = box.lower, box.upper
+    for name, values in (("V", V), ("Vdot", Vdot)):
+        _write_csv(
+            outdir / f"{name}.csv",
+            np.column_stack([X, values]),
+            f"# domain {lo1:.17g} {hi1:.17g} {lo2:.17g} {hi2:.17g}; "
+            f"resolution {n} {n}; quantity {name}",
+        )
+    text = diagnostics(model, meta["fill_distance"], phi)
     (outdir / "diagnostics.txt").write_text(text, encoding="utf-8")
     _write_json(
         outdir / _MODEL,
@@ -278,6 +295,23 @@ def _load_model(cfg: RunConfig, outdir: Path):
     return fld, model
 
 
+def _write_failures(path: Path, report) -> None:
+    """One row per failed check: simplex_index, vertex_index, x1, x2,
+    lhs_margin. Positivity failures come first, with simplex index -1, the
+    global vertex index and the offending V as the margin."""
+    tri = report.tri
+    bad_v = np.nonzero(~report.vertex_ok)[0]
+    bad_s, bad_i = np.nonzero(report.lc2_failed)
+    rows = np.column_stack([
+        np.concatenate([np.full(bad_v.size, -1), bad_s]),
+        np.concatenate([bad_v, bad_i]),
+        tri.vertices[np.concatenate([bad_v, tri.simplices[bad_s, bad_i]])],
+        np.concatenate([report.vertex_values[bad_v], report.lc2_margins[bad_s, bad_i]]),
+    ])
+    header = "simplex_index,vertex_index,x1,x2,lhs_margin"
+    _write_csv(path, rows, header, ["%d", "%d", "%.17g", "%.17g", "%.17g"])
+
+
 def stage_certify(cfg: RunConfig, outdir: Path):
     """Certify the persisted model on the configured triangulation; the
     report, and its summary as text."""
@@ -296,7 +330,7 @@ def stage_certify(cfg: RunConfig, outdir: Path):
     (outdir / "certification.txt").write_text(
         text + f"  B bound rows:        {b.matrix.tolist()}\n", encoding="utf-8"
     )
-    report.write_failures_csv(outdir / "certification_failures.csv")
+    _write_failures(outdir / "certification_failures.csv", report)
     return report, text
 
 
@@ -333,16 +367,12 @@ def stage_oracle_check(cfg: RunConfig, outdir: Path):
     phi[:, checked] = eigset.value_many(pts)[:, checked]
     absdiff = np.abs(phi - integral)
 
-    header = ["x1", "x2"][: cfg.dim]
-    for i in range(len(eigset)):
-        header += [f"phi_{i + 1}", f"integral_{i + 1}", f"absdiff_{i + 1}"]
-    lines = [",".join(header)]
-    for p, x in enumerate(pts):
-        row = [f"{c:.17g}" for c in x]
-        for i in range(len(eigset)):
-            row += [f"{v[p, i]:.17g}" for v in (phi, integral, absdiff)]
-        lines.append(",".join(row))
-    (outdir / "oracle_check.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # columns x1, x2, then phi_i, integral_i, absdiff_i per eigenvalue
+    header = ["x1", "x2"]
+    for i in range(1, len(eigset) + 1):
+        header += [f"phi_{i}", f"integral_{i}", f"absdiff_{i}"]
+    per_eig = np.stack([phi, integral, absdiff], axis=2).reshape(len(pts), -1)
+    _write_csv(outdir / "oracle_check.csv", np.hstack([pts, per_eig]), ",".join(header))
 
     max_diffs = np.max(absdiff, axis=0)  # NaN where skipped
     text_lines = ["oracle check (collocation vs path integral)"]

@@ -72,8 +72,8 @@ def scalar_gram(prob, lam):
     """A[a, b] = L_a^x L_b^y k entry by entry from the scalar kernel functions."""
     s = prob.kernel.sigma
     Z, F = prob.centers, prob.fld.evaluate_at(prob.centers)
-    n = prob.n_centers
-    o = np.zeros(2)
+    n, d = Z.shape
+    o = np.zeros(d)
     ref = np.empty((prob.size, prob.size))
     for a in range(n):
         za, fa = Z[a], F[a]

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from koopman_lyap import cpa
+from koopman_lyap import cpa, pipeline
 from koopman_lyap.box import Box
 from koopman_lyap.cpa import (
     BBound,
@@ -107,8 +107,10 @@ def test_simplex_gradient_of_square_term():
 
 
 def test_gradient_rejects_wrong_value_count(tri_small):
+    # certify checks the count once, before any simplex gradient is formed
+    fld = parse_vector_field(["-1*x1", "-1*x2"])
     with pytest.raises(CPAError, match="vertex_values"):
-        _simplex_gradients(tri_small, np.zeros(4))
+        certify(tri_small, np.zeros(4), fld, BBound(np.zeros((2, 2))))
 
 
 # --- curvature bound -------------------------------------------------------------
@@ -303,15 +305,19 @@ def test_failures_csv_format(tmp_path, radial_setup):
     bad[victim] = -1.0
     report = certify(tri, bad, fld, BBound(40.0 * np.eye(2)))
     path = tmp_path / "failures.csv"
-    report.write_failures_csv(path)
+    pipeline._write_failures(path, report)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "simplex_index,vertex_index,x1,x2,lhs_margin"
+    assert report.n_lc2_failures > 0
     assert len(lines) == 1 + report.n_lc1_failures + report.n_lc2_failures
-    first = lines[1].split(",")
     # positivity rows carry simplex index -1 and the global vertex index
-    assert first[0] == "-1"
-    assert int(first[1]) == victim
-    assert float(first[4]) == -1.0
+    x1, x2 = tri.vertices[victim]
+    assert lines[1] == f"-1,{victim},{x1:.17g},{x2:.17g},-1"
+    # decrease rows: simplex index, local vertex index, the vertex, the margin
+    bad_s, bad_i = np.nonzero(report.lc2_failed)
+    for line, s, i in zip(lines[2:], bad_s, bad_i, strict=True):
+        x1, x2 = tri.vertices[tri.simplices[s, i]]
+        assert line == f"{s},{i},{x1:.17g},{x2:.17g},{report.lc2_margins[s, i]:.17g}"
 
 
 def test_certify_input_validation(radial_setup):
@@ -402,8 +408,8 @@ def test_blockwise_certify_matches_whole_mesh(chunk, monkeypatch, tmp_path):
     for attr in ("n_lc1_failures", "n_pairs_checked", "n_lc2_failures"):
         assert getattr(report, attr) == getattr(ref, attr), attr
     assert 0 < report.n_lc2_failures < report.n_pairs_checked
-    report.write_failures_csv(tmp_path / "blocks.csv")
-    ref.write_failures_csv(tmp_path / "whole.csv")
+    pipeline._write_failures(tmp_path / "blocks.csv", report)
+    pipeline._write_failures(tmp_path / "whole.csv", ref)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 

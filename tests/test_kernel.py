@@ -91,31 +91,43 @@ def test_derivatives_match_finite_differences():
 # --- the collocation engine ------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_block_forms_match_scalar(seed):
+_FIELDS = {
+    1: ["-2*x1 + x1^2"],
+    2: ["-2*x1", "-3*(x2 - x1^2)"],
+    3: ["-2*x1 + x2*x3", "-3*x2 + x1^2", "-5*x3 + x1*x2"],
+}
+
+
+@pytest.mark.parametrize(
+    "d, seed",
+    [pytest.param(2, seed, id=str(seed)) for seed in range(6)]
+    + [pytest.param(1, 0, id="d1"), pytest.param(3, 0, id="d3")],
+)
+def test_block_forms_match_scalar(d, seed):
     # the separable engine against the scalar reference formulas: every
     # basis column's value and gradient, and every Gram entry, on a tensor
     # grid, an odd grid (one center moved off the origin), scattered centers
-    # and no centers at all
-    fld = parse_vector_field(["-2*x1", "-3*(x2 - x1^2)"])
+    # and no centers at all, for a field in 1, 2 and 3 dimensions
+    fld = parse_vector_field(_FIELDS[d])
     lin = linearize(fld)
-    box = Box(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
+    box = Box(np.full(d, -4.0), np.full(d, 4.0))
     rng = np.random.default_rng(seed)
     center_sets = {
         "tensor": uniform_centers(box, 4),
         "odd": uniform_centers(box, 5),
-        "scattered": rng.uniform(-4, 4, size=(20, 2)),
-        "empty": np.zeros((0, 2)),
+        "scattered": rng.uniform(-4, 4, size=(20, d)),
+        "empty": np.zeros((0, d)),
     }
-    X = rng.uniform(-4, 4, size=(6, 2))
+    X = rng.uniform(-4, 4, size=(6, d))
     for name, Z in center_sets.items():
         prob = CollocationProblem(kernel=GaussianKernel(sigma=3.0), fld=fld, lin=lin, centers=Z, domain=box, eta=0.0)
         n, m = prob.n_centers, prob.size
         F = fld.evaluate_at(prob.centers)
         values = np.empty((len(lin.eigenvalues), 6, m))
-        grads = np.empty((len(lin.eigenvalues), 6, m, 2))
-        for j in range(m):
-            h, g = basis_solution(prob, j).evaluate_with_gradient(X)
+        grads = np.empty((len(lin.eigenvalues), 6, m, d))
+        sols = [basis_solution(prob, j) for j in range(m)]
+        for j, sol in enumerate(sols):
+            h, g = sol.evaluate_with_gradient(X)
             values[:, :, j] = h.T
             grads[:, :, j] = g.transpose(1, 0, 2)
         for ev, lam in enumerate(lin.eigenvalues):
@@ -129,14 +141,17 @@ def test_block_forms_match_scalar(seed):
                 assert values[ev, i, n] == pytest.approx(ref[n], rel=1e-15), name
                 np.testing.assert_allclose(values[ev, i, n + 1 :], ref[n + 1 :], rtol=1e-14, atol=1e-16)
                 assert rel_err(grads[ev, i], ref_grads) <= 1e-6, name
-
-                def basis_values(v):
-                    return [basis_solution(prob, j).evaluate_many(v[None, :])[0, ev] for j in range(m)]
-
-                assert rel_err(fd_jacobian(basis_values, x), grads[ev, i]) <= 1e-6, name
             A = assemble_system(prob)[0][ev]
             ref = scalar_gram(prob, lam)
             assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+        def basis_values(v):
+            # every eigenvalue's basis columns at v, eigenvalue-major
+            return np.array([sol.evaluate_many(v[None, :])[0] for sol in sols]).T.ravel()
+
+        for i, x in enumerate(X):
+            fd = fd_jacobian(basis_values, x).reshape(grads[:, i].shape)
+            assert rel_err(fd, grads[:, i]) <= 1e-6, name
 
 
 def test_constructor_validation():

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
+from koopman_lyap import pipeline
 from koopman_lyap.box import Box
+from koopman_lyap.config import RunConfig
 from koopman_lyap.expr import parse_vector_field
 from koopman_lyap.koopman import EigenfunctionSet
-from koopman_lyap.lyapunov import (
-    LyapunovError,
-    LyapunovModel,
-    SurfaceGrid,
-    diagnostics,
-    grid_eval,
-    solve_p,
-)
+from koopman_lyap.lyapunov import LyapunovError, LyapunovModel, diagnostics, solve_p
 
 from fakes import CubicExact, ZeroH
+
+
+def _box(lo, hi):
+    return Box(np.array([lo, lo]), np.array([hi, hi]))
 
 
 @pytest.fixture(scope="module")
@@ -131,38 +130,53 @@ def test_model_validates_p(exact_model):
 # --- diagnostics -----------------------------------------------------------------
 
 
-def test_diagnostics_report_values(exact_model, cubic_field):
-    domain = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-    grid = grid_eval(exact_model, cubic_field, domain, 41)
-    rep = diagnostics(exact_model, fill_dist=0.123, grid=grid)
-    assert rep.fill_dist == 0.123
-    assert rep.lambda_bar == -2.0
-    assert rep.alpha == 2.0
-    # P = diag(1/4, 1/6): its spectral norm is 1/(2 alpha)
-    assert rep.p_norm2 == 0.25
-    np.testing.assert_allclose(rep.sup_phi, [2.0, 14.0], atol=1e-12)
-    text = rep.format_text()
-    assert "fill distance" in text
-    assert "||P||_2 (= 1 / (2 alpha)):      0.25\n" in text
-    assert "<=" not in text
-    assert "sup |phi_2|" in text
+def test_diagnostics_report_values(exact_model):
+    phi = exact_model.eigenfunctions.value_many(_box(-2.0, 2.0).grid(41))
+    text = diagnostics(exact_model, fill_dist=0.123, phi=phi)
+    assert text.split("\n") == [
+        "diagnostics",
+        "  fill distance (probe estimate): 0.123",
+        "  lambda_bar (max eigenvalue):    -2",
+        "  alpha (min |eigenvalue|):       2",
+        # P = diag(1/4, 1/6): its spectral norm is 1/(2 alpha)
+        "  ||P||_2 (= 1 / (2 alpha)):      0.25",
+        "  sup |phi_1| on probe grid:     2",
+        "  sup |phi_2| on probe grid:     14",
+        "",
+    ]
 
 
-# --- surface grids ---------------------------------------------------------------
+# --- surfaces written by the lyapunov stage ------------------------------------------
 
 
-def test_surface_grid_csv_format(tmp_path, exact_model, cubic_field):
-    domain = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    grid = grid_eval(exact_model, cubic_field, domain, 3).V
-    path = tmp_path / "V.csv"
-    grid.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "# domain -1 1 -1 1; resolution 3 3; quantity V"
-    assert len(lines) == 1 + 9
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+def _stage_surfaces(tmp_path, monkeypatch, exact_model, lo, hi, n):
+    """Run the lyapunov stage on the exact eigenfunctions over the test grid
+    [lo, hi]^2 with n nodes per axis; the V and Vdot files' lines."""
+    eigset = exact_model.eigenfunctions
+    system = ("-2*x1", "-3*(x2 - x1^2)")
+    cfg = RunConfig(system=system, domain=_box(-5.0, 5.0), test_domain=_box(lo, hi), test_resolution=n)
+    loaded = (parse_vector_field(system), None, eigset, {"fill_distance": 0.5})
+    monkeypatch.setattr(pipeline, "load_eigenfunctions", lambda cfg, outdir: loaded)
+    model, _ = pipeline.stage_lyapunov(cfg, tmp_path)
+    np.testing.assert_array_equal(model.P, exact_model.P)
+    return [(tmp_path / f"{q}.csv").read_text().split("\n") for q in ("V", "Vdot")]
+
+
+def _rows(lines):
+    assert lines[-1] == ""
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:-1]])
+
+
+def test_surface_grid_csv_format(tmp_path, monkeypatch, exact_model):
+    v_lines, vdot_lines = _stage_surfaces(tmp_path, monkeypatch, exact_model, -1.0, 1.0, 3)
+    assert v_lines[0] == "# domain -1 1 -1 1; resolution 3 3; quantity V"
+    assert vdot_lines[0] == "# domain -1 1 -1 1; resolution 3 3; quantity Vdot"
+    rows = _rows(v_lines)
+    assert rows.shape == (9, 3)
     # row-major with the first coordinate slowest
     np.testing.assert_array_equal(rows[:3, 0], [-1.0, -1.0, -1.0])
     np.testing.assert_array_equal(rows[:3, 1], [-1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(_rows(vdot_lines)[:, :2], rows[:, :2])
     # origin row carries V(0) = 0 exactly
     origin_row = rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)]
     assert origin_row.shape == (1, 3)
@@ -171,34 +185,17 @@ def test_surface_grid_csv_format(tmp_path, exact_model, cubic_field):
     np.testing.assert_array_equal(rows[:, 2], exact_model.value_many(rows[:, :2]))
 
 
-def test_grid_eval_corners(exact_model, cubic_field):
-    domain = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    grid = grid_eval(exact_model, cubic_field, domain, 2)
-    assert grid.V.values.shape == (2, 2)
-    assert np.all(grid.V.values > 0.0)
-    assert np.all(grid.Vdot.values < 0.0)
+def test_grid_eval_corners(tmp_path, monkeypatch, exact_model):
+    v_lines, vdot_lines = _stage_surfaces(tmp_path, monkeypatch, exact_model, -1.0, 1.0, 2)
+    V, Vdot = _rows(v_lines)[:, 2], _rows(vdot_lines)[:, 2]
+    assert V.shape == (4,)
+    assert np.all(V > 0.0)
+    assert np.all(Vdot < 0.0)
 
 
-def test_grid_eval_smoke_on_large_grid(exact_model, cubic_field):
-    domain = Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
-    grid = grid_eval(exact_model, cubic_field, domain, 60).Vdot
-    assert grid.values.shape == (60, 60)
-    assert np.all(np.isfinite(grid.values))
-    assert np.all(grid.values <= 0.0)
-
-
-def test_grid_eval_rejects_bad_input():
-    fld1 = parse_vector_field(["-1*x1"])
-    model1 = LyapunovModel(
-        eigenfunctions=EigenfunctionSet([-1.0], [[1.0]], ZeroH()), P=solve_p([-1.0])
-    )
-    dom1 = Box(np.array([-1.0]), np.array([1.0]))
-    with pytest.raises(LyapunovError, match="2-D"):
-        grid_eval(model1, fld1, dom1, 3)
-
-
-def test_surface_grid_rectangular_resolution(exact_model, cubic_field):
-    domain = Box(np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
-    grid = grid_eval(exact_model, cubic_field, domain, (3, 5)).V
-    assert grid.values.shape == (3, 5)
-    assert grid.resolution == (3, 5)
+def test_grid_eval_smoke_on_large_grid(tmp_path, monkeypatch, exact_model):
+    _, vdot_lines = _stage_surfaces(tmp_path, monkeypatch, exact_model, -5.0, 5.0, 60)
+    Vdot = _rows(vdot_lines)[:, 2]
+    assert Vdot.shape == (3600,)
+    assert np.all(np.isfinite(Vdot))
+    assert np.all(Vdot <= 0.0)
