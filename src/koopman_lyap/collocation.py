@@ -78,26 +78,26 @@ densely (numpy has no triangular solve, and a dense solve with all of L
 would cost O(m^3) again). A zero right-hand side (w . G vanishing at every
 center, as for a linear eigenfunction) has the exact solution alpha = 0,
 so its system is never formed; its ridge comes from the diagonal in closed
-form. f at the centers and every right-hand side are checked for
-non-finite entries before any system is assembled, and each Gram matrix
-before it is factored; one that is not numerically positive definite, or
-whose solution fails the residual check, falls back to least squares. The
-non-finite check, the residual check and the rebuild of A for least
-squares each pass over A in _CHUNK-row blocks, so solving a system holds
-no second m x m array. Assembly and evaluation are chunked so memory stays
-flat in the number of points.
+form. f is evaluated at the centers once per problem; it and every
+right-hand side are checked for non-finite entries before any system is
+assembled, and each Gram matrix before it is factored. A system that is not
+numerically positive definite, or whose solution fails the residual check,
+raises SingularSystemError: its ridge is too small. The non-finite check and
+the residual check each pass over A in _CHUNK-row blocks, so solving a
+system holds no second m x m array. Assembly and evaluation are chunked so
+memory stays flat in the number of points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .box import Box
-from .dynamics import Linearization, nonlinear_part
+from .dynamics import Linearization
 from .expr import VectorField
 from .kernel import GaussianKernel
 
@@ -122,7 +122,8 @@ class CollocationError(ValueError):
 
 
 class SingularSystemError(np.linalg.LinAlgError):
-    """Gram system unsolvable even by least squares."""
+    """A Gram system that is not numerically positive definite at its ridge:
+    Cholesky fails, or its solution fails the residual check."""
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,11 @@ class CollocationProblem:
         indices placing z_b at (a_1[i_1], .., a_d[i_d])."""
         pairs = [np.unique(col, return_inverse=True) for col in self.centers.T]
         return [a for a, _ in pairs], np.stack([i for _, i in pairs], axis=1)
+
+    @cached_property
+    def center_field(self) -> np.ndarray:
+        """f at the centers, shape (n, d)."""
+        return self.fld.evaluate_at(self.centers)
 
 
 def _has_close_pair(lattice, Z: np.ndarray, tol: float) -> bool:
@@ -269,23 +275,23 @@ def _rhs(problem: CollocationProblem) -> np.ndarray:
     n = len(Z)
     b = np.zeros((len(problem.lin.eigenvalues), problem.size))
     if n:
-        G = nonlinear_part(problem.fld, problem.lin, Z.T).T
+        G = (problem.center_field.T - problem.lin.E @ Z.T).T
         for bi, w in zip(b, problem.lin.left_eigenvectors):
             bi[:n] = -(G @ w)
     return b
 
 
-def _ridges(problem: CollocationProblem, F: np.ndarray) -> np.ndarray:
-    """The ridge of every eigenvalue's system, shape (k,); F is f at the
-    centers. eta None means 1e-10 trace(A) / m, with the diagonal of A in
-    closed form (u = 0 on it): |f(z_a)|^2 / sigma^2 + lambda^2 on the PDE
-    rows, 1 on the value row and 1 / sigma^2 on the derivative rows, each
-    rounded as assembly rounds it."""
+def _ridges(problem: CollocationProblem) -> np.ndarray:
+    """The ridge of every eigenvalue's system, shape (k,). eta None means
+    1e-10 trace(A) / m, with the diagonal of A in closed form (u = 0 on it):
+    |f(z_a)|^2 / sigma^2 + lambda^2 on the PDE rows, 1 on the value row and
+    1 / sigma^2 on the derivative rows, each rounded as assembly rounds it."""
     lams = problem.lin.eigenvalues
     if problem.eta is not None:
         return np.full(len(lams), float(problem.eta))
     d = problem.fld.dim
     s2 = problem.kernel.sigma**2
+    F = problem.center_field
     ff = sum(F[:, l] * F[:, l] for l in range(d)) / s2
     origin = np.r_[1.0, np.full(d, 1.0 / s2)]
     return np.array(
@@ -293,11 +299,11 @@ def _ridges(problem: CollocationProblem, F: np.ndarray) -> np.ndarray:
     )
 
 
-def _gram(problem: CollocationProblem, F: np.ndarray, lam: float, eta: float) -> np.ndarray:
+def _gram(problem: CollocationProblem, lam: float, eta: float) -> np.ndarray:
     """Gram matrix of the eigenvalue lam, shape (m, m), symmetric with the
     ridge eta on its diagonal, one chunk of PDE rows at a time, each block
-    off the diagonal formed once and mirrored; F is f at the centers."""
-    Z = problem.centers
+    off the diagonal formed once and mirrored."""
+    Z, F = problem.centers, problem.center_field
     n, d = Z.shape
     m = n + 1 + d
     s2 = problem.kernel.sigma**2
@@ -357,9 +363,8 @@ def assemble_system(problem: CollocationProblem):
     """Gram matrices, right-hand sides and ridges of every eigenvalue's
     system: A (k, m, m), the stacked _gram of each eigenvalue, each A[i] with
     its ridge eta[i] on the diagonal; b (k, m); eta (k,). solve never holds it."""
-    F = problem.fld.evaluate_at(problem.centers)
-    eta = _ridges(problem, F)
-    A = np.stack([_gram(problem, F, lam, e) for lam, e in zip(problem.lin.eigenvalues, eta)])
+    eta = _ridges(problem)
+    A = np.stack([_gram(problem, lam, e) for lam, e in zip(problem.lin.eigenvalues, eta)])
     return A, _rhs(problem), eta
 
 
@@ -371,12 +376,7 @@ class CollocationSolution:
     problem: CollocationProblem
     alpha: np.ndarray  # (k, m)
     eta_used: np.ndarray  # (k,)
-    method: tuple  # (k,) of "cholesky" | "lstsq" | "zero"
-    center_field_values: np.ndarray = dc_field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.center_field_values is None:
-            self.center_field_values = self.problem.fld.evaluate_at(self.problem.centers)
+    method: tuple  # (k,) of "cholesky" | "zero"
 
     # -- evaluation ----------------------------------------------------------
 
@@ -388,7 +388,7 @@ class CollocationSolution:
         n, d = prob.centers.shape
         a = self.alpha[:, :n]
         beta = [-prob.lin.eigenvalues[:, None] * a]
-        beta += [a * f / prob.kernel.sigma**2 for f in self.center_field_values.T]
+        beta += [a * f / prob.kernel.sigma**2 for f in prob.center_field.T]
         C = np.zeros((d + 1, len(a), *map(len, prob.lattice[0])))
         C[(slice(None), slice(None), *prob.lattice[1].T)] = beta
         return np.moveaxis(C, 2, 1).reshape(d + 1, C.shape[2], len(a) * math.prod(C.shape[3:]))
@@ -482,41 +482,34 @@ def _rows(A: np.ndarray, diag: np.ndarray):
         yield s, e, R
 
 
-def _solve_system(A: np.ndarray, b: np.ndarray, lam: float):
-    """alpha with A alpha = b and the method that found it. A is overwritten:
-    the Cholesky factor takes its lower triangle, and the residual check reads
-    A's rows back from the strict upper triangle and the saved diagonal, as
-    does least squares, which gets A rebuilt in place. solve passes each Gram
-    matrix straight in, so it is freed on return."""
+def _solve_system(A: np.ndarray, b: np.ndarray, lam: float, eta: float) -> np.ndarray:
+    """alpha with A alpha = b, by Cholesky. A is overwritten: the factor
+    takes its lower triangle, and the residual check reads A's rows back from
+    the strict upper triangle and the saved diagonal. solve passes each Gram
+    matrix straight in, so it is freed on return. A system that does not
+    factor, or whose solution is not finite or leaves a residual above 1e-8
+    of the system's scale, raises SingularSystemError naming lam and eta."""
     m = len(b)
     if not all(np.isfinite(A[s : s + _CHUNK]).all() for s in range(0, m, _CHUNK)):
         raise CollocationError(f"the Gram system of lambda = {lam:.6g} has {_NON_FINITE}")
     diag = A.diagonal().copy()
+    where = f"the Gram system of lambda = {lam:.6g} with eta = {eta:.6g}"
+    advice = "raise eta or omit it for the automatic ridge"
     try:
         alpha = _cholesky_solve(A, b)
-        norm, resid = np.max(
-            [
-                (np.abs(R).sum(axis=1).max(), np.max(np.abs(R @ alpha - b[s:e])))
-                for s, e, R in _rows(A, diag)
-            ],
-            axis=0,
-        )
-        scale = float(
-            norm * np.max(np.abs(alpha), initial=0.0) + np.max(np.abs(b), initial=0.0)
-        )
-        if np.all(np.isfinite(alpha)) and not resid > 1e-8 * max(scale, 1e-300):
-            return alpha, "cholesky"
-    except np.linalg.LinAlgError:
-        pass
-    for s, e, R in _rows(A, diag):
-        A[s:e] = R
-    try:
-        alpha = np.linalg.lstsq(A, b, rcond=None)[0]
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    if not np.all(np.isfinite(alpha)):
-        raise SingularSystemError("least-squares solution is not finite")
-    return alpha, "lstsq"
+        raise SingularSystemError(f"{where} is not numerically positive definite; {advice}") from exc
+    norm, resid = np.max(
+        [
+            (np.abs(R).sum(axis=1).max(), np.max(np.abs(R @ alpha - b[s:e])))
+            for s, e, R in _rows(A, diag)
+        ],
+        axis=0,
+    )
+    scale = float(norm * np.max(np.abs(alpha), initial=0.0) + np.max(np.abs(b), initial=0.0))
+    if not np.all(np.isfinite(alpha)) or resid > 1e-8 * max(scale, 1e-300):
+        raise SingularSystemError(f"{where} leaves a Cholesky residual of {resid:.3g}; {advice}")
+    return alpha
 
 
 def solve(problem: CollocationProblem) -> CollocationSolution:
@@ -526,23 +519,17 @@ def solve(problem: CollocationProblem) -> CollocationSolution:
     before any system is assembled. A zero right-hand side has the exact
     solution alpha = 0, so its system is neither assembled nor factored and
     method records "zero". Each other Gram matrix is assembled, checked for
-    non-finite entries, solved and freed before the next is assembled. It is
-    factored by Cholesky; least squares takes over when it is not numerically
-    positive definite, or when the Cholesky solution is not finite or leaves
-    a residual above 1e-8 of the system's scale. method records the solver.
+    non-finite entries, solved by Cholesky and freed before the next is
+    assembled, and method records "cholesky". One that is not numerically
+    positive definite, or whose solution is not finite or leaves a residual
+    above 1e-8 of the system's scale, raises SingularSystemError.
     """
-    F = problem.fld.evaluate_at(problem.centers)
-    b, eta = _rhs(problem), _ridges(problem, F)
+    F, b, eta = problem.center_field, _rhs(problem), _ridges(problem)
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(b))):
         raise CollocationError(f"the collocation systems have {_NON_FINITE}")
     lams = problem.lin.eigenvalues
     alphas, methods = np.zeros(b.shape), ["zero"] * len(b)
     for i in np.flatnonzero(np.any(b, axis=1)):
-        alphas[i], methods[i] = _solve_system(_gram(problem, F, lams[i], eta[i]), b[i], lams[i])
-    return CollocationSolution(
-        problem=problem,
-        alpha=alphas,
-        eta_used=eta,
-        method=tuple(methods),
-        center_field_values=F,
-    )
+        alphas[i] = _solve_system(_gram(problem, lams[i], eta[i]), b[i], lams[i], eta[i])
+        methods[i] = "cholesky"
+    return CollocationSolution(problem=problem, alpha=alphas, eta_used=eta, method=tuple(methods))

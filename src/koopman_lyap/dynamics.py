@@ -20,7 +20,6 @@ __all__ = [
     "BlowUpError",
     "Linearization",
     "linearize",
-    "nonlinear_part",
     "rk4_step",
 ]
 
@@ -123,15 +122,6 @@ def linearize(field: VectorField) -> Linearization:
     ev.setflags(write=False)
     vecs.setflags(write=False)
     return Linearization(E=E, eigenvalues=ev, left_eigenvectors=vecs)
-
-
-def nonlinear_part(field: VectorField, lin: Linearization, x) -> np.ndarray:
-    """G(x) = f(x) - E x, the purely nonlinear remainder.
-
-    Accepts x of shape (d,) or a batch (d, m); G(0) = 0 and DG(0) = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    return field.evaluate(x) - lin.E @ x
 
 
 def rk4_step(field: VectorField, x: np.ndarray, dt: float, k1=None) -> np.ndarray:

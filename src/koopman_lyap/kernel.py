@@ -7,6 +7,7 @@ comes from the vector field. The kernel itself only carries the bandwidth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["GaussianKernel"]
@@ -17,5 +18,5 @@ class GaussianKernel:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ValueError("sigma must be positive and finite")

@@ -68,6 +68,8 @@ class LyapunovModel:
         P = np.asarray(self.P, dtype=float)
         if P.shape != (d, d):
             raise LyapunovError(f"P must be {d}x{d}")
+        if not np.all(np.isfinite(P)):
+            raise LyapunovError("P must be finite")
         if np.max(np.abs(P - P.T)) > 1e-12 * max(1.0, np.max(np.abs(P))):
             raise LyapunovError("P must be symmetric")
         P.setflags(write=False)

@@ -155,24 +155,25 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
     coefficients, and report each eigenfunction's PDE residual
     |grad phi . f - lambda phi| on the residual probe grid of the test
     window. The eigenfunction set, and as text the fill distance and each
-    eigenvalue's ridge, largest residual and solver (cholesky, lstsq, zero)."""
+    eigenvalue's ridge, largest residual and solver (cholesky, zero).
+    Nothing but linearization.json is written until the solve and the
+    residuals succeed, so a failed stage leaves the previous solution's
+    centers, coefficients and eigenfunctions.json together."""
     (fld, lin), _ = stage_linearize(cfg, outdir)
 
     kern = GaussianKernel(sigma=cfg.sigma)
     centers = uniform_centers(cfg.domain, cfg.grid_n)
     rho = fill_distance(centers, cfg.domain)
-
-    _write_csv(outdir / _CENTERS, centers)
-
     eigset = build_eigenfunctions(fld, lin, kern, centers, cfg.domain, cfg.eta)
     sol = eigset.h
-    alpha_files = [f"eigenfunction_{i}_alpha.csv" for i in range(1, len(eigset) + 1)]
-    for name, alpha in zip(alpha_files, sol.alpha):
-        _write_csv(outdir / name, alpha)
-
     X = _residual_probes(cfg.test_domain)
     phi, dphi = eigset.evaluate_with_derivative(fld, X)
     resid = np.abs(dphi - phi * eigset.eigenvalues)
+
+    _write_csv(outdir / _CENTERS, centers)
+    alpha_files = [f"eigenfunction_{i}_alpha.csv" for i in range(1, len(eigset) + 1)]
+    for name, alpha in zip(alpha_files, sol.alpha):
+        _write_csv(outdir / name, alpha)
     meta = {
         "system": list(cfg.system),
         "sigma": cfg.sigma,

@@ -332,6 +332,80 @@ def test_empty_model_json_exits_1(tiny_cfg_path, finished_run, tmp_path, capsys)
     assert str(tmp_path / "model.json") in err and "'P'" in err
 
 
+def _sigma_infinite(outdir):
+    path = outdir / "eigenfunctions.json"
+    meta = json.loads(path.read_text())
+    meta["sigma"] = math.inf
+    path.write_text(json.dumps(meta))
+    return path
+
+
+def _model_p(value):
+    def damage(outdir):
+        path = outdir / "model.json"
+        saved = json.loads(path.read_text())
+        saved["P"][0][0] = value
+        path.write_text(json.dumps(saved))
+        return path
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, stages, message",
+    [
+        (_sigma_infinite, ["lyapunov", "certify"], "sigma must be positive and finite"),
+        (_model_p(math.nan), ["certify"], "P must be finite"),
+        (_model_p(math.inf), ["certify"], "P must be finite"),
+    ],
+    ids=["sigma-inf", "P-nan", "P-inf"],
+)
+def test_non_finite_persisted_numbers_exit_1(
+    tiny_cfg_path, finished_run, tmp_path, capsys, damage, stages, message
+):
+    # json reads Infinity and NaN; an infinite sigma would otherwise evaluate
+    # a flat kernel and exit 0, and a NaN P pass the symmetry check
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    damage(tmp_path)
+    for stage in stages:
+        assert cli.main([stage, str(tiny_cfg_path), "--output-dir", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
+
+def _unfactorable(tmp_path, name, box="lower = -2 -2\nupper = 2 2"):
+    """The tiny config with sigma = 3 and no ridge on its 10 x 10 centers,
+    whose Gram system is not numerically positive definite."""
+    cfg = tmp_path / name
+    cfg.write_text(
+        _TINY.format(outdir=(tmp_path / "out").as_posix())
+        .replace("sigma = 1", "sigma = 3")
+        .replace("lower = -2 -2\nupper = 2 2", box)
+    )
+    return cfg
+
+
+def test_unfactorable_system_exits_2_naming_eta(tmp_path, capsys):
+    assert cli.main(["eigenfunctions", str(_unfactorable(tmp_path, "flat.cfg"))]) == 2
+    err = capsys.readouterr().err
+    assert "not numerically positive definite" in err and "raise eta" in err
+
+
+def test_failed_eigenfunctions_stage_keeps_the_previous_solution(tiny_cfg_path, tmp_path, capsys):
+    # B's centers differ from A's; had the failed stage written them, a later
+    # lyapunov would evaluate A's coefficients on B's centers
+    a_out, b_out = tmp_path / "a", tmp_path / "b"
+    for stage in ("eigenfunctions", "lyapunov"):
+        assert cli.main([stage, str(tiny_cfg_path), "--output-dir", str(a_out)]) == 0
+    shutil.copytree(a_out, b_out)
+    solved = {p.name: p.read_bytes() for p in b_out.iterdir() if p.name != "linearization.json"}
+    cfg_b = _unfactorable(tmp_path, "b.cfg", "lower = -3 -3\nupper = 3 3")
+    assert cli.main(["eigenfunctions", str(cfg_b), "--output-dir", str(b_out)]) == 2
+    assert {name: (b_out / name).read_bytes() for name in solved} == solved
+    assert cli.main(["lyapunov", str(cfg_b), "--output-dir", str(b_out)]) == 0
+    capsys.readouterr()
+    assert (b_out / "V.csv").read_bytes() == (a_out / "V.csv").read_bytes()
+
+
 def test_classify_error_mapping():
     assert classify_error(ConfigError("x")) == 1
     assert classify_error(TypeError("x")) == 1
@@ -448,7 +522,19 @@ def test_traced_cli_runs(tiny_cfg_path, tmp_path):
         traced, spans, "run", tiny_cfg_path, "--output-dir", tmp_path / "out", "--threads", 1
     )
     assert proc.returncode == 0, proc.stderr
-    recorded = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    trace = json.loads(spans.read_text())
+    # the targets the tracer already misses; one more means a per-layer
+    # metric of the benchmark went blank
+    assert sorted(trace["absent"]) == [
+        "collocation.CollocationSolution.gradient_many",
+        "kernel.GaussianKernel.cross_hessian_matrix",
+        "kernel.GaussianKernel.grad_x_matrix",
+        "kernel.GaussianKernel.grad_y_matrix",
+        "kernel.GaussianKernel.value_matrix",
+        "lyapunov.LyapunovModel.orbital_derivative_many",
+        "lyapunov.SurfaceGrid.to_csv",
+    ]
+    recorded = {span[0] for span in trace["spans"]}
     # a layer the tracer no longer reaches drops out of the benchmark silently
     expected = {
         "cli.main",

@@ -12,6 +12,7 @@ from koopman_lyap.box import Box
 from koopman_lyap.collocation import (
     CollocationError,
     CollocationProblem,
+    SingularSystemError,
     _cholesky_solve,
     assemble_system,
     fill_distance,
@@ -616,31 +617,6 @@ def test_residual_check_reads_back_the_assembled_rows(setup, monkeypatch):
         np.testing.assert_array_equal(_bits(np.vstack([R for *_, R in blocks])), _bits(S))
 
 
-def test_lstsq_receives_the_assembled_matrix(setup, monkeypatch):
-    # with sigma = 1.5 and eta = 0 the m = 147 systems are positive definite
-    # in their first 64-column panel and fail in the second, so least squares
-    # gets A rebuilt from the upper triangle and the saved diagonal
-    prob = _two_system_problem(setup, n_per_axis=12, sigma=1.5)
-    A, b, _ = assemble_system(prob)
-    panels, received = [], []
-    cholesky, lstsq = np.linalg.cholesky, np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: panels.append(1) or cholesky(a))
-
-    def recording_lstsq(a, rhs, rcond=None):
-        received.append((len(panels), a.copy(), rhs.copy()))
-        panels.clear()
-        return lstsq(a, rhs, rcond=rcond)
-
-    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
-    sol = solve(prob)
-    assert sol.method == ("lstsq", "lstsq")
-    assert len(received) == 2
-    for (n_panels, a, rhs), Ai, bi in zip(received, A, b):
-        assert n_panels == 2
-        np.testing.assert_array_equal(_bits(a), _bits(_upper_mirrored(Ai)))
-        np.testing.assert_array_equal(rhs, bi)
-
-
 def test_solve_working_set_is_a_few_row_blocks(setup):
     # m = 579, so one Gram matrix is 4.5 blocks of _CHUNK rows. Beside the one
     # Gram matrix alive, solve holds a few such blocks at a time, and the
@@ -649,32 +625,44 @@ def test_solve_working_set_is_a_few_row_blocks(setup):
     m = prob.size
     assert m == 579
     gram, block = 8 * m * m, 8 * collocation._CHUNK * m
-    A, b, _ = assemble_system(prob)
+    A, b, eta = assemble_system(prob)
     tracemalloc.start()
     try:
         sol = solve(prob)
         solve_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        alpha, method = collocation._solve_system(A[1], b[1], prob.lin.eigenvalues[1])
+        alpha = collocation._solve_system(A[1], b[1], prob.lin.eigenvalues[1], eta[1])
         system_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert sol.method == ("cholesky", "cholesky") and method == "cholesky"
+    assert sol.method == ("cholesky", "cholesky")
     np.testing.assert_array_equal(alpha, sol.alpha[1])
     assert solve_peak - gram <= 5 * block
     assert system_peak <= 3 * block
 
 
-def test_cholesky_failure_falls_back_to_lstsq(setup):
+def test_unfactorable_system_raises_naming_lambda_and_eta(setup):
     # a wide kernel on a dense grid without ridge is not numerically
-    # positive definite, so the factorization fails
+    # positive definite, so the factorization fails and nothing else is tried
     fld, lin, domain, _, _ = setup
     prob = CollocationProblem(
         kernel=GaussianKernel(sigma=3.0),
         fld=fld, lin=lin,
         centers=uniform_centers(domain, 10), domain=domain, eta=0.0,
     )
-    sol = solve(prob)
-    assert sol.method[1] == "lstsq"
-    assert np.all(np.isfinite(sol.alpha))
+    with pytest.raises(SingularSystemError, match="not numerically positive definite") as err:
+        solve(prob)
+    assert f"lambda = {lin.eigenvalues[1]:.6g} with eta = 0 " in str(err.value)
+    assert "raise eta or omit it for the automatic ridge" in str(err.value)
+
+
+def test_cholesky_solution_failing_the_residual_check_raises(setup, monkeypatch):
+    # 10% off the true alpha leaves a residual of 0.1 |b|, about ten times
+    # 1e-8 of these systems' scale ||A|| |alpha| + |b|
+    factor = collocation._cholesky_solve
+    monkeypatch.setattr(collocation, "_cholesky_solve", lambda A, b: factor(A, b) * 1.1)
+    with pytest.raises(SingularSystemError, match="leaves a Cholesky residual") as err:
+        solve(_two_system_problem(setup, eta=None))
+    assert "with eta = " in str(err.value) and "raise eta" in str(err.value)
+

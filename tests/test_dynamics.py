@@ -8,7 +8,6 @@ from koopman_lyap.dynamics import (
     SpectrumError,
     jacobian_exprs,
     linearize,
-    nonlinear_part,
     rk4_step,
 )
 from koopman_lyap.expr import parse_vector_field
@@ -90,49 +89,6 @@ def test_jacobian_exprs_entries(cubic_field):
     rows = jacobian_exprs(cubic_field)
     vals = np.array([[e.evaluate((1.0, 2.0)) for e in row] for row in rows])
     np.testing.assert_allclose(vals, [[-2.0, 0.0], [6.0, -3.0]], atol=1e-14)
-
-
-def test_nonlinear_part_values(cubic_field):
-    lin = linearize(cubic_field)
-    np.testing.assert_allclose(
-        nonlinear_part(cubic_field, lin, np.array([1.0, 1.0])), [0.0, 3.0]
-    )
-    np.testing.assert_allclose(
-        nonlinear_part(cubic_field, lin, np.zeros(2)), [0.0, 0.0]
-    )
-
-
-def test_nonlinear_part_duffing(duffing_field):
-    lin = linearize(duffing_field)
-    pts = np.random.default_rng(0).uniform(-2, 2, size=(25, 2))
-    for p in pts:
-        np.testing.assert_allclose(
-            nonlinear_part(duffing_field, lin, p),
-            [0.0, -p[0] ** 3],
-            atol=1e-12,
-        )
-
-
-def test_nonlinear_part_batch(cubic_field):
-    lin = linearize(cubic_field)
-    pts = np.random.default_rng(1).uniform(-2, 2, size=(30, 2))
-    batch = nonlinear_part(cubic_field, lin, pts.T)
-    assert batch.shape == (2, 30)
-    for j, p in enumerate(pts):
-        np.testing.assert_allclose(
-            batch[:, j], nonlinear_part(cubic_field, lin, p), atol=1e-14
-        )
-
-
-def test_nonlinear_part_is_second_order(cubic_field, duffing_field):
-    # ||G(x)|| = O(||x||^2) near the origin
-    rng = np.random.default_rng(2)
-    for fld in (cubic_field, duffing_field):
-        lin = linearize(fld)
-        for _ in range(50):
-            x = rng.uniform(-1e-3, 1e-3, size=2)
-            g = nonlinear_part(fld, lin, x)
-            assert np.linalg.norm(g) <= 10.0 * np.linalg.norm(x) ** 2
 
 
 # --- integration -------------------------------------------------------------

@@ -10,7 +10,6 @@ from koopman_lyap.dynamics import (
     BlowUpError,
     DynamicsError,
     linearize,
-    nonlinear_part,
     rk4_step,
 )
 from koopman_lyap.expr import parse_vector_field
@@ -177,7 +176,7 @@ def _scalar_path_integral(fld, lin, lam, w, x, t_max, dt):
     h = t_max / n_steps
 
     def g(t, state):
-        return float(np.exp(-lam * t) * (w @ nonlinear_part(fld, lin, state)))
+        return float(np.exp(-lam * t) * (w @ (fld.evaluate(state) - lin.E @ state)))
 
     total, state, g_prev, quiet = 0.0, x, g(0.0, x), 0
     for k in range(n_steps):
