@@ -66,6 +66,29 @@ lambda and w differ between eigenvalues, so one problem covers the whole
 spectrum, solved one eigenvalue at a time: each Gram matrix is assembled,
 factored and freed before the next is assembled.
 
+Mirror symmetry. Let S be a diagonal sign matrix with f(S x) = S f(x) and
+S z_a = z_Sa another center for every center. The Gaussian is invariant
+under S, L_a composed with u -> u(S .) is L_Sa, the value functional is even
+and the derivative functional l has the sign S_ll, so A[Sa, Sb] = A[a, b].
+In the orthonormal basis (e_a + p e_Sa) / sqrt 2, p = +-1, together with
+the origin functionals of sign p, A is therefore block diagonal with one
+block per parity (Fassler & Stiefel, Group Theoretical Methods and Their
+Applications, 1992). A right-hand side with b_Sa = p b_a lies in block p,
+so only that block is assembled, straight from one representative a of
+each pair: A[a, b] + p A[a, Sb] between PDE rows and sqrt 2 A[a, o] against
+an origin functional o. It has about n / 2 + 2 unknowns, needs half the
+kernel entries of the full upper triangle in a quarter of the memory, and
+keeps the ridge eta on its diagonal; its solution y expands back to all m
+functionals as alpha_a = y_a / sqrt 2, alpha_Sa = p alpha_a. S is found,
+not configured: the first of the 2^d - 1 non-identity sign matrices whose
+flipped axes are mirrored lattices (a_l == -a_l[::-1], index i pairs with
+n_l - 1 - i) that fix no center, with F(S Z) = S F(Z) to 4 ulps of max|F|
+and every nonzero b even or odd to 1e-13 of max|b|. Without one, the one
+block of every system is the full system. uniform_centers builds each axis
+of a box symmetric about 0 mirrored bit for bit; an odd grid puts centers
+on a mirror line and moves the one at the origin off it, so it is solved
+whole.
+
 For distinct functionals the Gram matrix is positive definite (Giesl &
 Wendland, SIAM J. Numer. Anal. 45, 2007) and a ridge eta is added to its
 diagonal, so it is solved by Cholesky, factored in place: L overwrites the
@@ -202,12 +225,18 @@ def _has_close_pair(lattice, Z: np.ndarray, tol: float) -> bool:
 def uniform_centers(domain: Box, n_per_axis: int) -> np.ndarray:
     """Uniform grid of n_per_axis points per axis, endpoints included.
 
-    A grid point landing on the origin is moved by half a cell diagonal so
-    the origin itself is never a center.
+    An axis whose box is symmetric about 0 is built as (a - a[::-1]) / 2, so
+    its coordinates are mirror images bit for bit. A grid point landing on
+    the origin is moved by half a cell diagonal so the origin itself is
+    never a center.
     """
     if n_per_axis < 2:
         raise CollocationError("n_per_axis must be at least 2")
-    pts = domain.grid(n_per_axis)
+    axes = [
+        (a - a[::-1]) / 2.0 if lo == -hi else a
+        for a, lo, hi in zip(domain.axes(n_per_axis), domain.lower, domain.upper)
+    ]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     half_cell = domain.widths / (n_per_axis - 1) / 2.0
     hits = np.linalg.norm(pts, axis=1) <= 1e-12
     pts[hits] = half_cell
@@ -299,63 +328,176 @@ def _ridges(problem: CollocationProblem) -> np.ndarray:
     )
 
 
-def _gram(problem: CollocationProblem, lam: float, eta: float) -> np.ndarray:
-    """Gram matrix of the eigenvalue lam, shape (m, m), symmetric with the
-    ridge eta on its diagonal, one chunk of PDE rows at a time, each block
-    off the diagonal formed once and mirrored."""
+@dataclass(frozen=True)
+class _Block:
+    """The functionals one Gram block is solved over. Row a < r of the block
+    is the PDE functional centers[a], or with mirrors the combination
+    (L_centers[a] + parity L_mirrors[a]) / sqrt 2; row r + j is origin
+    functional origin[j] (0 the value, 1 + l the derivative l). The full
+    system is the block of every center, no mirrors and every origin
+    functional."""
+
+    centers: np.ndarray
+    mirrors: np.ndarray | None
+    parity: int
+    origin: np.ndarray
+
+    @classmethod
+    def full(cls, n: int, d: int) -> _Block:
+        return cls(np.arange(n), None, 1, np.arange(d + 1))
+
+    @property
+    def scale(self) -> float:
+        """sqrt 2 when the rows pair mirrors, else 1: a PDE row's inner
+        product with a vector of this parity, over its entry at centers[a]."""
+        return 1.0 if self.mirrors is None else math.sqrt(2.0)
+
+    @property
+    def size(self) -> int:
+        return len(self.centers) + len(self.origin)
+
+    def rhs(self, b: np.ndarray) -> np.ndarray:
+        """The block's right-hand side of b (m,); 0 on the origin rows."""
+        c = np.zeros(self.size)
+        c[: len(self.centers)] = b[self.centers] * self.scale
+        return c
+
+    def expand(self, y: np.ndarray, n: int, m: int) -> np.ndarray:
+        """alpha (m,) over all m functionals of the block's solution y."""
+        r = len(self.centers)
+        alpha = np.zeros(m)
+        alpha[self.centers] = y[:r] / self.scale
+        if self.mirrors is not None:
+            alpha[self.mirrors] = self.parity * alpha[self.centers]
+        alpha[n + self.origin] = y[r:]
+        return alpha
+
+
+def _mirror_split(problem: CollocationProblem, b: np.ndarray):
+    """(signs, blocks): the diagonal of the first non-identity sign matrix S
+    under which the problem is symmetric, and per eigenvalue the block its
+    right-hand side lies in (None for a zero one). Symmetric means: the
+    mirror S z of every center is another center, F(S Z) = S F(Z) to 4 ulps
+    of max|F|, and each nonzero b is even or odd to 1e-13 of max|b|. With
+    no such S, signs is None and every block is the full system."""
     Z, F = problem.centers, problem.center_field
     n, d = Z.shape
-    m = n + 1 + d
-    s2 = problem.kernel.sigma**2
+    zero = ~np.any(b, axis=1)
+    trivial = None, [None if z else _Block.full(n, d) for z in zero]
+    if not n:
+        return trivial
     axes, index = problem.lattice
-    gram_1d = [np.exp(np.subtract.outer(a, a) ** 2 / (-2.0 * s2)) for a in axes]
+    mirrored = np.array([np.array_equal(a, -a[::-1]) for a in axes])
+    if not mirrored.any():
+        return trivial
+    dims = np.array([len(a) for a in axes])
+    keys = np.ravel_multi_index(index.T, dims)
+    order = np.argsort(keys)
+    tol_f = 4 * np.finfo(float).eps * np.max(np.abs(F))
+    bn, tol_b = b[:, :n], 1e-13 * np.max(np.abs(b), axis=1)
+    for code in range(1, 2**d):
+        flip = (code >> np.arange(d)) & 1 == 1
+        if not np.all(mirrored[flip]):
+            continue
+        signs = np.where(flip, -1, 1)
+        mirror_keys = np.ravel_multi_index(np.where(flip, dims - 1 - index, index).T, dims)
+        at = np.minimum(np.searchsorted(keys, mirror_keys, sorter=order), n - 1)
+        pair = order[at]
+        if np.any(keys[pair] != mirror_keys) or np.any(pair == np.arange(n)):
+            continue
+        if np.max(np.abs(F[pair] - F * signs)) > tol_f:
+            continue
+        even = np.max(np.abs(bn[:, pair] - bn), axis=1) <= tol_b
+        odd = np.max(np.abs(bn[:, pair] + bn), axis=1) <= tol_b
+        if not np.all(zero | even | odd):
+            continue
+        rep = np.flatnonzero(np.arange(n) < pair)
+        origin_signs = np.r_[1, signs]
+        blocks = [
+            None if z else _Block(rep, pair[rep], p, np.flatnonzero(origin_signs == p))
+            for z, p in zip(zero, [1 if e else -1 for e in even])
+        ]
+        return tuple(int(v) for v in signs), blocks
+    return trivial
 
-    A = np.empty((m, m))
-    for s in range(0, n, _CHUNK):
-        rows = slice(s, min(s + _CHUNK, n))
-        Za, Fa, Zb, Fb = Z[rows], F[rows], Z[s:], F[s:]
-        # out = f(z_a) . f(z_b) / sigma^2 - (T - lambda)(R + lambda) with
-        # u = z_a - z_b per axis, T = u . f(z_b) / sigma^2, R = u . f(z_a) / sigma^2.
-        # u_ba = -u_ab exactly, so the mirrored entries are those computed from row b.
-        out = A[rows, s:n]
-        np.multiply.outer(Fa[:, 0], Fb[:, 0], out=out)
-        for l in range(1, d):
-            out += np.multiply.outer(Fa[:, l], Fb[:, l])
-        out /= s2
-        u = Za[:, 0, None] - Zb[:, 0]
-        T = u * Fb[:, 0]
-        R = u * Fa[:, 0, None]
-        for l in range(1, d):
-            np.subtract(Za[:, l, None], Zb[:, l], out=u)
-            T += u * Fb[:, l]
-            R += u * Fa[:, l, None]
-        T /= s2
-        R /= s2
-        T -= lam
-        R += lam
-        R *= T
-        out -= R
-        # T is spent; its buffer takes K, gathered from the 1-D Gram factors.
-        # Freeing u, T and R here instead lets the allocator trim the heap
-        # and fault it back in every chunk (60 000 more page faults at m = 3603).
-        T.fill(1.0)
-        for G1, i in zip(gram_1d, index.T):
-            T *= G1[np.ix_(i[rows], i[s:])]
-        out *= T
-        A[s:n, rows] = out.T
-        values, grads = _origin_columns(Za, s2)
-        A[rows, n:] = np.einsum("cqd,cd->cq", grads, Fa) - lam * values
+
+def _pde_entries(
+    out: np.ndarray, problem: CollocationProblem, gram_1d, lam: float, a: np.ndarray, b: np.ndarray
+) -> None:
+    """out[i, j] = A[a_i, b_j], the Gram entries of the PDE functionals at
+    centers a (rows) and b (columns), for the eigenvalue lam."""
+    Z, F = problem.centers, problem.center_field
+    _, index = problem.lattice
+    d = Z.shape[1]
+    s2 = problem.kernel.sigma**2
+    Za, Fa, Zb, Fb = Z[a], F[a], Z[b], F[b]
+    # out = f(z_a) . f(z_b) / sigma^2 - (T - lambda)(R + lambda) with
+    # u = z_a - z_b per axis, T = u . f(z_b) / sigma^2, R = u . f(z_a) / sigma^2.
+    # u_ba = -u_ab exactly, so the mirrored entries are those computed from row b.
+    np.multiply.outer(Fa[:, 0], Fb[:, 0], out=out)
+    for l in range(1, d):
+        out += np.multiply.outer(Fa[:, l], Fb[:, l])
+    out /= s2
+    u = Za[:, 0, None] - Zb[:, 0]
+    T = u * Fb[:, 0]
+    R = u * Fa[:, 0, None]
+    for l in range(1, d):
+        np.subtract(Za[:, l, None], Zb[:, l], out=u)
+        T += u * Fb[:, l]
+        R += u * Fa[:, l, None]
+    T /= s2
+    R /= s2
+    T -= lam
+    R += lam
+    R *= T
+    out -= R
+    # T is spent; its buffer takes K, gathered from the 1-D Gram factors.
+    # Freeing u, T and R here instead lets the allocator trim the heap
+    # and fault it back in every chunk (60 000 more page faults at m = 3603).
+    T.fill(1.0)
+    for G1, i in zip(gram_1d, index.T):
+        T *= G1[np.ix_(i[a], i[b])]
+    out *= T
+
+
+def _gram(problem: CollocationProblem, lam: float, eta: float, block: _Block) -> np.ndarray:
+    """Gram matrix of the eigenvalue lam over the block's functionals, shape
+    (size, size), symmetric with the ridge eta on its diagonal, one chunk of
+    PDE rows at a time, each block off the diagonal formed once and
+    mirrored. The full block gives the m x m system."""
+    n, d = problem.centers.shape
+    s2 = problem.kernel.sigma**2
+    gram_1d = [np.exp(np.subtract.outer(a, a) ** 2 / (-2.0 * s2)) for a in problem.lattice[0]]
+    rep, mirrors = block.centers, block.mirrors
+    r, k = len(rep), block.size
+
+    A = np.empty((k, k))
+    for s in range(0, r, _CHUNK):
+        rows = slice(s, min(s + _CHUNK, r))
+        out = A[rows, s:r]
+        _pde_entries(out, problem, gram_1d, lam, rep[rows], rep[s:])
+        if mirrors is not None:
+            partner = np.empty_like(out)
+            _pde_entries(partner, problem, gram_1d, lam, rep[rows], mirrors[s:])
+            partner *= block.parity
+            out += partner
+        A[s:r, rows] = out.T
+        values, grads = _origin_columns(problem.centers[rep[rows]], s2)
+        cols = np.einsum("cqd,cd->cq", grads, problem.center_field[rep[rows]]) - lam * values
+        A[rows, r:] = cols[:, block.origin] * block.scale
 
     # the origin rows are the origin columns transposed, then the origin
     # functionals at x = 0; column n mirrors row n, as -x_l K0 / sigma^2 gives
     # -0.0 where x_l K0 / sigma^2 gives +0.0
     values, grads = _origin_columns(np.zeros((1, d)), s2)
-    A[n:, :n] = A[:n, n:].T
-    A[n, n:] = values[0]
-    A[n + 1 :, n:] = grads[0].T
-    A[n + 1 :, n] = A[n, n + 1 :]
+    O = np.empty((d + 1, d + 1))
+    O[0] = values[0]
+    O[1:] = grads[0].T
+    O[1:, 0] = O[0, 1:]
+    A[r:, :r] = A[:r, r:].T
+    A[r:, r:] = O[np.ix_(block.origin, block.origin)]
     if eta:
-        A[np.diag_indices(m)] += eta
+        A[np.diag_indices(k)] += eta
     return A
 
 
@@ -363,8 +505,8 @@ def assemble_system(problem: CollocationProblem):
     """Gram matrices, right-hand sides and ridges of every eigenvalue's
     system: A (k, m, m), the stacked _gram of each eigenvalue, each A[i] with
     its ridge eta[i] on the diagonal; b (k, m); eta (k,). solve never holds it."""
-    eta = _ridges(problem)
-    A = np.stack([_gram(problem, lam, e) for lam, e in zip(problem.lin.eigenvalues, eta)])
+    eta, full = _ridges(problem), _Block.full(*problem.centers.shape)
+    A = np.stack([_gram(problem, lam, e, full) for lam, e in zip(problem.lin.eigenvalues, eta)])
     return A, _rhs(problem), eta
 
 
@@ -377,6 +519,10 @@ class CollocationSolution:
     alpha: np.ndarray  # (k, m)
     eta_used: np.ndarray  # (k,)
     method: tuple  # (k,) of "cholesky" | "zero"
+    # the diagonal of the mirror S the systems were split by, None unsplit
+    symmetry: tuple | None = None
+    parity: tuple | None = None  # (k,) of 1 | -1 | None (zero or unsplit)
+    unknowns: tuple | None = None  # (k,) the size of each solved system, 0 for "zero"
 
     # -- evaluation ----------------------------------------------------------
 
@@ -518,18 +664,32 @@ def solve(problem: CollocationProblem) -> CollocationSolution:
     A non-finite f at the centers or right-hand side raises CollocationError
     before any system is assembled. A zero right-hand side has the exact
     solution alpha = 0, so its system is neither assembled nor factored and
-    method records "zero". Each other Gram matrix is assembled, checked for
-    non-finite entries, solved by Cholesky and freed before the next is
-    assembled, and method records "cholesky". One that is not numerically
-    positive definite, or whose solution is not finite or leaves a residual
-    above 1e-8 of the system's scale, raises SingularSystemError.
+    method records "zero". Each other system is reduced to the block of its
+    right-hand side's parity under the problem's mirror symmetry (the full
+    system without one), and that block is assembled, checked for non-finite
+    entries, solved by Cholesky and freed before the next is assembled;
+    method records "cholesky". One that is not numerically positive
+    definite, or whose solution is not finite or leaves a residual above
+    1e-8 of the system's scale, raises SingularSystemError.
     """
     F, b, eta = problem.center_field, _rhs(problem), _ridges(problem)
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(b))):
         raise CollocationError(f"the collocation systems have {_NON_FINITE}")
-    lams = problem.lin.eigenvalues
-    alphas, methods = np.zeros(b.shape), ["zero"] * len(b)
-    for i in np.flatnonzero(np.any(b, axis=1)):
-        alphas[i] = _solve_system(_gram(problem, lams[i], eta[i]), b[i], lams[i], eta[i])
-        methods[i] = "cholesky"
-    return CollocationSolution(problem=problem, alpha=alphas, eta_used=eta, method=tuple(methods))
+    signs, blocks = _mirror_split(problem, b)
+    lams, n, m = problem.lin.eigenvalues, problem.n_centers, problem.size
+    alphas = np.zeros(b.shape)
+    for i, block in enumerate(blocks):
+        if block is not None:
+            A = _gram(problem, lams[i], eta[i], block)
+            y = _solve_system(A, block.rhs(b[i]), lams[i], eta[i])
+            alphas[i] = block.expand(y, n, m)
+            del A  # freed before the next system is assembled
+    return CollocationSolution(
+        problem=problem,
+        alpha=alphas,
+        eta_used=eta,
+        method=tuple("zero" if B is None else "cholesky" for B in blocks),
+        symmetry=signs,
+        parity=tuple(None if B is None or signs is None else B.parity for B in blocks),
+        unknowns=tuple(0 if B is None else B.size for B in blocks),
+    )

@@ -155,7 +155,8 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
     coefficients, and report each eigenfunction's PDE residual
     |grad phi . f - lambda phi| on the residual probe grid of the test
     window. The eigenfunction set, and as text the fill distance and each
-    eigenvalue's ridge, largest residual and solver (cholesky, zero).
+    eigenvalue's ridge, largest residual and solver (cholesky, zero), and
+    for a solved one its unknowns and the mirror split they come from.
     Nothing but linearization.json is written until the solve and the
     residuals succeed, so a failed stage leaves the previous solution's
     centers, coefficients and eigenfunctions.json together."""
@@ -166,6 +167,7 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
     rho = fill_distance(centers, cfg.domain)
     eigset = build_eigenfunctions(fld, lin, kern, centers, cfg.domain, cfg.eta)
     sol = eigset.h
+    parity = {1: "even", -1: "odd", None: None}
     X = _residual_probes(cfg.test_domain)
     phi, dphi = eigset.evaluate_with_derivative(fld, X)
     resid = np.abs(dphi - phi * eigset.eigenvalues)
@@ -187,6 +189,9 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
                 "left_eigenvector": e.w.tolist(),
                 "eta_used": float(sol.eta_used[e.i]),
                 "method": sol.method[e.i],
+                "symmetry": None if sol.symmetry is None else list(sol.symmetry),
+                "parity": parity[sol.parity[e.i]],
+                "unknowns": sol.unknowns[e.i],
                 "pde_residual_max": float(np.max(r)),
                 "pde_residual_rms": float(np.sqrt(np.mean(r * r))),
                 "pde_residual_argmax": X[np.argmax(r)].tolist(),
@@ -198,10 +203,21 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
     lines = [f"fill distance: {rho:.12g}"]
     lines += [
         f"eigenvalue {e['eigenvalue']:.6g}: eta = {e['eta_used']:.6g}, max PDE "
-        f"residual = {e['pde_residual_max']:.6e} ({e['method']})"
+        f"residual = {e['pde_residual_max']:.6e} ({e['method']}){_split_text(e, sol.problem.size)}"
         for e in meta["eigenfunctions"]
     ]
     return eigset, "\n".join(lines) + "\n"
+
+
+def _split_text(entry: dict, m: int) -> str:
+    """How a solved eigenfunction's system was split: its unknowns of m, and
+    the parity and mirror S of its block; empty for a skipped system."""
+    if entry["method"] != "cholesky":
+        return ""
+    if entry["parity"] is None:
+        return f": {entry['unknowns']} of {m} unknowns, no mirror symmetry"
+    S = ", ".join(str(v) for v in entry["symmetry"])
+    return f": {entry['unknowns']} of {m} unknowns, {entry['parity']} under S = diag({S})"
 
 
 def load_eigenfunctions(cfg: RunConfig, outdir: Path):

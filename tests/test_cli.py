@@ -159,6 +159,49 @@ def test_eigenfunctions_json_reports_pde_residuals(tiny_cfg_path, finished_run):
     assert meta["eigenfunctions"][1]["pde_residual_max"] > 0.0
 
 
+def test_eigenfunctions_json_records_the_split(finished_run):
+    # the tiny system is example1 on a symmetric box with 10 x 10 centers:
+    # phi_2's right-hand side is even under S = diag(-1, 1), so its block
+    # holds 50 center pairs, the value and d/dx2; phi_1's system is skipped
+    meta = json.loads((finished_run / "eigenfunctions.json").read_text())
+    split = [(e["symmetry"], e["parity"], e["unknowns"]) for e in meta["eigenfunctions"]]
+    assert split == [([-1, 1], None, 0), ([-1, 1], "even", 52)]
+
+
+def test_artifacts_without_the_split_keys_still_load(tiny_cfg_path, finished_run, tmp_path):
+    # eigenfunctions.json written before the split was recorded
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "eigenfunctions.json"
+    meta = json.loads(path.read_text())
+    for entry in meta["eigenfunctions"]:
+        for key in ("symmetry", "parity", "unknowns"):
+            del entry[key]
+    path.write_text(json.dumps(meta))
+    assert cli.main(["lyapunov", str(tiny_cfg_path), "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "V.csv").read_bytes() == (finished_run / "V.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, signs, parity", [("duffing", [-1, -1], "odd"), ("example1", [-1, 1], "even")]
+)
+def test_bundled_configs_solve_one_mirror_block(name, signs, parity, tmp_path, capsys):
+    # both bundled fields are mirror symmetric on a symmetric box; at an even
+    # grid_n every solved system is one block of n / 2 center pairs and two
+    # origin functionals, n = grid_n^2, so losing the exact mirror (a lattice
+    # built by linspace alone) doubles the factored system and fails here
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(bundled_config_path(name).read_text().replace("grid_n = 60", "grid_n = 10"))
+    assert cli.main(["eigenfunctions", str(cfg), "--output-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    meta = json.loads((tmp_path / "eigenfunctions.json").read_text())
+    solved = [e for e in meta["eigenfunctions"] if e["method"] == "cholesky"]
+    assert solved
+    for e in solved:
+        assert (e["symmetry"], e["parity"], e["unknowns"]) == (signs, parity, 52)
+    text = f"(cholesky): 52 of 103 unknowns, {parity} under S = diag({', '.join(map(str, signs))})"
+    assert out.count(text) == len(solved)
+
+
 def test_rerun_is_byte_identical(tiny_cfg_path, finished_run, tmp_path):
     code = cli.main(["run", str(tiny_cfg_path), "--output-dir", str(tmp_path)])
     assert code == 0

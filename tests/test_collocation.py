@@ -11,6 +11,8 @@ from koopman_lyap import collocation
 from koopman_lyap.box import Box
 from koopman_lyap.collocation import (
     CollocationError,
+    _Block,
+    _mirror_split,
     CollocationProblem,
     SingularSystemError,
     _cholesky_solve,
@@ -19,6 +21,7 @@ from koopman_lyap.collocation import (
     solve,
     uniform_centers,
 )
+from koopman_lyap.config import bundled_config_path, load_config
 from koopman_lyap.dynamics import linearize
 from koopman_lyap.expr import parse_vector_field
 from koopman_lyap.kernel import GaussianKernel
@@ -75,6 +78,17 @@ def test_uniform_centers_even_count_untouched(setup):
     assert np.min(np.linalg.norm(pts, axis=1)) > 0.1
     # endpoints included
     assert pts[:, 0].min() == -2.0 and pts[:, 0].max() == 2.0
+
+
+def test_uniform_centers_mirror_symmetric_axes_exactly():
+    # the axis symmetric about 0 pairs every coordinate with its negative bit
+    # for bit, which linspace alone does only to ~1e-15; the other is linspace
+    domain = Box(np.array([-2.0, -1.0]), np.array([2.0, 3.0]))
+    pts = uniform_centers(domain, 10)
+    a1, a2 = np.unique(pts[:, 0]), np.unique(pts[:, 1])
+    np.testing.assert_array_equal(a1, -a1[::-1])
+    assert a1[0] == -2.0 and a1[-1] == 2.0
+    np.testing.assert_array_equal(a2, np.linspace(-1.0, 3.0, 10))
 
 
 def test_uniform_centers_needs_two_per_axis(setup):
@@ -666,3 +680,133 @@ def test_cholesky_solution_failing_the_residual_check_raises(setup, monkeypatch)
         solve(_two_system_problem(setup, eta=None))
     assert "with eta = " in str(err.value) and "raise eta" in str(err.value)
 
+
+
+# --- mirror split -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, signs, parity", [("duffing", (-1, -1), (-1, -1)),
+                                                 ("example1", (-1, 1), (None, 1))])
+def test_eigenfunctions_have_the_parity_of_their_block(name, signs, parity):
+    # phi = w . x + h with alpha_Sa = p alpha_a on mirrored centers, so
+    # phi(S x) = p phi(x) up to the rounding of a sum over alpha
+    cfg = load_config(bundled_config_path(name))
+    fld = parse_vector_field(cfg.system)
+    prob = CollocationProblem(
+        kernel=GaussianKernel(sigma=cfg.sigma), fld=fld, lin=linearize(fld),
+        centers=uniform_centers(cfg.domain, 12), domain=cfg.domain, eta=cfg.eta,
+    )
+    sol = solve(prob)
+    assert sol.symmetry == signs and sol.parity == parity
+    assert sol.unknowns == tuple(0 if p is None else prob.n_centers // 2 + 2 for p in parity)
+    S = np.array(signs)
+    X = np.random.default_rng(0).uniform(prob.domain.lower, prob.domain.upper, size=(200, 2))
+    phi = X @ prob.lin.left_eigenvectors.T + sol.evaluate_many(X)
+    phi_S = (X * S) @ prob.lin.left_eigenvectors.T + sol.evaluate_many(X * S)
+    for i, p in enumerate(parity):
+        if p is None:  # a linear eigenfunction: w . S x = -w . x here
+            np.testing.assert_array_equal(sol.alpha[i], np.zeros(prob.size))
+            continue
+        bound = 16 * np.finfo(float).eps * np.abs(sol.alpha[i]).sum()
+        assert np.max(np.abs(phi_S[:, i] - p * phi[:, i])) <= bound
+
+
+def _block_basis(block, n, m):
+    """Q (m, size): the block's functionals as orthonormal columns."""
+    Q = np.zeros((m, block.size))
+    r = len(block.centers)
+    Q[block.centers, np.arange(r)] = 1.0 / block.scale
+    Q[block.mirrors, np.arange(r)] = block.parity / block.scale
+    Q[n + block.origin, r + np.arange(len(block.origin))] = 1.0
+    return Q
+
+
+@pytest.mark.parametrize("chunk", [128, 7])
+@pytest.mark.parametrize("parity", [1, -1])
+def test_block_is_the_full_gram_matrix_in_the_mirror_basis(setup, parity, chunk, monkeypatch):
+    # the block assembled from the representatives' rows equals Q^T A Q of
+    # the full matrix, ridge eta on its diagonal, and is symmetric bit for
+    # bit; the even block holds the value and d/dx2 rows, the odd one d/dx1
+    monkeypatch.setattr(collocation, "_CHUNK", chunk)
+    prob = _problem(setup, eta=1e-3, centers=uniform_centers(setup[2], 12))
+    n, m = prob.n_centers, prob.size
+    signs, blocks = _mirror_split(prob, collocation._rhs(prob))
+    assert signs == (-1, 1) and blocks[1].parity == 1
+    even = blocks[1]
+    np.testing.assert_array_equal(even.origin, [0, 2])
+    block = even if parity == 1 else _Block(even.centers, even.mirrors, -1, np.array([1]))
+    A, _, eta = assemble_system(prob)
+    lam = prob.lin.eigenvalues[1]
+    K = collocation._gram(prob, lam, eta[1], block)
+    Q = _block_basis(block, n, m)
+    np.testing.assert_allclose(Q.T @ Q, np.eye(block.size), atol=1e-15)
+    assert K.shape == (n // 2 + len(block.origin),) * 2
+    np.testing.assert_array_equal(K, K.T)
+    assert np.max(np.abs(K - Q.T @ A[1] @ Q)) <= 1e-14 * np.max(np.abs(A[1]))
+
+
+def test_block_solution_matches_cholesky_solve_of_the_full_system(setup):
+    # eta = 0.1 keeps the condition number near 2e4, so the half-size block
+    # and the full system agree to rounding in the size of alpha
+    prob = _problem(setup, eta=0.1, centers=uniform_centers(setup[2], 12))
+    sol = solve(prob)
+    assert sol.symmetry == (-1, 1) and sol.unknowns == (0, 74)
+    A, b, _ = assemble_system(prob)
+    expected = _cholesky_solve(A[1], b[1])
+    bound = 256 * np.finfo(float).eps * np.abs(expected).sum()
+    assert np.max(np.abs(sol.alpha[1] - expected)) <= bound
+
+
+_BOX = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "system, domain, n_per_axis",
+    [
+        # example1 with a term that no diagonal sign matrix keeps
+        (["-2*x1", "-3*(x2 - x1^2) + x1*x2"], _BOX, 10),
+        # example1 with its odd component perturbed by 1e-9 x2: every right-hand
+        # side keeps its parity, and only f at the mirrored centers tells
+        (["-2*x1 + 1e-9*x2", "-3*(x2 - x1^2)"], _BOX, 10),
+        # example1 on an odd grid: centers on x1 = 0 and the moved origin center
+        (["-2*x1", "-3*(x2 - x1^2)"], _BOX, 9),
+        # an odd grid on a box off the origin: every mirror is a center, but the
+        # centers on x1 = 0 are their own
+        (["-2*x1", "-3*(x2 - x1^2)"], Box(np.array([-2.0, 1.0]), np.array([2.0, 3.0])), 9),
+        # example1 on a box not symmetric in x1
+        (["-2*x1", "-3*(x2 - x1^2)"], Box(np.array([-2.0, -2.0]), np.array([2.5, 2.0])), 10),
+    ],
+    ids=["no-symmetry", "perturbed-odd-term", "odd-grid", "centers-on-the-mirror", "asymmetric-box"],
+)
+def test_solve_falls_back_to_the_full_system(system, domain, n_per_axis):
+    fld = parse_vector_field(system)
+    prob = CollocationProblem(
+        kernel=GaussianKernel(sigma=SIGMA), fld=fld, lin=linearize(fld),
+        centers=uniform_centers(domain, n_per_axis), domain=domain, eta=None,
+    )
+    sol = solve(prob)
+    assert sol.symmetry is None and sol.parity == (None, None)
+    assert sol.method[1] == "cholesky"
+    A, b, _ = assemble_system(prob)
+    for Ai, bi, alpha, method, unknowns in zip(A, b, sol.alpha, sol.method, sol.unknowns):
+        assert unknowns == (prob.size if method == "cholesky" else 0)
+        if method == "cholesky":
+            np.testing.assert_array_equal(alpha, _cholesky_solve(Ai, bi))
+
+
+def test_split_solve_working_set_is_the_block_and_a_few_row_blocks(setup):
+    # m = 1603 and the even block has k = 802 unknowns: solve holds one k x k
+    # Gram block, a quarter of 8 m^2, and a few blocks of _CHUNK of its rows
+    prob = _problem(setup, eta=None, centers=uniform_centers(setup[2], 40))
+    m, k = prob.size, prob.n_centers // 2 + 2
+    gram, block = 8 * k * k, 8 * collocation._CHUNK * k
+    assert gram + 6 * block < 8 * m * m / 2
+    prob.center_field, prob.lattice
+    tracemalloc.start()
+    try:
+        sol = solve(prob)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.unknowns == (0, k)
+    assert solve_peak - gram <= 6 * block
