@@ -634,7 +634,11 @@ def _solve_system(A: np.ndarray, b: np.ndarray, lam: float, eta: float) -> np.nd
     the strict upper triangle and the saved diagonal. solve passes each Gram
     matrix straight in, so it is freed on return. A system that does not
     factor, or whose solution is not finite or leaves a residual above 1e-8
-    of the system's scale, raises SingularSystemError naming lam and eta."""
+    of the system's scale ||A|| |alpha| + |b| (max norms), raises
+    SingularSystemError naming lam and eta. That bounds the normwise backward
+    error and guards the hand-written factor; it cannot see a forward error
+    in alpha on these ill-conditioned systems (alpha * 2 passes on the
+    bundled ones). The PDE residual is the accuracy measure."""
     m = len(b)
     if not all(np.isfinite(A[s : s + _CHUNK]).all() for s in range(0, m, _CHUNK)):
         raise CollocationError(f"the Gram system of lambda = {lam:.6g} has {_NON_FINITE}")

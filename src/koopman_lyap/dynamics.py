@@ -33,7 +33,8 @@ class EquilibriumError(DynamicsError):
 
 
 class SpectrumError(DynamicsError):
-    """Spectrum of the Jacobian is complex, repeated, or not Hurwitz."""
+    """The Jacobian is not finite, or its spectrum is complex, repeated, or
+    not Hurwitz."""
 
 
 class BlowUpError(RuntimeError):
@@ -76,16 +77,19 @@ def linearize(field: VectorField) -> Linearization:
     """Exact Jacobian at 0 plus validated eigenvalues and left eigenvectors."""
     d = field.dim
     origin = np.zeros(d)
-    f0 = field.evaluate(origin)
-    if np.max(np.abs(f0)) > 1e-12:
+    jac = jacobian_exprs(field)
+    # overflow and inf - inf are reported below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0 = field.evaluate(origin)
+        E = np.array(
+            [[float(jac[i][j].evaluate(origin)) for j in range(d)] for i in range(d)]
+        )
+    if not np.max(np.abs(f0)) <= 1e-12:  # a NaN fails too
         raise EquilibriumError(
             f"origin is not an equilibrium: |f(0)| = {np.max(np.abs(f0)):.3e}"
         )
-
-    jac = jacobian_exprs(field)
-    E = np.array(
-        [[float(jac[i][j].evaluate(origin)) for j in range(d)] for i in range(d)]
-    )
+    if not np.all(np.isfinite(E)):
+        raise SpectrumError(f"the Jacobian at the origin is not finite: {E.tolist()}")
 
     # Left eigenvectors of E are right eigenvectors of E^T.
     ev, W = np.linalg.eig(E.T)

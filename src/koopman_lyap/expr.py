@@ -8,6 +8,8 @@ ASTs are immutable trees. Differentiation is structural (no numerics) and the
 constructors fold constant subtrees, so derivative trees stay small. Node
 evaluation goes through numpy, so a variable may be bound to a scalar or to an
 ndarray; arrays broadcast through every operation.
+Parsed constants, literal or folded, are finite. Parsing, evaluation and
+differentiation recurse once per level, so nesting and tree depth are capped.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ __all__ = [
     "parse_expression",
     "parse_vector_field",
 ]
+
+_MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
+_OUT_OF_RANGE = "constant outside the floating-point range"
 
 _FUNCTIONS = {
     "sin": (np.sin, math.sin),
@@ -323,6 +329,7 @@ class _Parser:
         self.dim = dim
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # unary() calls open, one per nesting level
 
     def peek(self):
         return self.tokens[self.i]
@@ -367,11 +374,17 @@ class _Parser:
                 return node
 
     def unary(self) -> _Node:
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, pos)
         if kind == "op" and value == "-":
             self.advance()
-            return _neg(self.unary())
-        return self.power()
+            node = _neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> _Node:
         node = self.atom()
@@ -425,7 +438,18 @@ def parse_expression(text: str, dim: int) -> ExprAST:
         raise ExprError("dim must be at least 1")
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    return ExprAST(_Parser(text, dim).parse(), dim)
+    try:
+        root = _Parser(text, dim).parse()
+    except OverflowError:  # folding ^ or a function of a constant
+        raise ExprError(_OUT_OF_RANGE) from None
+    level = [root]  # the tree, one level at a time
+    for _ in range(_MAX_DEPTH):
+        if any(isinstance(n, Const) and not math.isfinite(n.value) for n in level):
+            raise ExprError(_OUT_OF_RANGE)
+        level = [c for n in level for c in vars(n).values() if isinstance(c, _Node)]
+        if not level:
+            return ExprAST(root, dim)
+    raise ExprError(_TOO_DEEP)
 
 
 def parse_vector_field(texts) -> VectorField:

@@ -10,6 +10,8 @@ along the flow s_t, valid when -lambda_i + 2 max_j lambda_j < 0.
 path_integral_phi computes it for a batch of points and eigenvalues from one
 set of trajectories. The two routes share no code beyond the flow integrator,
 which makes the integral a useful cross-check of the collocated surrogate.
+The set, the convergence margins and the integral read lambda_i and w_i from
+one Linearization.
 """
 
 from __future__ import annotations
@@ -19,18 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .box import Box
-from .collocation import CollocationProblem, CollocationSolution
-from .collocation import solve as solve_collocation
 from .dynamics import BlowUpError, DynamicsError, Linearization, rk4_step
 from .expr import VectorField
-from .kernel import GaussianKernel
 
 __all__ = [
     "ConvergenceConditionError",
     "Eigenfunction",
     "EigenfunctionSet",
-    "build_eigenfunctions",
+    "convergence_margins",
     "path_integral_phi",
 ]
 
@@ -47,36 +45,35 @@ class ConvergenceConditionError(DynamicsError):
     """The path integral does not converge for this eigenvalue."""
 
 
+def convergence_margins(lin: Linearization) -> np.ndarray:
+    """-lambda_i + 2 max_j lambda_j per eigenvalue; the path integral of
+    lambda_i converges where its margin is negative, as it is for
+    max_j lambda_j itself."""
+    return -lin.eigenvalues + 2.0 * float(np.max(lin.eigenvalues))
+
+
 @dataclass(frozen=True)
 class EigenfunctionSet:
-    """phi_i(x) = w_i . x + h_i(x), one per eigenvalue of the linearization,
-    same order, evaluated together over batches of points X of shape (c, d).
+    """phi_i(x) = w_i . x + h_i(x), one per eigenvalue of lin, same order,
+    evaluated together over batches of points X of shape (c, d).
 
-    W holds the w_i as rows. h needs two methods: ``evaluate_many(X)``
-    returning h_i(x_p) at [p, i], shape (c, k), and
-    ``evaluate_with_gradient(X)`` returning that and grad h_i(x_p) at
-    [p, i], shape (c, k, d). A CollocationSolution provides both;
-    closed-form substitutes slot in for testing.
+    h needs two methods: ``evaluate_many(X)`` returning h_i(x_p) at [p, i],
+    shape (c, k), and ``evaluate_with_gradient(X)`` returning that and
+    grad h_i(x_p) at [p, i], shape (c, k, d). A CollocationSolution provides
+    both; closed-form substitutes slot in for testing.
     """
 
-    eigenvalues: np.ndarray
-    W: np.ndarray
-    h: CollocationSolution
+    lin: Linearization
+    h: object
 
-    def __post_init__(self):
-        lams = np.array(self.eigenvalues, dtype=float).reshape(-1)
-        W = np.array(self.W, dtype=float, ndmin=2)
-        if not lams.size:
-            raise ValueError("need at least one eigenfunction")
-        d = W.shape[1]
-        if lams.size != d or W.shape[0] != d:
-            raise ValueError(f"expected {d} eigenfunctions, got {lams.size}")
-        if np.min(np.abs(np.subtract.outer(lams, lams) + np.eye(d))) == 0.0:
-            raise ValueError("eigenvalues must be pairwise distinct")
-        lams.setflags(write=False)
-        W.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lams)
-        object.__setattr__(self, "W", W)
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.lin.eigenvalues
+
+    @property
+    def W(self) -> np.ndarray:
+        """The w_i as rows."""
+        return self.lin.left_eigenvectors
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -131,43 +128,24 @@ class Eigenfunction:
         return self.eigset.evaluate_with_gradient(X)[1][:, self.i]
 
 
-def build_eigenfunctions(
-    fld: VectorField,
-    lin: Linearization,
-    kern: GaussianKernel,
-    centers: np.ndarray,
-    domain: Box,
-    eta: float | None = None,
-) -> EigenfunctionSet:
-    """Solve the collocation problem of the whole spectrum of the
-    linearization."""
-    problem = CollocationProblem(
-        kernel=kern, fld=fld, lin=lin, centers=centers, domain=domain, eta=eta
-    )
-    return EigenfunctionSet(
-        lin.eigenvalues, lin.left_eigenvectors, solve_collocation(problem)
-    )
-
-
 def path_integral_phi(
     fld: VectorField,
     lin: Linearization,
-    lams,
-    W,
+    which,
     X,
     t_max: float = 20.0,
     dt: float = 1e-3,
 ) -> np.ndarray:
     """Eigenfunction values by quadrature along the trajectories through X.
 
-    lams has shape (k,), W the matching w_i as rows (k, d), X the c points
-    as rows (c, d); returns phi_i(x_p) at [p, i], shape (c, k). The c
+    which indexes the k eigenvalues of lin to integrate, X holds the c
+    points as rows (c, d); returns phi_i(x_p) at [p, i], shape (c, k). The c
     trajectories advance as one (d, c) RK4 state, and G at each step feeds
     all k integrands. Trapezoidal rule on a fixed time grid up to t_max; a
     (eigenvalue, point) pair stops adding once its integrand has stayed
     below 1e-12 for 100 consecutive steps, and a point leaves the batch once
-    all its pairs have stopped. Requires -lambda + 2 max_j lambda_j < 0 for
-    every requested lambda.
+    all its pairs have stopped. Requires a negative convergence margin for
+    every requested eigenvalue.
 
     The step loop only advances the state, reusing f at each new state as
     the next step's k1. States and f are kept for _BLOCK steps; then the
@@ -179,10 +157,9 @@ def path_integral_phi(
     has left the batch is ignored, numpy's warnings included. Memory is
     O(_BLOCK d c).
     """
-    lams = np.asarray(lams, dtype=float)
-    W = np.asarray(W, dtype=float)
+    lams, W = lin.eigenvalues[which], lin.left_eigenvectors[which]
     X = np.asarray(X, dtype=float)
-    for margin, lam in zip(-lams + 2.0 * float(np.max(lin.eigenvalues)), lams):
+    for margin, lam in zip(convergence_margins(lin)[which], lams):
         if margin >= 0.0:
             raise ConvergenceConditionError(
                 f"path integral diverges for lambda = {lam:.6g}: "

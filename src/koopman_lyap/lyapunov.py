@@ -39,6 +39,8 @@ def solve_p(eigenvalues) -> np.ndarray:
     """P = diag(1 / (2 |lambda_i|)) for a real, negative, distinct spectrum.
 
     Solves Lambda^T P + P Lambda = -I; the residual is checked to 1e-12 * d.
+    P must be finite: 1 / (2 |lambda|) overflows for a subnormal lambda, and
+    the residual of a P with two or more entries is then NaN, which passes.
     """
     lams = np.asarray(eigenvalues, dtype=float).reshape(-1)
     d = lams.size
@@ -48,7 +50,10 @@ def solve_p(eigenvalues) -> np.ndarray:
         raise LyapunovError(f"spectrum must be strictly negative: {lams}")
     if d > 1 and np.min(np.abs(np.subtract.outer(lams, lams)[~np.eye(d, dtype=bool)])) == 0.0:
         raise LyapunovError("eigenvalues must be pairwise distinct")
-    P = np.diag(1.0 / (2.0 * np.abs(lams)))
+    with np.errstate(over="ignore"):
+        P = np.diag(1.0 / (2.0 * np.abs(lams)))
+    if not np.all(np.isfinite(P)):
+        raise LyapunovError(f"P = diag(1 / (2 |lambda|)) overflows for the spectrum {lams}")
     L = np.diag(lams)
     resid = np.max(np.abs(L.T @ P + P @ L + np.eye(d)))
     if resid > 1e-12 * d:
@@ -58,26 +63,14 @@ def solve_p(eigenvalues) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LyapunovModel:
-    """Quadratic Lyapunov candidate over an eigenfunction set."""
+    """Quadratic Lyapunov candidate over an eigenfunction set, with P from
+    the set's spectrum."""
 
     eigenfunctions: EigenfunctionSet
-    P: np.ndarray
-
-    def __post_init__(self):
-        d = len(self.eigenfunctions)
-        P = np.asarray(self.P, dtype=float)
-        if P.shape != (d, d):
-            raise LyapunovError(f"P must be {d}x{d}")
-        if not np.all(np.isfinite(P)):
-            raise LyapunovError("P must be finite")
-        if np.max(np.abs(P - P.T)) > 1e-12 * max(1.0, np.max(np.abs(P))):
-            raise LyapunovError("P must be symmetric")
-        P.setflags(write=False)
-        object.__setattr__(self, "P", P)
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.eigenfunctions.eigenvalues
+    def P(self) -> np.ndarray:
+        return solve_p(self.eigenfunctions.eigenvalues)
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
         """V at a batch of points (m, d) -> (m,), from eigenfunction values only."""
@@ -88,10 +81,9 @@ class LyapunovModel:
         """Phi (m, d), V (m,) and Vdot along the field (m,) at a batch of
         points, from one phi/grad phi evaluation of the eigenfunction set."""
         Phi, dPhi = self.eigenfunctions.evaluate_with_derivative(fld, X)
-        V = np.einsum("mi,ij,mj->m", Phi, self.P, Phi)
-        Vdot = np.einsum("mi,ij,mj->m", dPhi, self.P, Phi) + np.einsum(
-            "mi,ij,mj->m", Phi, self.P, dPhi
-        )
+        P = self.P
+        V = np.einsum("mi,ij,mj->m", Phi, P, Phi)
+        Vdot = np.einsum("mi,ij,mj->m", dPhi, P, Phi) + np.einsum("mi,ij,mj->m", Phi, P, dPhi)
         return Phi, V, Vdot
 
 
@@ -100,7 +92,7 @@ def diagnostics(model: LyapunovModel, fill_dist: float, phi: np.ndarray) -> str:
     as-is, with sup |phi_i| over phi (m, d), the eigenfunctions at m probe
     points; ||P||_2 equals 1 / (2 alpha) for the diagonal
     P = diag(1 / (2 |lambda_i|)). Values are for inspection, nothing here raises."""
-    lams = model.eigenvalues
+    lams = model.eigenfunctions.eigenvalues
     lines = [
         "diagnostics",
         f"  fill distance (probe estimate): {float(fill_dist):.12g}",

@@ -9,7 +9,7 @@ run on its own against a prior run's artifacts:
     lyapunov         + model.json, V.csv, Vdot.csv, diagnostics.txt
                        (requires eigenfunctions.json)
     certify          + certification.txt, certification_failures.csv
-                       (requires model.json)
+                       (requires eigenfunctions.json)
     oracle-check     + oracle_check.csv (requires eigenfunctions.json)
     run              everything above + manifest.json
 
@@ -38,6 +38,7 @@ from .collocation import (
     fill_distance,
     uniform_centers,
 )
+from .collocation import solve as solve_collocation
 from .config import ConfigError, RunConfig
 from .cpa import certify, build_triangulation, estimate_b_bound
 from .dynamics import (
@@ -51,10 +52,10 @@ from .kernel import GaussianKernel
 from .koopman import (
     ConvergenceConditionError,
     EigenfunctionSet,
-    build_eigenfunctions,
+    convergence_margins,
     path_integral_phi,
 )
-from .lyapunov import LyapunovModel, diagnostics, solve_p
+from .lyapunov import LyapunovModel, diagnostics
 
 __all__ = [
     "MissingArtifactError",
@@ -162,11 +163,11 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
     centers, coefficients and eigenfunctions.json together."""
     (fld, lin), _ = stage_linearize(cfg, outdir)
 
-    kern = GaussianKernel(sigma=cfg.sigma)
     centers = uniform_centers(cfg.domain, cfg.grid_n)
     rho = fill_distance(centers, cfg.domain)
-    eigset = build_eigenfunctions(fld, lin, kern, centers, cfg.domain, cfg.eta)
-    sol = eigset.h
+    kern = GaussianKernel(sigma=cfg.sigma)
+    sol = solve_collocation(CollocationProblem(kern, fld, lin, centers, cfg.domain, cfg.eta))
+    eigset = EigenfunctionSet(lin, sol)
     parity = {1: "even", -1: "odd", None: None}
     X = _residual_probes(cfg.test_domain)
     phi, dphi = eigset.evaluate_with_derivative(fld, X)
@@ -268,17 +269,17 @@ def load_eigenfunctions(cfg: RunConfig, outdir: Path):
         eta_used=np.array([e["eta_used"] for e in entries]),
         method=tuple(e["method"] for e in entries),
     )
-    eigset = EigenfunctionSet(lin.eigenvalues, lin.left_eigenvectors, sol)
+    eigset = EigenfunctionSet(lin, sol)
     return fld, lin, eigset, meta
 
 
 def stage_lyapunov(cfg: RunConfig, outdir: Path):
     """Build the Lyapunov model from persisted eigenfunctions; write V and
     Vdot on the test grid (rows x1, x2, value, the first axis slowest), the
-    diagnostics report (also the text), and model.json."""
+    diagnostics report (also the text), and model.json, a record of P that
+    no stage reads."""
     fld, lin, eigset, meta = load_eigenfunctions(cfg, outdir)
-    P = solve_p(eigset.eigenvalues)
-    model = LyapunovModel(eigenfunctions=eigset, P=P)
+    model = LyapunovModel(eigset)
 
     box, n = cfg.test_domain, cfg.test_resolution
     X = box.grid(n)
@@ -295,21 +296,9 @@ def stage_lyapunov(cfg: RunConfig, outdir: Path):
     (outdir / "diagnostics.txt").write_text(text, encoding="utf-8")
     _write_json(
         outdir / _MODEL,
-        {"P": P.tolist(), "eigenfunctions_file": _EIGENFUNCTIONS},
+        {"P": model.P.tolist(), "eigenfunctions_file": _EIGENFUNCTIONS},
     )
     return model, text
-
-
-def _load_model(cfg: RunConfig, outdir: Path):
-    model_path = outdir / _MODEL
-    if not model_path.exists():
-        raise MissingArtifactError(model_path)
-    with open(model_path, "r", encoding="utf-8") as fh:
-        saved = json.load(fh)
-    _require(saved, ("P",), str(model_path))
-    fld, lin, eigset, meta = load_eigenfunctions(cfg, outdir)
-    model = LyapunovModel(eigenfunctions=eigset, P=np.array(saved["P"]))
-    return fld, model
 
 
 def _write_failures(path: Path, report) -> None:
@@ -330,9 +319,10 @@ def _write_failures(path: Path, report) -> None:
 
 
 def stage_certify(cfg: RunConfig, outdir: Path):
-    """Certify the persisted model on the configured triangulation; the
-    report, and its summary as text."""
-    fld, model = _load_model(cfg, outdir)
+    """Certify the Lyapunov model of the persisted eigenfunctions on the
+    configured triangulation; the report, and its summary as text."""
+    fld, _, eigset, _ = load_eigenfunctions(cfg, outdir)
+    model = LyapunovModel(eigset)
     tri = build_triangulation(cfg.cpa_domain, cfg.cpa_cells)
     b = estimate_b_bound(
         fld,
@@ -372,14 +362,12 @@ def stage_oracle_check(cfg: RunConfig, outdir: Path):
     """
     fld, lin, eigset, _ = load_eigenfunctions(cfg, outdir)
     pts = _oracle_points(cfg)
-    lam_max = float(np.max(lin.eigenvalues))
-    # lam_max itself satisfies the condition, so at least one is checked
-    checked = [i for i, e in enumerate(eigset) if -e.lam + 2.0 * lam_max < 0.0]
+    # the largest eigenvalue satisfies the condition, so at least one is checked
+    checked = np.flatnonzero(convergence_margins(lin) < 0.0)
     phi = np.full((len(pts), len(eigset)), np.nan)
     integral = np.full_like(phi, np.nan)
     integral[:, checked] = path_integral_phi(
-        fld, lin, eigset.eigenvalues[checked], eigset.W[checked],
-        pts, t_max=cfg.oracle_t_max, dt=cfg.oracle_dt,
+        fld, lin, checked, pts, t_max=cfg.oracle_t_max, dt=cfg.oracle_dt
     )
     phi[:, checked] = eigset.value_many(pts)[:, checked]
     absdiff = np.abs(phi - integral)

@@ -1,5 +1,5 @@
 """Closed-form stand-ins for the set-level nonlinear part h of an
-eigenfunction set.
+eigenfunction set, and the set of a closed-form system built on one.
 
 Both implement the two-method protocol EigenfunctionSet expects of h:
 evaluate_many(X) returns h_i(x_p) at [p, i], shape (c, k), and
@@ -8,6 +8,18 @@ shape (c, k, d). Here k = d, as for every set.
 """
 
 import numpy as np
+
+from koopman_lyap.dynamics import linearize
+from koopman_lyap.expr import parse_vector_field
+from koopman_lyap.koopman import EigenfunctionSet
+
+# The benchmark cubic system, eigenvalues -2 and -3 with w_i the axes.
+CUBIC = ("-2*x1", "-3*(x2 - x1^2)")
+
+
+def eigenfunction_set(components, h):
+    """The set of h over the linearization of the system components."""
+    return EigenfunctionSet(linearize(parse_vector_field(components)), h)
 
 
 class ZeroH:

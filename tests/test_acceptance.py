@@ -18,14 +18,10 @@ from koopman_lyap.cpa import build_triangulation, certify, estimate_b_bound
 from koopman_lyap.dynamics import linearize
 from koopman_lyap.expr import parse_vector_field
 from koopman_lyap.kernel import GaussianKernel
-from koopman_lyap.koopman import (
-    EigenfunctionSet,
-    build_eigenfunctions,
-    path_integral_phi,
-)
+from koopman_lyap.koopman import EigenfunctionSet, path_integral_phi
 from koopman_lyap.lyapunov import LyapunovModel, solve_p
 
-from fakes import CubicExact
+from fakes import CUBIC, CubicExact, eigenfunction_set
 from fdtools import fd_gradient, fd_jacobian, rel_err
 from kernel_reference import basis_solution
 
@@ -33,9 +29,17 @@ _EX1_DOMAIN = Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
 _TEST_WINDOW = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
 
 
+def _solved_set(fld, lin, sigma, domain):
+    """The collocated set on 60 x 60 centers over domain, eta = 1e-10."""
+    problem = CollocationProblem(
+        GaussianKernel(sigma=sigma), fld, lin, uniform_centers(domain, 60), domain, 1e-10
+    )
+    return EigenfunctionSet(lin, solve(problem))
+
+
 @pytest.fixture(scope="module")
 def ex1():
-    fld = parse_vector_field(["-2*x1", "-3*(x2 - x1^2)"])
+    fld = parse_vector_field(CUBIC)
     return fld, linearize(fld)
 
 
@@ -43,16 +47,12 @@ def ex1():
 def ex1_eigs(ex1):
     # the calibrated production configuration for the cubic benchmark
     fld, lin = ex1
-    kern = GaussianKernel(sigma=3.0)
-    centers = uniform_centers(_EX1_DOMAIN, 60)
-    return build_eigenfunctions(fld, lin, kern, centers, _EX1_DOMAIN, eta=1e-10)
+    return _solved_set(fld, lin, 3.0, _EX1_DOMAIN)
 
 
 @pytest.fixture(scope="module")
 def ex1_model(ex1_eigs):
-    return LyapunovModel(
-        eigenfunctions=ex1_eigs, P=solve_p(ex1_eigs.eigenvalues)
-    )
+    return LyapunovModel(ex1_eigs)
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +66,7 @@ def duffing_model(duffing):
     # calibrated configuration for the overdamped Duffing benchmark
     fld, lin = duffing
     domain = Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
-    kern = GaussianKernel(sigma=2.0)
-    centers = uniform_centers(domain, 60)
-    eigs = build_eigenfunctions(fld, lin, kern, centers, domain, eta=1e-10)
-    return fld, LyapunovModel(eigenfunctions=eigs, P=solve_p(eigs.eigenvalues))
+    return fld, LyapunovModel(_solved_set(fld, lin, 2.0, domain))
 
 
 def test_criterion_01_homogeneous_correction_vanishes(ex1_eigs):
@@ -126,11 +123,8 @@ def test_criterion_04_quadratic_form_solves_lyapunov_equation(ex1, duffing):
 
 
 def test_criterion_05_exact_eigenfunction_values():
-    model = LyapunovModel(
-        eigenfunctions=EigenfunctionSet([-2.0, -3.0], np.eye(2), CubicExact()),
-        P=solve_p([-2.0, -3.0]),
-    )
-    fld = parse_vector_field(["-2*x1", "-3*(x2 - x1^2)"])
+    model = LyapunovModel(eigenfunction_set(CUBIC, CubicExact()))
+    fld = parse_vector_field(CUBIC)
     x = np.array([[1.0, 0.0]])
     assert model.value_many(x)[0] == pytest.approx(1.75, abs=1e-10)
     assert model.evaluate_with_derivative(fld, x)[2][0] == pytest.approx(-10.0, abs=1e-10)
@@ -152,9 +146,7 @@ def test_criterion_07_path_integral_agreement(ex1, ex1_eigs):
     # ten points in [-1,1]^2, anchored by the analytic value phi2(1,0) = 3
     rng = np.random.default_rng(0)
     pts = np.vstack([[1.0, 0.0], rng.uniform(-1.0, 1.0, size=(9, 2))])
-    integral = path_integral_phi(
-        fld, lin, [phi2.lam], [phi2.w], pts, t_max=20.0, dt=1e-3
-    )[:, 0]
+    integral = path_integral_phi(fld, lin, [1], pts, t_max=20.0, dt=1e-3)[:, 0]
     assert integral[0] == pytest.approx(3.0, abs=1e-2)
     assert np.max(np.abs(phi2.value_many(pts) - integral)) <= 1e-2
 

@@ -92,9 +92,24 @@ def test_stage_order_is_enforced(tiny_cfg_path, tmp_path, capsys):
     assert "eigenfunctions.json" in err
     assert "run the earlier stage first" in err
 
+    # certify builds its model from the eigenfunctions, not from model.json
     code = cli.main(["certify", str(tiny_cfg_path), "--output-dir", str(tmp_path)])
     assert code == 3
-    assert "model.json" in capsys.readouterr().err
+    assert "eigenfunctions.json" in capsys.readouterr().err
+
+
+def test_certify_straight_after_eigenfunctions(tiny_cfg_path, tmp_path, capsys):
+    # P is solved from the persisted spectrum, so certify needs no lyapunov
+    # stage and certifies the same V as after one
+    direct, chained = tmp_path / "direct", tmp_path / "chained"
+    for outdir, stages in ((direct, ["eigenfunctions", "certify"]),
+                           (chained, ["eigenfunctions", "lyapunov", "certify"])):
+        for stage in stages:
+            assert cli.main([stage, str(tiny_cfg_path), "--output-dir", str(outdir)]) == 0
+    capsys.readouterr()
+    assert not (direct / "model.json").exists()
+    for name in ("certification.txt", "certification_failures.csv"):
+        assert (direct / name).read_bytes() == (chained / name).read_bytes()
 
 
 def test_stages_compose(tiny_cfg_path, tmp_path, capsys):
@@ -367,14 +382,6 @@ def test_malformed_coefficients_exit_1(tiny_cfg_path, finished_run, tmp_path, ca
     assert str(path) in capsys.readouterr().err
 
 
-def test_empty_model_json_exits_1(tiny_cfg_path, finished_run, tmp_path, capsys):
-    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
-    (tmp_path / "model.json").write_text("{}")
-    assert cli.main(["certify", str(tiny_cfg_path), "--output-dir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert str(tmp_path / "model.json") in err and "'P'" in err
-
-
 def _sigma_infinite(outdir):
     path = outdir / "eigenfunctions.json"
     meta = json.loads(path.read_text())
@@ -383,31 +390,18 @@ def _sigma_infinite(outdir):
     return path
 
 
-def _model_p(value):
-    def damage(outdir):
-        path = outdir / "model.json"
-        saved = json.loads(path.read_text())
-        saved["P"][0][0] = value
-        path.write_text(json.dumps(saved))
-        return path
-
-    return damage
-
-
 @pytest.mark.parametrize(
     "damage, stages, message",
     [
         (_sigma_infinite, ["lyapunov", "certify"], "sigma must be positive and finite"),
-        (_model_p(math.nan), ["certify"], "P must be finite"),
-        (_model_p(math.inf), ["certify"], "P must be finite"),
     ],
-    ids=["sigma-inf", "P-nan", "P-inf"],
+    ids=["sigma-inf"],
 )
 def test_non_finite_persisted_numbers_exit_1(
     tiny_cfg_path, finished_run, tmp_path, capsys, damage, stages, message
 ):
     # json reads Infinity and NaN; an infinite sigma would otherwise evaluate
-    # a flat kernel and exit 0, and a NaN P pass the symmetry check
+    # a flat kernel and exit 0
     shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
     damage(tmp_path)
     for stage in stages:
@@ -546,6 +540,56 @@ def test_non_finite_gram_system_exits_1_before_lapack(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "non-finite entries" in proc.stderr
     assert "On entry to" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+_RANGE = "constant outside the floating-point range"
+_DUFFING_F2 = "-3*x2 - x1 - x1^3"
+
+
+@pytest.mark.parametrize(
+    "f1, f2, code, error",
+    [
+        ("x2 + 10^400", _DUFFING_F2, 1, f"system.f1: {_RANGE}"),
+        ("x2 + exp(1000)", _DUFFING_F2, 1, f"system.f1: {_RANGE}"),
+        ("x2 + 1e400*x1", _DUFFING_F2, 1, f"system.f1: {_RANGE}"),
+        ("x2 + " + "(" * 400 + "x1" + ")" * 400, _DUFFING_F2, 1,
+         "system.f1: expression nested deeper than 100 levels (at position 105)"),
+        ("x2" + " + 0.001*x1" * 1200, _DUFFING_F2, 1,
+         "system.f1: expression nested deeper than 100 levels"),
+        ("-x1 + exp(800 + x1) - exp(800 + x1)", "-2*x2", 2,
+         "origin is not an equilibrium: |f(0)| = nan"),
+        ("x2 + 1e200*(1e200*x1)", _DUFFING_F2, 2,
+         "the Jacobian at the origin is not finite: [[inf, 1.0], [-1.0, -3.0]]"),
+    ],
+    ids=["folded-power", "folded-exp", "literal-inf", "nested-parentheses", "long-sum",
+         "nan-at-origin", "infinite-jacobian"],
+)
+def test_bad_system_exits_with_one_error_line(tmp_path, f1, f2, code, error):
+    # each used to end in a traceback (OverflowError, RecursionError) or in
+    # numpy warnings and LAPACK's "Array must not contain infs or NaNs"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        f"[system]\nf1 = {f1}\nf2 = {f2}\n\n[domain]\nlower = -2 -2\nupper = 2 2\n\n"
+        f"[output]\ndir = {(tmp_path / 'out').as_posix()}\n"
+    )
+    proc = _fresh_cli("linearize", cfg)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines() == [f"error: {error}"]
+
+
+def test_lyapunov_loads_no_collocation_code():
+    # the Linearization holds the spectrum that P and the eigenfunction set
+    # read, so the quadratic form needs no kernel, collocation or box module
+    proc = _fresh_python(
+        "-c",
+        "import sys, koopman_lyap.lyapunov; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('koopman_lyap.'))))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "koopman_lyap.dynamics", "koopman_lyap.expr", "koopman_lyap.koopman",
+        "koopman_lyap.lyapunov",
+    ]
 
 
 def test_module_entry_point_fresh_interpreter(tiny_cfg_path, tmp_path):

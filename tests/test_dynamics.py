@@ -57,6 +57,20 @@ def test_linearize_rejects_non_equilibrium():
         linearize(fld)
 
 
+def test_linearize_rejects_nan_at_the_origin():
+    # inf - inf is NaN, and NaN > tol is False: the check must fail it
+    fld = parse_vector_field(["-x1 + exp(800 + x1) - exp(800 + x1)", "-2*x2"])
+    with pytest.raises(EquilibriumError, match=r"\|f\(0\)\| = nan"):
+        linearize(fld)
+
+
+def test_linearize_rejects_non_finite_jacobian():
+    # f(0) = 0, but d f1 / d x1 folds 1e200 * 1e200 to inf
+    fld = parse_vector_field(["x2 + 1e200*(1e200*x1)", "-3*x2 - x1"])
+    with pytest.raises(SpectrumError, match="Jacobian at the origin is not finite"):
+        linearize(fld)
+
+
 def test_linearize_rejects_complex_spectrum():
     # light damping makes the origin a spiral
     fld = parse_vector_field(["x2", "-0.5*x2 - 1*x1 - 1*x1^3"])

@@ -125,6 +125,38 @@ def test_empty_expression_rejected():
         parse_expression("   ", 2)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["x1 + 10^400", "x1 + exp(1000)", "x1 + 1e400", "1e200*1e200*x1", "(1e300)^2 + x2"],
+    ids=["folded-power", "folded-exp", "literal", "folded-product", "folded-power-of-literal"],
+)
+def test_constant_outside_float_range_rejected(text):
+    with pytest.raises(ExprError, match="constant outside the floating-point range"):
+        parse_expression(text, 2)
+
+
+def test_deep_nesting_rejected():
+    # x1 is one level, and each parenthesis, call or minus sign around it
+    # one more: 100 levels parse, 101 do not
+    assert parse_expression("(" * 99 + "x1" + ")" * 99, 2).evaluate((2.0, 0.0)) == 2.0
+    assert parse_expression("-" * 99 + "x1", 2).evaluate((2.0, 0.0)) == -2.0
+    with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+        parse_expression("(" * 100 + "x1" + ")" * 100, 2)
+    with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+        parse_expression("-" * 100 + "x1", 2)
+    with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+        parse_expression("sin(" * 100 + "x1" + ")" * 100, 2)
+
+
+def test_deep_tree_rejected():
+    # a chain of n sums is n levels deep; evaluating and differentiating
+    # recurse once per level
+    chain = "x2" + " + x1" * 99
+    assert parse_expression(chain, 2).derivative(1).evaluate((0.0, 0.0)) == 99.0
+    with pytest.raises(ExprError, match="nested deeper than 100 levels"):
+        parse_expression(chain + " + x1", 2)
+
+
 def test_stray_character_rejected():
     with pytest.raises(ParseError, match="unexpected character"):
         parse_expression("x1 / 2", 2)

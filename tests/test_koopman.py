@@ -5,7 +5,7 @@ import pytest
 
 from koopman_lyap import koopman
 from koopman_lyap.box import Box
-from koopman_lyap.collocation import uniform_centers
+from koopman_lyap.collocation import CollocationProblem, solve, uniform_centers
 from koopman_lyap.dynamics import (
     BlowUpError,
     DynamicsError,
@@ -17,11 +17,17 @@ from koopman_lyap.kernel import GaussianKernel
 from koopman_lyap.koopman import (
     ConvergenceConditionError,
     EigenfunctionSet,
-    build_eigenfunctions,
+    convergence_margins,
     path_integral_phi,
 )
 
-from fakes import ZeroH
+
+def _solved_set(fld, lin, n, domain, eta):
+    """The collocated set on n x n centers over domain, sigma = 1."""
+    problem = CollocationProblem(
+        GaussianKernel(sigma=1.0), fld, lin, uniform_centers(domain, n), domain, eta
+    )
+    return EigenfunctionSet(lin, solve(problem))
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +39,7 @@ def cubic():
 @pytest.fixture(scope="module")
 def eigs(cubic):
     fld, lin = cubic
-    domain = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-    centers = uniform_centers(domain, 7)
-    kern = GaussianKernel(sigma=1.0)
-    return build_eigenfunctions(fld, lin, kern, centers, domain, eta=0.0)
+    return _solved_set(fld, lin, 7, Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0])), 0.0)
 
 
 def test_build_returns_one_per_eigenvalue(cubic, eigs):
@@ -71,10 +74,7 @@ def test_fast_eigenfunction_tracks_closed_form(cubic):
     # to a few parts in 1e4
     fld, lin = cubic
     domain = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-    dense = build_eigenfunctions(
-        fld, lin, GaussianKernel(sigma=1.0),
-        uniform_centers(domain, 15), domain, eta=1e-10,
-    )
+    dense = _solved_set(fld, lin, 15, domain, 1e-10)
     X = np.random.default_rng(1).uniform(-1.5, 1.5, size=(60, 2))
     exact = X[:, 1] + 3.0 * X[:, 0] ** 2
     assert np.max(np.abs(dense[1].value_many(X) - exact)) <= 1e-3
@@ -122,42 +122,33 @@ def test_batch_forms_match_pointwise(eigs):
 # --- the eigenfunction container ----------------------------------------------
 
 
-def test_set_requires_full_count():
-    with pytest.raises(ValueError, match="expected 2"):
-        EigenfunctionSet([-2.0], [[1.0, 0.0]], ZeroH())
-
-
-def test_set_requires_distinct_eigenvalues():
-    with pytest.raises(ValueError, match="distinct"):
-        EigenfunctionSet([-2.0, -2.0], np.eye(2), ZeroH())
-
-
 def test_set_iteration_and_indexing(eigs):
     assert [e.lam for e in eigs] == [eigs[0].lam, eigs[1].lam]
     assert eigs[-1].lam == eigs[1].lam
 
 
+def test_set_reads_its_spectrum_from_the_linearization(cubic, eigs):
+    _, lin = cubic
+    assert eigs.lin is lin
+    assert eigs.eigenvalues is lin.eigenvalues and eigs.W is lin.left_eigenvectors
+    for e, w in zip(eigs, lin.left_eigenvectors):
+        np.testing.assert_array_equal(e.w, w)
+
+
 # --- path integrals -------------------------------------------------------------
-
-
-def _path_integral(fld, lin, which, X, **kw):
-    """path_integral_phi for the eigenvalues at indices `which`."""
-    return path_integral_phi(
-        fld, lin, lin.eigenvalues[which], lin.left_eigenvectors[which], X, **kw
-    )
 
 
 def test_path_integral_fast_eigenvalue(cubic):
     # for lambda2 = -3 the integral reproduces x2 + 3 x1^2
     fld, lin = cubic
-    val = _path_integral(fld, lin, [1], [[1.0, 0.0]])
+    val = path_integral_phi(fld, lin, [1], [[1.0, 0.0]])
     assert val.shape == (1, 1)
     assert val[0, 0] == pytest.approx(3.0, abs=1e-6)
 
 
 def test_path_integral_at_origin(cubic):
     fld, lin = cubic
-    val = _path_integral(fld, lin, [1], np.zeros((1, 2)))
+    val = path_integral_phi(fld, lin, [1], np.zeros((1, 2)))
     assert val[0, 0] == 0.0
 
 
@@ -165,7 +156,7 @@ def test_path_integral_slow_eigenvalue_is_coordinate(cubic):
     # w1 . G vanishes identically, so the quadrature adds exactly nothing
     fld, lin = cubic
     X = np.array([[0.4, -1.2], [1.9, 0.3]])
-    val = _path_integral(fld, lin, [0], X)
+    val = path_integral_phi(fld, lin, [0], X)
     np.testing.assert_array_equal(val[:, 0], X[:, 0])
 
 
@@ -206,10 +197,10 @@ def test_path_integral_batch_matches_each_point_alone(components):
     fld = parse_vector_field(components)
     lin = linearize(fld)
     X = np.array([[0.0, 0.0], [1.0, 0.0], [1.9, -1.7]])
-    batch = _path_integral(fld, lin, [0, 1], X, t_max=10.0, dt=1e-2)
+    batch = path_integral_phi(fld, lin, [0, 1], X, t_max=10.0, dt=1e-2)
     assert batch.shape == (3, 2)
     for p, x in enumerate(X):
-        alone = _path_integral(fld, lin, [0, 1], x[None, :], t_max=10.0, dt=1e-2)
+        alone = path_integral_phi(fld, lin, [0, 1], x[None, :], t_max=10.0, dt=1e-2)
         np.testing.assert_array_equal(batch[p], alone[0])
         for i, (lam, w) in enumerate(zip(lin.eigenvalues, lin.left_eigenvectors)):
             ref = _scalar_path_integral(fld, lin, lam, w, x, t_max=10.0, dt=1e-2)
@@ -228,7 +219,7 @@ def test_path_integral_tail_needs_consecutive_quiet_steps(monkeypatch):
     fld = parse_vector_field(["-2*x1", "-3*x2 + x1^2*(x1 - 0.5)^2*(x1 - 0.25)^2"])
     lin = linearize(fld)
     x = np.array([1.0, 0.0])
-    val = _path_integral(fld, lin, [0, 1], x[None, :], t_max=10.0, dt=1e-2)
+    val = path_integral_phi(fld, lin, [0, 1], x[None, :], t_max=10.0, dt=1e-2)
     for i, (lam, w) in enumerate(zip(lin.eigenvalues, lin.left_eigenvectors)):
         assert val[0, i] == _scalar_path_integral(fld, lin, lam, w, x, t_max=10.0, dt=1e-2)
 
@@ -237,37 +228,41 @@ def test_path_integral_convergence_condition(cubic):
     # Duffing's fast eigenvalue violates -lambda + 2 lambda_max < 0
     fld = parse_vector_field(["x2", "-3*x2 - 1*x1 - 1*x1^3"])
     lin = linearize(fld)
+    margins = convergence_margins(lin)
+    np.testing.assert_array_equal(margins, -lin.eigenvalues + 2.0 * lin.eigenvalues[0])
+    assert margins[0] < 0.0 < margins[1]
     with pytest.raises(ConvergenceConditionError, match="diverges"):
-        _path_integral(fld, lin, [1], [[1.0, 0.0]])
+        path_integral_phi(fld, lin, [1], [[1.0, 0.0]])
     # the slow eigenvalue satisfies it
-    val = _path_integral(fld, lin, [0], [[0.5, 0.0]], t_max=5.0, dt=1e-2)
+    val = path_integral_phi(fld, lin, [0], [[0.5, 0.0]], t_max=5.0, dt=1e-2)
     assert np.all(np.isfinite(val))
     # one divergent eigenvalue among the requested ones fails the whole call
     with pytest.raises(ConvergenceConditionError, match="diverges"):
-        _path_integral(fld, lin, [0, 1], [[0.5, 0.0]], t_max=5.0, dt=1e-2)
+        path_integral_phi(fld, lin, [0, 1], [[0.5, 0.0]], t_max=5.0, dt=1e-2)
 
 
 def test_path_integral_argument_validation(cubic):
     fld, lin = cubic
     with pytest.raises(DynamicsError, match="positive"):
-        _path_integral(fld, lin, [1], np.zeros((1, 2)), t_max=-1.0)
+        path_integral_phi(fld, lin, [1], np.zeros((1, 2)), t_max=-1.0)
     with pytest.raises(DynamicsError, match="positive"):
-        _path_integral(fld, lin, [1], np.zeros((1, 2)), dt=0.0)
+        path_integral_phi(fld, lin, [1], np.zeros((1, 2)), dt=0.0)
 
 
 def test_path_integral_step_count_overflow(cubic):
     # t_max / dt overflows to inf for a finite, positive dt
     fld, lin = cubic
     with pytest.raises(DynamicsError, match="not finite"):
-        _path_integral(fld, lin, [1], np.zeros((1, 2)), t_max=20.0, dt=1e-320)
+        path_integral_phi(fld, lin, [1], np.zeros((1, 2)), t_max=20.0, dt=1e-320)
 
 
-def _per_step_path_integral(fld, lin, lams, W, X, t_max, dt):
+def _per_step_path_integral(fld, lin, which, X, t_max, dt):
     """Reference: path_integral_phi with the integrand, trapezoid term, quiet
     counts and batch formed after every step, and the finiteness check on
     every step. Also returns the step after which each point left the batch
     (None if it stayed to the end)."""
-    lams, W, X = (np.asarray(a, dtype=float) for a in (lams, W, X))
+    lams, W = lin.eigenvalues[which], lin.left_eigenvectors[which]
+    X = np.asarray(X, dtype=float)
     n_steps = max(1, int(round(t_max / dt)))
     h = t_max / n_steps
 
@@ -316,10 +311,8 @@ def test_blocked_path_integral_matches_per_step_reference(monkeypatch, blocks):
     lin = linearize(fld)
     X = np.vstack([np.zeros(2), np.random.default_rng(4).uniform(-1.5, 1.5, size=(7, 2))])
     dt = 1e-2
-    val = path_integral_phi(fld, lin, lin.eigenvalues, lin.left_eigenvectors, X,
-                            t_max=n_steps * dt, dt=dt)
-    ref, left = _per_step_path_integral(fld, lin, lin.eigenvalues, lin.left_eigenvectors, X,
-                                        t_max=n_steps * dt, dt=dt)
+    val = path_integral_phi(fld, lin, [0, 1], X, t_max=n_steps * dt, dt=dt)
+    ref, left = _per_step_path_integral(fld, lin, [0, 1], X, t_max=n_steps * dt, dt=dt)
     np.testing.assert_array_equal(val, ref)
     if n_steps > 3 * koopman._BLOCK:
         gone = [s for s in left if s is not None]
@@ -340,7 +333,7 @@ def test_path_integral_blow_up():
     # non-finite state
     fld = parse_vector_field(["-1*x1 + x1^3", "-2*x2"])
     lin = linearize(fld)
-    args = (fld, lin, lin.eigenvalues[:1], lin.left_eigenvectors[:1], [[2.0, 0.0]])
+    args = (fld, lin, [0], [[2.0, 0.0]])
     t = _blow_up_time(path_integral_phi, *args, t_max=20.0, dt=1e-3)
     assert t == _blow_up_time(_per_step_path_integral, *args, t_max=20.0, dt=1e-3)
 
@@ -351,7 +344,7 @@ def test_path_integral_blow_up_of_one_point_fails_the_batch():
     fld = parse_vector_field(["-1*x1 + x1^3", "-2*x2"])
     lin = linearize(fld)
     X = np.array([[0.5, 0.0], [2.0, 0.0], [0.0, 0.3]])
-    args = (fld, lin, lin.eigenvalues[:1], lin.left_eigenvectors[:1], X)
+    args = (fld, lin, [0], X)
     t = _blow_up_time(path_integral_phi, *args, t_max=2.0, dt=1e-2)
     assert t == _blow_up_time(_per_step_path_integral, *args, t_max=2.0, dt=1e-2)
 
@@ -365,10 +358,8 @@ def test_path_integral_point_that_left_the_batch_may_blow_up():
     lin = linearize(fld)
     X = np.array([[0.5, 7.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        val = _path_integral(fld, lin, [0], X)
-    ref, left = _per_step_path_integral(
-        fld, lin, lin.eigenvalues[:1], lin.left_eigenvectors[:1], X, t_max=20.0, dt=1e-3
-    )
+        val = path_integral_phi(fld, lin, [0], X)
+    ref, left = _per_step_path_integral(fld, lin, [0], X, t_max=20.0, dt=1e-3)
     assert left == [koopman._TAIL_STEPS]
     np.testing.assert_array_equal(val, ref)
 
@@ -381,6 +372,6 @@ def test_path_integral_escape_after_leaving_the_batch_is_silent():
     lin = linearize(fld)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val = _path_integral(fld, lin, [0], [[0.5, 7.0]])
+        val = path_integral_phi(fld, lin, [0], [[0.5, 7.0]])
     assert lin.eigenvalues[0] == -1.0
     assert val[0, 0] == 0.5
