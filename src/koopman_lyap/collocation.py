@@ -676,7 +676,9 @@ def solve(problem: CollocationProblem) -> CollocationSolution:
     definite, or whose solution is not finite or leaves a residual above
     1e-8 of the system's scale, raises SingularSystemError.
     """
-    F, b, eta = problem.center_field, _rhs(problem), _ridges(problem)
+    # overflow and inf - inf are reported below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, b, eta = problem.center_field, _rhs(problem), _ridges(problem)
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(b))):
         raise CollocationError(f"the collocation systems have {_NON_FINITE}")
     signs, blocks = _mirror_split(problem, b)

@@ -128,8 +128,9 @@ _KEYS = (
      "must be at least 2"),
     ("cpa", "cells", "cpa_cells", _int, lambda v: v >= 2, "must be at least 2"),
     ("cpa", "safety", "cpa_safety", _float, lambda v: v >= 1.0, "must be at least 1"),
-    ("cpa", "b_override", "cpa_b_override", _matrix, lambda v: np.all(v >= 0),
-     "entries must be nonnegative"),
+    ("cpa", "b_override", "cpa_b_override", _matrix,
+     lambda v: np.all(v >= 0) and np.array_equal(v, v.T),
+     "must be symmetric with nonnegative entries"),
     ("oracle", "enabled", "oracle_enabled", _bool, None, None),
     ("oracle", "t_max", "oracle_t_max", _float, lambda v: v > 0, "must be positive"),
     ("oracle", "dt", "oracle_dt", _float, lambda v: v > 0, "must be positive"),

@@ -32,13 +32,10 @@ __all__ = [
     "path_integral_phi",
 ]
 
-# Truncation rule for the path integral: stop once the integrand has stayed
-# below this floor for this many consecutive steps.
-_TAIL_FLOOR = 1e-12
-_TAIL_STEPS = 100
-
 # RK4 steps whose states are kept before their integrand is evaluated at once.
 _BLOCK = 256
+# A pair stops adding once its integrand stayed below this through a block.
+_TAIL_FLOOR = 1e-12
 
 
 class ConvergenceConditionError(DynamicsError):
@@ -141,21 +138,23 @@ def path_integral_phi(
     which indexes the k eigenvalues of lin to integrate, X holds the c
     points as rows (c, d); returns phi_i(x_p) at [p, i], shape (c, k). The c
     trajectories advance as one (d, c) RK4 state, and G at each step feeds
-    all k integrands. Trapezoidal rule on a fixed time grid up to t_max; a
+    all k integrands. Trapezoidal rule on a fixed time grid up to t_max; an
     (eigenvalue, point) pair stops adding once its integrand has stayed
-    below 1e-12 for 100 consecutive steps, and a point leaves the batch once
-    all its pairs have stopped. Requires a negative convergence margin for
-    every requested eigenvalue.
+    below 1e-12 through a whole block of _BLOCK steps, and the integral ends
+    once every pair has stopped. A stopped pair adds nothing more, since
+    later on exp(-lambda t) may overflow while w_i . G underflows to 0.
+    Requires a negative convergence margin for every requested eigenvalue.
 
     The step loop only advances the state, reusing f at each new state as
     the next step's k1. States and f are kept for _BLOCK steps; then the
-    block's integrands, trapezoid terms (added in step order) and quiet
-    counts are formed at once, and stopped points leave the batch. The
-    result is bitwise that of forming each step's term as it is taken, and a
-    trajectory that blows up while its point is in the batch raises
-    BlowUpError at the time of its first non-finite state; one whose point
-    has left the batch is ignored, numpy's warnings included. Memory is
-    O(_BLOCK d c).
+    block's states are checked and its integrands and trapezoid terms
+    (added in step order) are formed at once. The result is bitwise that of
+    forming each step's term as it is taken. A trajectory that escapes
+    while one of its pairs is adding raises BlowUpError at the time of its
+    first non-finite state, without numpy's overflow and invalid-value
+    warnings on the way; a point whose pairs have all stopped no longer
+    counts. An integrand that is not finite at finite states raises
+    DynamicsError. Memory is O(_BLOCK d c).
     """
     lams, W = lin.eigenvalues[which], lin.left_eigenvectors[which]
     X = np.asarray(X, dtype=float)
@@ -180,18 +179,15 @@ def path_integral_phi(
         return decay[:, :, None] * (W @ (F - lin.E @ S))
 
     total = np.zeros((len(lams), len(X)))
-    cols = np.arange(len(X))  # columns of total whose points are in the batch
+    done = np.zeros(total.shape, dtype=bool)  # pairs that stopped adding
     state = X.T.copy()
     f = fld.evaluate(state)
     g_prev = integrand(np.ones((1, len(lams))), state[None], f[None])[0]
-    quiet = np.zeros(total.shape, dtype=int)
     for start in range(0, n_steps, _BLOCK):
         step = np.arange(1, min(_BLOCK, n_steps - start) + 1)
-        decay = np.exp(np.multiply.outer((start + step) * h, -lams))
-        # a point that leaves the batch inside the block is still advanced to its
-        # end and may escape there, unused: numpy's overflow and invalid-value
-        # warnings are off until the terms are masked (an escape in the batch raises)
+        # an escape or an overflow is reported below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
+            decay = np.exp(np.multiply.outer((start + step) * h, -lams))
             states, fs = [], []
             for _ in step:
                 state = rk4_step(fld, state, h, k1=f)
@@ -199,25 +195,19 @@ def path_integral_phi(
                 states.append(state)
                 fs.append(f)
             S = np.array(states)
-            G = integrand(decay, S, np.array(fs))
-            # q: the quiet counts as if no pair had stopped. A pair stops for good at
-            # its first count of _TAIL_STEPS, so it adds a step's term while the
-            # running maximum of its counts, seeded with quiet, is below that.
-            step = step[:, None, None]
-            q = step - np.maximum.accumulate(np.where(np.abs(G) >= _TAIL_FLOOR, step, -quiet))
-            q_max = np.maximum.accumulate(np.concatenate([quiet[None], q]))
-            active = q_max[:-1] < _TAIL_STEPS
-            blown = active.any(axis=1) & ~np.isfinite(S).all(axis=1)
+            blown = (~np.isfinite(S).all(axis=1) & ~done.all(axis=0)).any(axis=1)
             if blown.any():
-                raise BlowUpError((start + int(np.argmax(blown.any(axis=1))) + 1) * h)
-            terms = np.where(active, 0.5 * h * (np.concatenate([g_prev[None], G[:-1]]) + G), 0.0)
-        total[:, cols] = np.add.accumulate(np.concatenate([total[None, :, cols], terms]))[-1]
-        running = q_max[-1] < _TAIL_STEPS
-        g_prev, quiet = G[-1], np.where(running, q[-1], _TAIL_STEPS)
-        live = running.any(axis=0)
-        if not live.all():
-            if not live.any():
-                break
-            cols, state, quiet = cols[live], state[:, live], quiet[:, live]
-            f, g_prev = f[:, live], g_prev[:, live]
+                raise BlowUpError((start + int(np.argmax(blown)) + 1) * h)
+            G = integrand(decay, S, np.array(fs))
+            terms = np.where(done, 0.0, 0.5 * h * (np.concatenate([g_prev[None], G[:-1]]) + G))
+            total = np.add.accumulate(np.concatenate([total[None], terms]))[-1]
+            done |= (np.abs(G) < _TAIL_FLOOR).all(axis=0)
+        if not np.isfinite(total).all():
+            raise DynamicsError(
+                f"path integral overflows before t = {(start + len(step)) * h:.6g}: "
+                "exp(-lambda t) w . G is not finite; lower t_max"
+            )
+        if done.all():
+            break
+        g_prev = G[-1]
     return X @ W.T + total.T

@@ -36,7 +36,8 @@ class LyapunovError(ValueError):
 
 
 def solve_p(eigenvalues) -> np.ndarray:
-    """P = diag(1 / (2 |lambda_i|)) for a real, negative, distinct spectrum.
+    """P = diag(1 / (2 |lambda_i|)) for a real, negative spectrum, repeated
+    eigenvalues included.
 
     Solves Lambda^T P + P Lambda = -I; the residual is checked to 1e-12 * d.
     P must be finite: 1 / (2 |lambda|) overflows for a subnormal lambda, and
@@ -48,8 +49,6 @@ def solve_p(eigenvalues) -> np.ndarray:
         raise LyapunovError("empty spectrum")
     if np.max(lams) >= 0.0:
         raise LyapunovError(f"spectrum must be strictly negative: {lams}")
-    if d > 1 and np.min(np.abs(np.subtract.outer(lams, lams)[~np.eye(d, dtype=bool)])) == 0.0:
-        raise LyapunovError("eigenvalues must be pairwise distinct")
     with np.errstate(over="ignore"):
         P = np.diag(1.0 / (2.0 * np.abs(lams)))
     if not np.all(np.isfinite(P)):

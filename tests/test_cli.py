@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,7 +266,7 @@ def test_oracle_integrates_all_points_and_eigenvalues_in_one_pass(
     tiny_cfg_path, tmp_path, monkeypatch
 ):
     # one path-integral call for every sample point and eigenvalue, and one
-    # RK4 step per time step for the whole batch
+    # RK4 step per time step up to t_max for the whole batch
     cfg = load_config(tiny_cfg_path)
     pipeline.stage_eigenfunctions(cfg, tmp_path)
     calls, steps = [], []
@@ -284,7 +285,7 @@ def test_oracle_integrates_all_points_and_eigenvalues_in_one_pass(
     pipeline.stage_oracle_check(cfg, tmp_path)
     assert len(calls) == 1
     assert len(calls[0]) == cfg.dim
-    assert 0 < len(steps) <= math.ceil(cfg.oracle_t_max / cfg.oracle_dt)
+    assert len(steps) == round(cfg.oracle_t_max / cfg.oracle_dt)
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -306,6 +307,19 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     )
     assert cli.main(["run", str(cfg)]) == 2
     assert "equilibrium" in capsys.readouterr().err
+
+
+def test_overflowing_field_fails_without_numpy_warnings(tmp_path, capsys):
+    # x1^10000 overflows at every center with |x1| > 1: solve reports the
+    # non-finite systems, and numpy's overflow and invalid-value warnings
+    # on the way there are not shown
+    text = _TINY.format(outdir=(tmp_path / "out").as_posix())
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text.replace("f2 = -3*(x2 - x1^2)", "f2 = -3*x2 + 0.001*x1^10000"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(cfg)]) == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_exit_code_complex_spectrum(tmp_path, capsys):

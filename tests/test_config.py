@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from koopman_lyap.config import (
     bundled_config_path,
     load_config,
 )
+from koopman_lyap.dynamics import linearize
+from koopman_lyap.expr import parse_vector_field
 
 _MINIMAL = """\
 [system]
@@ -211,6 +216,7 @@ def test_windowed_sections_require_bounds(tmp_path):
         ("cpa", _BOUNDS + "cells = 1", "at least 2"),
         ("cpa", _BOUNDS + "safety = 0.9", "at least 1"),
         ("cpa", _BOUNDS + "b_override = 6 0 0 -1", "nonnegative"),
+        ("cpa", _BOUNDS + "b_override = 6 1 0 0", "symmetric"),
         ("oracle", "t_max = 0", "positive"),
         ("oracle", "dt = -0.1", "positive"),
         ("oracle", "dt = 1e-320", r"t_max / oracle\.dt must be finite"),
@@ -273,7 +279,7 @@ lower = -1.5 -1
 upper = 1 1.5
 cells = 12
 safety = 1.25
-b_override = 1 2 3 4
+b_override = 1 2 2 4
 
 [oracle]
 enabled = true
@@ -322,3 +328,25 @@ def test_every_key_round_trips_through_to_dict(tmp_path):
     for name in names:
         assert _plain(getattr(again, name)) == _plain(getattr(cfg, name)), name
     assert again.to_dict() == cfg.to_dict()
+
+
+def _benchmark_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_benchmark_configs_load_and_linearize(tmp_path, monkeypatch, seed):
+    # the benchmark rewrites one line per work size, and at seeds above 0
+    # the system's lines, of a bundled config: a config that loses or
+    # repeats such a line, or a system that no longer linearizes, fails here
+    # and not only in the benchmark
+    workloads = _benchmark_workloads(monkeypatch)
+    for workload in workloads.WORKLOADS.values():
+        bundled = bundled_config_path(workload.config).read_text(encoding="utf-8")
+        cfg = load_config(_write(tmp_path, workloads.make_config(workload, bundled, seed)))
+        linearize(parse_vector_field(cfg.system))

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -161,33 +159,34 @@ def test_path_integral_slow_eigenvalue_is_coordinate(cubic):
 
 
 def _scalar_path_integral(fld, lin, lam, w, x, t_max, dt):
-    """Reference: one point and one eigenvalue per trajectory, same rule,
-    with the tail constants koopman holds when it is called."""
+    """Reference: one point and one eigenvalue per trajectory, same rule."""
     n_steps = max(1, int(round(t_max / dt)))
     h = t_max / n_steps
 
     def g(t, state):
         return float(np.exp(-lam * t) * (w @ (fld.evaluate(state) - lin.E @ state)))
 
-    total, state, g_prev, quiet = 0.0, x, g(0.0, x), 0
+    total, state, g_prev, quiet = 0.0, x, g(0.0, x), True
     for k in range(n_steps):
         state = rk4_step(fld, state, h)
         g_next = g((k + 1) * h, state)
         total += 0.5 * h * (g_prev + g_next)
         g_prev = g_next
-        quiet = quiet + 1 if abs(g_next) < koopman._TAIL_FLOOR else 0
-        if quiet >= koopman._TAIL_STEPS:
-            break
+        quiet = quiet and abs(g_next) < koopman._TAIL_FLOOR
+        if (k + 1) % koopman._BLOCK == 0:
+            if quiet:
+                break
+            quiet = True
     return float(w @ x + total)
 
 
 @pytest.mark.parametrize(
     "components",
     [
-        # the slow pairs and the origin go quiet at once and stop after 100
-        # steps; the origin leaves the batch then
+        # the slow integrands vanish identically and their pairs stop after
+        # the first block, as do all pairs of the origin
         ["-2*x1", "-3*(x2 - x1^2)"],
-        # the slow pairs stop near t = 8 while the fast ones run on
+        # the slow integrands do not
         ["-2*x1 + x2^2", "-3*(x2 - x1^2)"],
     ],
 )
@@ -205,23 +204,6 @@ def test_path_integral_batch_matches_each_point_alone(components):
         for i, (lam, w) in enumerate(zip(lin.eigenvalues, lin.left_eigenvectors)):
             ref = _scalar_path_integral(fld, lin, lam, w, x, t_max=10.0, dt=1e-2)
             assert batch[p, i] == ref
-
-
-def test_path_integral_tail_needs_consecutive_quiet_steps(monkeypatch):
-    # w2 . G = x1^2 (x1 - 0.5)^2 (x1 - 0.25)^2 touches zero twice along the
-    # trajectory from (1, 0): with dt = 1e-2 its integrand stays below 1e-4
-    # for 11 steps, rises, stays below for 24 more, rises again and only goes
-    # quiet for good after about 500 steps. Neither dip reaches 30 steps, so
-    # the pair must integrate on through both; 11 + 24 >= 30, so a counter
-    # that does not restart on a loud step would stop it in the second dip.
-    monkeypatch.setattr(koopman, "_TAIL_FLOOR", 1e-4)
-    monkeypatch.setattr(koopman, "_TAIL_STEPS", 30)
-    fld = parse_vector_field(["-2*x1", "-3*x2 + x1^2*(x1 - 0.5)^2*(x1 - 0.25)^2"])
-    lin = linearize(fld)
-    x = np.array([1.0, 0.0])
-    val = path_integral_phi(fld, lin, [0, 1], x[None, :], t_max=10.0, dt=1e-2)
-    for i, (lam, w) in enumerate(zip(lin.eigenvalues, lin.left_eigenvectors)):
-        assert val[0, i] == _scalar_path_integral(fld, lin, lam, w, x, t_max=10.0, dt=1e-2)
 
 
 def test_path_integral_convergence_condition(cubic):
@@ -257,10 +239,9 @@ def test_path_integral_step_count_overflow(cubic):
 
 
 def _per_step_path_integral(fld, lin, which, X, t_max, dt):
-    """Reference: path_integral_phi with the integrand, trapezoid term, quiet
-    counts and batch formed after every step, and the finiteness check on
-    every step. Also returns the step after which each point left the batch
-    (None if it stayed to the end)."""
+    """Reference: path_integral_phi with the integrand, trapezoid term and
+    quiet flags formed after every step, and the finiteness check on every
+    step. A pair stops at the end of a block through which it was quiet."""
     lams, W = lin.eigenvalues[which], lin.left_eigenvectors[which]
     X = np.asarray(X, dtype=float)
     n_steps = max(1, int(round(t_max / dt)))
@@ -270,54 +251,42 @@ def _per_step_path_integral(fld, lin, which, X, t_max, dt):
         return np.exp(-lams * t)[:, None] * (W @ (f - lin.E @ state))
 
     total = np.zeros((len(lams), len(X)))
-    left = [None] * len(X)
-    cols = np.arange(len(X))
+    done = np.zeros(total.shape, dtype=bool)
+    quiet = np.ones(total.shape, dtype=bool)
     state = X.T.copy()
     f = fld.evaluate(state)
     g_prev = integrand(0.0, state, f)
-    quiet = np.zeros(total.shape, dtype=int)
     for k in range(n_steps):
         t_next = (k + 1) * h
         state = rk4_step(fld, state, h, k1=f)
-        if not np.all(np.isfinite(state)):
+        if not np.all(np.isfinite(state[:, ~done.all(axis=0)])):
             raise BlowUpError(t_next)
         f = fld.evaluate(state)
         g_next = integrand(t_next, state, f)
-        active = quiet < koopman._TAIL_STEPS
-        total[:, cols] += np.where(active, 0.5 * h * (g_prev + g_next), 0.0)
+        total += np.where(done, 0.0, 0.5 * h * (g_prev + g_next))
         g_prev = g_next
-        quiet = np.where(active & (np.abs(g_next) >= koopman._TAIL_FLOOR), 0, quiet + 1)
-        live = (quiet < koopman._TAIL_STEPS).any(axis=0)
-        if not live.all():
-            for p in cols[~live]:
-                left[p] = k + 1
-            if not live.any():
+        quiet &= np.abs(g_next) < koopman._TAIL_FLOOR
+        if (k + 1) % koopman._BLOCK == 0:
+            done |= quiet
+            quiet[:] = True
+            if done.all():
                 break
-            cols, state, quiet = cols[live], state[:, live], quiet[:, live]
-            f, g_prev = f[:, live], g_prev[:, live]
-    return X @ W.T + total.T, left
+    return X @ W.T + total.T
 
 
 @pytest.mark.parametrize("blocks", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
-def test_blocked_path_integral_matches_per_step_reference(monkeypatch, blocks):
+def test_blocked_path_integral_matches_per_step_reference(blocks):
     # n_steps = 1, B - 1, B, B + 1 and 3B + 7 for the block size B. E is not
-    # diagonal, so every step's products go through BLAS. With the raised
-    # floor the pairs go quiet at different steps, most of them inside a
-    # block, and the origin leaves the batch after _TAIL_STEPS steps.
-    monkeypatch.setattr(koopman, "_TAIL_FLOOR", 1e-3)
-    monkeypatch.setattr(koopman, "_TAIL_STEPS", 20)
+    # diagonal, so every step's products go through BLAS. The origin's pairs
+    # stop after the first block.
     n_steps = blocks[0] * koopman._BLOCK + blocks[1]
     fld = parse_vector_field(["-2*x1 + 0.5*x2 + x2^2", "-3*x2 + x1^2"])
     lin = linearize(fld)
     X = np.vstack([np.zeros(2), np.random.default_rng(4).uniform(-1.5, 1.5, size=(7, 2))])
     dt = 1e-2
     val = path_integral_phi(fld, lin, [0, 1], X, t_max=n_steps * dt, dt=dt)
-    ref, left = _per_step_path_integral(fld, lin, [0, 1], X, t_max=n_steps * dt, dt=dt)
+    ref = _per_step_path_integral(fld, lin, [0, 1], X, t_max=n_steps * dt, dt=dt)
     np.testing.assert_array_equal(val, ref)
-    if n_steps > 3 * koopman._BLOCK:
-        gone = [s for s in left if s is not None]
-        assert len(gone) >= 3 and any(s % koopman._BLOCK for s in gone)
-        assert left[0] == koopman._TAIL_STEPS
 
 
 def _blow_up_time(fn, *args, **kw):
@@ -349,29 +318,78 @@ def test_path_integral_blow_up_of_one_point_fails_the_batch():
     assert t == _blow_up_time(_per_step_path_integral, *args, t_max=2.0, dt=1e-2)
 
 
-def test_path_integral_point_that_left_the_batch_may_blow_up():
-    # w1 . G = 0, so the pair of lambda = -1 is quiet from the start and the
-    # point leaves the batch after _TAIL_STEPS = 100 steps; x2 = 7 then
-    # escapes near t = ln(1.4) / 2 = 0.168, inside the same block. That
-    # trajectory no longer counts.
-    fld = parse_vector_field(["-1*x1", "x2^2 - 2*x2"])
+def test_path_integral_escape_with_zero_integrand_raises():
+    # w1 . G = 0, so the integrand of lambda = -1 vanishes all along, yet
+    # x2 = 7 escapes near t = ln(1.4) / 2 = 0.168, inside the first block:
+    # the escape raises at the time of the first non-finite state, without
+    # numpy warnings (which the test configuration turns into errors)
+    fld = parse_vector_field(["-x1", "x2^2 - 2*x2"])
     lin = linearize(fld)
-    X = np.array([[0.5, 7.0]])
+    assert lin.eigenvalues[0] == -1.0
+    with pytest.raises(BlowUpError) as info:
+        path_integral_phi(fld, lin, [0], [[0.5, 7.0]], t_max=20.0, dt=1e-3)
+    ref = _blow_up_time(_per_step_path_integral, fld, lin, [0], [[0.5, 7.0]], t_max=20.0, dt=1e-3)
+    assert info.value.t == ref
+
+
+def test_path_integral_point_whose_pairs_stopped_may_escape():
+    # the second point's pair is quiet from the start (w1 . G = x1^2 = 0) and
+    # stops after the first block; x2 = 3.01 escapes near t = 1.9, step 1900,
+    # while the first point's pair still adds. That trajectory no longer
+    # counts, in the batch as alone, and its escape shows no numpy warning.
+    fld = parse_vector_field(["-2*x1 + x1^2", "x2^2 - 3*x2"])
+    lin = linearize(fld)
+    X = np.array([[0.5, 0.0], [0.0, 3.01]])
+    batch = path_integral_phi(fld, lin, [0], X, t_max=20.0, dt=1e-3)
+    alone = path_integral_phi(fld, lin, [0], X[1:], t_max=20.0, dt=1e-3)
     with np.errstate(over="ignore", invalid="ignore"):
-        val = path_integral_phi(fld, lin, [0], X)
-    ref, left = _per_step_path_integral(fld, lin, [0], X, t_max=20.0, dt=1e-3)
-    assert left == [koopman._TAIL_STEPS]
+        ref = _per_step_path_integral(fld, lin, [0], X, t_max=20.0, dt=1e-3)
+    np.testing.assert_array_equal(batch, ref)
+    assert batch[1, 0] == alone[0, 0] == 0.0
+
+
+def test_stopped_pairs_match_per_step_reference():
+    # example1's field to t_max = 300: the slow pairs vanish identically and
+    # stop after the first block; the fast ones (about 3 x1(0)^2 e^-t) stop in
+    # different blocks between t = 20 and 30, long before exp(3 t) overflows
+    # near t = 237
+    fld = parse_vector_field(["-2*x1", "-3*(x2 - x1^2)"])
+    lin = linearize(fld)
+    X = np.array([[1.0, 0.0], [0.01, 0.5], [-1.5, 1.0]])
+    val = path_integral_phi(fld, lin, [0, 1], X, t_max=300.0, dt=1e-2)
+    ref = _per_step_path_integral(fld, lin, [0, 1], X, t_max=300.0, dt=1e-2)
     np.testing.assert_array_equal(val, ref)
 
 
-def test_path_integral_escape_after_leaving_the_batch_is_silent():
-    # the point leaves the batch at step 100 and x2 escapes near step 168 of
-    # the same 256-step block; that trajectory no longer counts, so numpy's
-    # overflow and invalid-value warnings about it are not shown
-    fld = parse_vector_field(["-x1", "x2^2 - 2*x2"])
+@pytest.mark.parametrize(
+    "components, t_max",
+    [
+        # bundled example1 with a long horizon: exp(3 t) overflows past t = 237
+        (["-2*x1", "-3*(x2 - x1^2)"], 300.0),
+        # a linear field at the default horizon: exp(41 t) overflows past t = 17.3
+        (["-40*x1", "-41*x2"], 20.0),
+    ],
+)
+def test_path_integral_past_the_range_of_exp_is_finite(components, t_max):
+    # the integrands are negligible long before exp(-lambda t) overflows; the
+    # result is finite, shows no numpy warning, and matches t_max = 40 (or
+    # w . x for the linear field, whose integrand vanishes)
+    fld = parse_vector_field(components)
     lin = linearize(fld)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        val = path_integral_phi(fld, lin, [0], [[0.5, 7.0]])
-    assert lin.eigenvalues[0] == -1.0
-    assert val[0, 0] == 0.5
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 2))
+    val = path_integral_phi(fld, lin, [0, 1], X, t_max=t_max, dt=1e-3)
+    assert np.all(np.isfinite(val))
+    short = path_integral_phi(fld, lin, [0, 1], X, t_max=min(t_max, 40.0), dt=1e-3)
+    np.testing.assert_allclose(val, short, rtol=0.0, atol=1e-10)
+    if t_max == 20.0:
+        np.testing.assert_array_equal(val, X @ lin.left_eigenvectors.T)
+
+
+def test_path_integral_overflowing_integrand_raises():
+    # lambda = -39.8 meets the convergence condition (margin -0.2), but its
+    # integrand, about x1(0)^2 e^(-0.2 t), is far from negligible when
+    # exp(39.8 t) overflows near t = 17.8 < t_max
+    fld = parse_vector_field(["-20*x1", "-39.8*x2 + x1^2"])
+    lin = linearize(fld)
+    with pytest.raises(DynamicsError, match="overflows"):
+        path_integral_phi(fld, lin, [0, 1], [[0.5, 0.5]], t_max=20.0, dt=1e-2)

@@ -41,8 +41,6 @@ def test_solve_p_residual_random_spectra():
     for _ in range(50):
         d = rng.integers(1, 7)
         lams = -np.exp(rng.uniform(-2, 2, size=d))
-        if np.unique(lams).size < d:
-            continue
         P = solve_p(lams)
         L = np.diag(lams)
         resid = np.max(np.abs(L.T @ P + P @ L + np.eye(d)))
@@ -54,8 +52,12 @@ def test_solve_p_rejects_bad_spectra():
         solve_p([])
     with pytest.raises(LyapunovError, match="negative"):
         solve_p([-1.0, 0.5])
-    with pytest.raises(LyapunovError, match="distinct"):
-        solve_p([-1.0, -1.0])
+
+
+def test_solve_p_accepts_a_repeated_spectrum():
+    # diag(1 / (2 |lambda|)) solves the Lyapunov equation whether or not
+    # eigenvalues repeat
+    np.testing.assert_array_equal(solve_p([-1.0, -1.0]), np.diag([0.5, 0.5]))
 
 
 def test_solve_p_rejects_a_non_finite_p():
