@@ -58,13 +58,13 @@ Assembly. With u = z_a - z_b, T = u . f(z_b) / sigma^2, R = u . f(z_a) / sigma^2
 
 K gathered from the 1-D Gram factors k(a_li, a_lj): sum_l n_l^2
 exponentials, not n^2. u_ba = -u_ab exactly, so the entries below the
-diagonal equal those above bit for bit: each chunk of PDE rows forms its
+diagonal equal those above bit for bit: each strip of PDE rows forms its
 columns from its own first row onward and writes their transpose below, and
 every off-diagonal block is computed once. The origin columns are the
 table's rows n .. n + d at x = z_a, the origin rows their transpose. Only
 lambda and w differ between eigenvalues, so one problem covers the whole
-spectrum, solved one eigenvalue at a time: each Gram matrix is assembled,
-factored and freed before the next is assembled.
+spectrum, solved one eigenvalue at a time, each Gram matrix assembled and
+factored in a C-contiguous prefix of one buffer sized for the largest.
 
 Mirror symmetry. Let S be a diagonal sign matrix with f(S x) = S f(x) and
 S z_a = z_Sa another center for every center. The Gaussian is invariant
@@ -105,10 +105,11 @@ form. f is evaluated at the centers once per problem; it and every
 right-hand side are checked for non-finite entries before any system is
 assembled, and each Gram matrix before it is factored. A system that is not
 numerically positive definite, or whose solution fails the residual check,
-raises SingularSystemError: its ridge is too small. The non-finite check and
-the residual check each pass over A in _CHUNK-row blocks, so solving a
-system holds no second m x m array. Assembly and evaluation are chunked so
-memory stays flat in the number of points.
+raises SingularSystemError: its ridge is too small. Assembly, the non-finite
+check and the residual check form their temporaries one strip of rows of at
+most _STRIP entries at a time, so beside the buffer a solve holds only such
+strips and the factor's m x _PANEL panels. Evaluation runs in blocks of
+_CHUNK points.
 """
 
 from __future__ import annotations
@@ -135,8 +136,9 @@ __all__ = [
     "solve",
 ]
 
-_CHUNK = 128
+_CHUNK = 128  # evaluation points, or substitution rows of L, per block
 _PANEL = 64
+_STRIP = 2**15  # entries of one row strip of a temporary beside a Gram matrix (256 KB)
 _NON_FINITE = "non-finite entries; is the field finite at every collocation center?"
 
 
@@ -264,8 +266,8 @@ def fill_distance(centers: np.ndarray, domain: Box, probe_resolution: int = 201)
         i = np.searchsorted(a, t)
         below, above = a[np.maximum(i - 1, 0)], a[np.minimum(i, len(a) - 1)]
         dz2[l] = np.minimum((t - below) ** 2, (t - above) ** 2)
-    # chunks of about 2^16 (line, probe) pairs keep the temporaries small
-    worst, rows = 0.0, max(_CHUNK, 2**16 // len(keys))
+    # chunks of at most _STRIP (line, probe) pairs keep the temporaries small
+    worst, rows = 0.0, max(1, _STRIP // len(keys))
     for s in range(0, len(probes), rows):
         p = probes[s : s + rows]
         d2 = sum((p[:, j] - keys[:, j, None]) ** 2 for j in range(keys.shape[1]))
@@ -451,37 +453,47 @@ def _pde_entries(
     R += lam
     R *= T
     out -= R
-    # T is spent; its buffer takes K, gathered from the 1-D Gram factors.
-    # Freeing u, T and R here instead lets the allocator trim the heap
-    # and fault it back in every chunk (60 000 more page faults at m = 3603).
+    # T is spent; its buffer takes K, the product of the 1-D Gram factors
+    # gathered per axis.
     T.fill(1.0)
     for G1, i in zip(gram_1d, index.T):
         T *= G1[np.ix_(i[a], i[b])]
     out *= T
 
 
-def _gram(problem: CollocationProblem, lam: float, eta: float, block: _Block) -> np.ndarray:
+def _strips(m: int, width: int):
+    """(s, e) of the strips of rows 0..m holding at most _STRIP entries of
+    width per row, one row at least."""
+    rows = max(1, _STRIP // max(width, 1))
+    return [(s, min(s + rows, m)) for s in range(0, m, rows)]
+
+
+def _gram(
+    problem: CollocationProblem, lam: float, eta: float, block: _Block,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Gram matrix of the eigenvalue lam over the block's functionals, shape
-    (size, size), symmetric with the ridge eta on its diagonal, one chunk of
+    (size, size), symmetric with the ridge eta on its diagonal, one strip of
     PDE rows at a time, each block off the diagonal formed once and
-    mirrored. The full block gives the m x m system."""
+    mirrored, written into out when given. The full block gives the m x m
+    system."""
     n, d = problem.centers.shape
     s2 = problem.kernel.sigma**2
     gram_1d = [np.exp(np.subtract.outer(a, a) ** 2 / (-2.0 * s2)) for a in problem.lattice[0]]
     rep, mirrors = block.centers, block.mirrors
     r, k = len(rep), block.size
 
-    A = np.empty((k, k))
-    for s in range(0, r, _CHUNK):
-        rows = slice(s, min(s + _CHUNK, r))
-        out = A[rows, s:r]
-        _pde_entries(out, problem, gram_1d, lam, rep[rows], rep[s:])
+    A = np.empty((k, k)) if out is None else out
+    for s, e in _strips(r, r):
+        rows = slice(s, e)
+        strip = A[rows, s:r]
+        _pde_entries(strip, problem, gram_1d, lam, rep[rows], rep[s:])
         if mirrors is not None:
-            partner = np.empty_like(out)
+            partner = np.empty_like(strip)
             _pde_entries(partner, problem, gram_1d, lam, rep[rows], mirrors[s:])
             partner *= block.parity
-            out += partner
-        A[s:r, rows] = out.T
+            strip += partner
+        A[s:r, rows] = strip.T
         values, grads = _origin_columns(problem.centers[rep[rows]], s2)
         cols = np.einsum("cqd,cd->cq", grads, problem.center_field[rep[rows]]) - lam * values
         A[rows, r:] = cols[:, block.origin] * block.scale
@@ -616,10 +628,9 @@ def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _rows(A: np.ndarray, diag: np.ndarray):
     """(s, e, rows s:e) of the symmetric matrix whose strict upper triangle A
-    holds and whose diagonal is diag, one _CHUNK-row block at a time."""
+    holds and whose diagonal is diag, one strip of rows at a time."""
     m = len(diag)
-    for s in range(0, m, _CHUNK):
-        e = min(s + _CHUNK, m)
+    for s, e in _strips(m, m):
         R = np.hstack([A[:s, s:e].T, A[s:e, s:]])
         i, j = np.tril_indices(e - s, -1)
         R[i, s + j] = R[j, s + i]
@@ -631,8 +642,7 @@ def _rows(A: np.ndarray, diag: np.ndarray):
 def _solve_system(A: np.ndarray, b: np.ndarray, lam: float, eta: float) -> np.ndarray:
     """alpha with A alpha = b, by Cholesky. A is overwritten: the factor
     takes its lower triangle, and the residual check reads A's rows back from
-    the strict upper triangle and the saved diagonal. solve passes each Gram
-    matrix straight in, so it is freed on return. A system that does not
+    the strict upper triangle and the saved diagonal. A system that does not
     factor, or whose solution is not finite or leaves a residual above 1e-8
     of the system's scale ||A|| |alpha| + |b| (max norms), raises
     SingularSystemError naming lam and eta. That bounds the normwise backward
@@ -640,7 +650,7 @@ def _solve_system(A: np.ndarray, b: np.ndarray, lam: float, eta: float) -> np.nd
     in alpha on these ill-conditioned systems (alpha * 2 passes on the
     bundled ones). The PDE residual is the accuracy measure."""
     m = len(b)
-    if not all(np.isfinite(A[s : s + _CHUNK]).all() for s in range(0, m, _CHUNK)):
+    if not all(np.isfinite(A[s:e]).all() for s, e in _strips(m, m)):
         raise CollocationError(f"the Gram system of lambda = {lam:.6g} has {_NON_FINITE}")
     diag = A.diagonal().copy()
     where = f"the Gram system of lambda = {lam:.6g} with eta = {eta:.6g}"
@@ -670,11 +680,12 @@ def solve(problem: CollocationProblem) -> CollocationSolution:
     solution alpha = 0, so its system is neither assembled nor factored and
     method records "zero". Each other system is reduced to the block of its
     right-hand side's parity under the problem's mirror symmetry (the full
-    system without one), and that block is assembled, checked for non-finite
-    entries, solved by Cholesky and freed before the next is assembled;
-    method records "cholesky". One that is not numerically positive
-    definite, or whose solution is not finite or leaves a residual above
-    1e-8 of the system's scale, raises SingularSystemError.
+    system without one), and that block is assembled into one buffer sized
+    for the largest, checked for non-finite entries and solved by Cholesky
+    there before the next is assembled; method records "cholesky". One that
+    is not numerically positive definite, or whose solution is not finite or
+    leaves a residual above 1e-8 of the system's scale, raises
+    SingularSystemError.
     """
     # overflow and inf - inf are reported below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -684,12 +695,14 @@ def solve(problem: CollocationProblem) -> CollocationSolution:
     signs, blocks = _mirror_split(problem, b)
     lams, n, m = problem.lin.eigenvalues, problem.n_centers, problem.size
     alphas = np.zeros(b.shape)
+    buf = np.empty(max((B.size**2 for B in blocks if B is not None), default=0))
     for i, block in enumerate(blocks):
         if block is not None:
-            A = _gram(problem, lams[i], eta[i], block)
+            k = block.size
+            A = _gram(problem, lams[i], eta[i], block, buf[: k * k].reshape(k, k))
             y = _solve_system(A, block.rhs(b[i]), lams[i], eta[i])
             alphas[i] = block.expand(y, n, m)
-            del A  # freed before the next system is assembled
+            del A  # no view of buf outlives its system
     return CollocationSolution(
         problem=problem,
         alpha=alphas,

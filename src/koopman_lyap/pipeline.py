@@ -342,15 +342,20 @@ def stage_certify(cfg: RunConfig, outdir: Path):
 
 
 def _oracle_points(cfg: RunConfig) -> np.ndarray:
-    """Deterministic sample: the unit point on axis 1, then seeded uniforms
-    over [-1, 1]^d intersected with the domain."""
+    """Deterministic sample: the unit point on axis 1, then points i = 1, 2, ..
+    of the R2 low-discrepancy sequence frac(1/2 + i a), a_l = g^-l with
+    g^(d+1) = g + 1 (Roberts 2018), over [-1, 1]^d intersected with the
+    domain. No random generator is drawn on, so numpy.random stays unloaded."""
     d = cfg.dim
     lo = np.maximum(cfg.domain.lower, -1.0)
     hi = np.minimum(cfg.domain.upper, 1.0)
     first = np.zeros(d)
     first[0] = hi[0]
-    rng = np.random.default_rng(0)
-    rest = rng.uniform(lo, hi, size=(cfg.oracle_sample_points - 1, d))
+    g = 2.0
+    for _ in range(64):  # a fixed point iteration: each step halves the error at least
+        g = (1.0 + g) ** (1.0 / (d + 1))
+    i = np.arange(1, cfg.oracle_sample_points)[:, None]
+    rest = lo + (hi - lo) * ((0.5 + i * g ** -np.arange(1.0, d + 1)) % 1.0)
     return np.vstack([first[None, :], rest])
 
 

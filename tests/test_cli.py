@@ -512,20 +512,41 @@ _STAGE_MODULES = """\
 import json, sys
 from koopman_lyap import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 sys.exit(code)
 """
 
 
-def test_no_stage_loads_scipy(tiny_cfg_path, tmp_path):
-    # scipy would add about 0.4 s of start-up to each process; every stage,
-    # and run, runs in its own fresh interpreter
+@pytest.fixture(scope="module")
+def stage_modules(tiny_cfg_path, tmp_path_factory):
+    """The modules each stage, and run, has loaded at exit, each in its own
+    fresh interpreter as the CLI runs it."""
+    outdir = tmp_path_factory.mktemp("stages")
     loaded = {}
     for stage in ("linearize", "eigenfunctions", "lyapunov", "certify", "oracle-check", "run"):
-        proc = _fresh_python("-c", _STAGE_MODULES, stage, tiny_cfg_path, "--output-dir", tmp_path)
+        proc = _fresh_python("-c", _STAGE_MODULES, stage, tiny_cfg_path, "--output-dir", outdir)
         assert proc.returncode == 0, proc.stderr
         loaded[stage] = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == dict.fromkeys(loaded, [])
+    return loaded
+
+
+def _loaded_under(stage_modules, package):
+    return {
+        stage: [m for m in modules if m == package or m.startswith(package + ".")]
+        for stage, modules in stage_modules.items()
+    }
+
+
+def test_no_stage_loads_scipy(stage_modules):
+    # scipy would add about 0.4 s of start-up to each process; every stage,
+    # and run, runs in its own fresh interpreter
+    assert _loaded_under(stage_modules, "scipy") == dict.fromkeys(stage_modules, [])
+
+
+def test_no_stage_loads_numpy_random(stage_modules):
+    # numpy.random maps its extension modules and, through secrets, OpenSSL;
+    # the oracle's sample points come from a low-discrepancy sequence instead
+    assert _loaded_under(stage_modules, "numpy.random") == dict.fromkeys(stage_modules, [])
 
 
 def test_import_does_not_load_hashlib():

@@ -279,15 +279,15 @@ def odd_grid_and_scattered(setup):
     return cases
 
 
-@pytest.mark.parametrize("chunk", [128, 16, 7])
+@pytest.mark.parametrize("rows", [128, 16, 7])
 @pytest.mark.parametrize("case", ["odd-grid", "scattered"])
 def test_mirrored_assembly_is_symmetric_and_matches_scalar_reference(
-    odd_grid_and_scattered, case, chunk, monkeypatch
+    odd_grid_and_scattered, case, rows, monkeypatch
 ):
-    # one chunk of PDE rows, and several with a ragged last one, so blocks
+    # one strip of PDE rows, and several with a ragged last one, so blocks
     # below the diagonal are written only as mirrors of blocks above it
-    monkeypatch.setattr(collocation, "_CHUNK", chunk)
     prob, refs = odd_grid_and_scattered[case]
+    monkeypatch.setattr(collocation, "_STRIP", rows * prob.n_centers)
     A, _, _ = assemble_system(prob)
     assert A.shape == (2, prob.size, prob.size)
     for Ai, ref in zip(A, refs, strict=True):
@@ -388,9 +388,9 @@ def _two_system_problem(setup, eta=0.0, n_per_axis=7, sigma=SIGMA):
 
 
 def test_one_gram_matrix_alive_at_a_time(setup, monkeypatch):
-    # each system is assembled, factored and freed before the next one is
-    # assembled, so no earlier Gram matrix exists during a factorization;
-    # with 12 x 12 centers m = 147 spans several panels
+    # each system is assembled into the one buffer and factored before the
+    # next one is assembled over it, and no view of an earlier system
+    # outlives it; with 12 x 12 centers m = 147 spans several panels
     grams, factored = [], []
     gram, factor = collocation._gram, collocation._cholesky_solve
 
@@ -611,9 +611,10 @@ def _upper_mirrored(A):
 
 
 def test_residual_check_reads_back_the_assembled_rows(setup, monkeypatch):
-    # m = 147: the rows come back from the upper triangle and the saved
-    # diagonal after the factor has overwritten the lower triangle
-    prob = _two_system_problem(setup, eta=None, n_per_axis=12)
+    # m = 403, so a strip of 2^15 entries holds 81 rows: the rows come back
+    # from the upper triangle and the saved diagonal after the factor has
+    # overwritten the lower triangle
+    prob = _two_system_problem(setup, eta=None, n_per_axis=20)
     A, _, _ = assemble_system(prob)
     read, rows = [], collocation._rows
 
@@ -626,19 +627,21 @@ def test_residual_check_reads_back_the_assembled_rows(setup, monkeypatch):
     assert sol.method == ("cholesky", "cholesky")
     assert len(read) == 2
     for Ai, blocks in zip(A, read):
-        assert [(s, e) for s, e, _ in blocks] == [(0, 128), (128, 147)]
+        assert [(s, e) for s, e, _ in blocks] == [
+            (0, 81), (81, 162), (162, 243), (243, 324), (324, 403)
+        ]
         S = _upper_mirrored(Ai)
         np.testing.assert_array_equal(_bits(np.vstack([R for *_, R in blocks])), _bits(S))
 
 
 def test_solve_working_set_is_a_few_row_blocks(setup):
-    # m = 579, so one Gram matrix is 4.5 blocks of _CHUNK rows. Beside the one
-    # Gram matrix alive, solve holds a few such blocks at a time, and the
-    # solve of an assembled system holds no second m x m array
+    # m = 579, so one Gram matrix is 2.6 MB. Beside it, solve holds a few
+    # strips of at most _STRIP entries at a time, and the solve of an
+    # assembled system holds no second m x m array
     prob = _two_system_problem(setup, eta=None, n_per_axis=24)
     m = prob.size
     assert m == 579
-    gram, block = 8 * m * m, 8 * collocation._CHUNK * m
+    gram, strip = 8 * m * m, 8 * collocation._STRIP
     A, b, eta = assemble_system(prob)
     tracemalloc.start()
     try:
@@ -652,8 +655,31 @@ def test_solve_working_set_is_a_few_row_blocks(setup):
         tracemalloc.stop()
     assert sol.method == ("cholesky", "cholesky")
     np.testing.assert_array_equal(alpha, sol.alpha[1])
-    assert solve_peak - gram <= 5 * block
-    assert system_peak <= 3 * block
+    assert solve_peak - gram <= 6 * strip
+    assert system_peak <= 3 * strip
+
+
+def test_every_system_is_assembled_into_one_buffer(setup, monkeypatch):
+    # m = 903: both Gram matrices are views of one allocation. One Gram
+    # matrix is larger than 6 strips, so a second allocation of one fails
+    # the bound on the peak
+    grams, gram = [], collocation._gram
+    monkeypatch.setattr(collocation, "_gram", lambda *a: grams.append(gram(*a)) or grams[-1])
+    prob = _two_system_problem(setup, eta=None, n_per_axis=30)
+    m = prob.size
+    size, strip = 8 * m * m, 8 * collocation._STRIP
+    assert 6 * strip < size
+    prob.center_field, prob.lattice
+    tracemalloc.start()
+    try:
+        sol = solve(prob)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.method == ("cholesky", "cholesky")
+    assert [A.shape for A in grams] == [(m, m)] * 2
+    assert np.shares_memory(grams[0], grams[1])
+    assert solve_peak - size <= 6 * strip
 
 
 def test_unfactorable_system_raises_naming_lambda_and_eta(setup):
@@ -721,14 +747,14 @@ def _block_basis(block, n, m):
     return Q
 
 
-@pytest.mark.parametrize("chunk", [128, 7])
+@pytest.mark.parametrize("rows", [128, 7])
 @pytest.mark.parametrize("parity", [1, -1])
-def test_block_is_the_full_gram_matrix_in_the_mirror_basis(setup, parity, chunk, monkeypatch):
+def test_block_is_the_full_gram_matrix_in_the_mirror_basis(setup, parity, rows, monkeypatch):
     # the block assembled from the representatives' rows equals Q^T A Q of
     # the full matrix, ridge eta on its diagonal, and is symmetric bit for
     # bit; the even block holds the value and d/dx2 rows, the odd one d/dx1
-    monkeypatch.setattr(collocation, "_CHUNK", chunk)
     prob = _problem(setup, eta=1e-3, centers=uniform_centers(setup[2], 12))
+    monkeypatch.setattr(collocation, "_STRIP", rows * prob.n_centers // 2)
     n, m = prob.n_centers, prob.size
     signs, blocks = _mirror_split(prob, collocation._rhs(prob))
     assert signs == (-1, 1) and blocks[1].parity == 1
@@ -796,11 +822,11 @@ def test_solve_falls_back_to_the_full_system(system, domain, n_per_axis):
 
 def test_split_solve_working_set_is_the_block_and_a_few_row_blocks(setup):
     # m = 1603 and the even block has k = 802 unknowns: solve holds one k x k
-    # Gram block, a quarter of 8 m^2, and a few blocks of _CHUNK of its rows
+    # Gram block, a quarter of 8 m^2, and a few strips of at most _STRIP entries
     prob = _problem(setup, eta=None, centers=uniform_centers(setup[2], 40))
     m, k = prob.size, prob.n_centers // 2 + 2
-    gram, block = 8 * k * k, 8 * collocation._CHUNK * k
-    assert gram + 6 * block < 8 * m * m / 2
+    gram, strip = 8 * k * k, 8 * collocation._STRIP
+    assert gram + 7 * strip < 8 * m * m / 2
     prob.center_field, prob.lattice
     tracemalloc.start()
     try:
@@ -809,4 +835,4 @@ def test_split_solve_working_set_is_the_block_and_a_few_row_blocks(setup):
     finally:
         tracemalloc.stop()
     assert sol.unknowns == (0, k)
-    assert solve_peak - gram <= 6 * block
+    assert solve_peak - gram <= 7 * strip
