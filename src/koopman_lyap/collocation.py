@@ -57,14 +57,15 @@ Assembly. With u = z_a - z_b, T = u . f(z_b) / sigma^2, R = u . f(z_a) / sigma^2
     A[a, b] = K(z_a, z_b) (f(z_a) . f(z_b) / sigma^2 - (T - lambda)(R + lambda)),
 
 K gathered from the 1-D Gram factors k(a_li, a_lj): sum_l n_l^2
-exponentials, not n^2. u_ba = -u_ab exactly, so the entries below the
-diagonal equal those above bit for bit: each strip of PDE rows forms its
-columns from its own first row onward and writes their transpose below, and
-every off-diagonal block is computed once. The origin columns are the
-table's rows n .. n + d at x = z_a, the origin rows their transpose. Only
-lambda and w differ between eigenvalues, so one problem covers the whole
-spectrum, solved one eigenvalue at a time, each Gram matrix assembled and
-factored in a C-contiguous prefix of one buffer sized for the largest.
+exponentials, not n^2. The upper triangle, diagonal included, is A's only
+copy: each strip of PDE rows forms its columns from its own first row
+onward, the origin columns are the table's rows n .. n + d at x = z_a and
+the origin block the origin functionals at x = 0. Nothing is written below
+the diagonal, or read there before the factor writes L (assemble_system
+mirrors it for callers that want full matrices). Only lambda and w differ
+between eigenvalues, so one problem covers the whole spectrum, solved one
+eigenvalue at a time, each Gram matrix assembled and factored in a
+C-contiguous prefix of one buffer sized for the largest.
 
 Mirror symmetry. Let S be a diagonal sign matrix with f(S x) = S f(x) and
 S z_a = z_Sa another center for every center. The Gaussian is invariant
@@ -93,9 +94,10 @@ For distinct functionals the Gram matrix is positive definite (Giesl &
 Wendland, SIAM J. Numer. Anal. 45, 2007) and a ridge eta is added to its
 diagonal, so it is solved by Cholesky, factored in place: L overwrites the
 lower triangle of A, diagonal included, one _PANEL-column panel at a time
-(one product with the columns already factored, numpy's factor of the
-diagonal block, a dense solve of the rows below it), while the strict upper
-triangle and a saved copy of the diagonal keep A. Forward and back
+(the panel's columns read as transposed rows of the upper triangle, one
+product with the columns already factored, numpy's factor of the diagonal
+block, a dense solve of the rows below it), while the strict upper triangle
+and a saved copy of the diagonal keep A. Forward and back
 substitution run in _CHUNK-row blocks of L, each diagonal block solved
 densely (numpy has no triangular solve, and a dense solve with all of L
 would cost O(m^3) again). A zero right-hand side (w . G vanishing at every
@@ -105,11 +107,11 @@ form. f is evaluated at the centers once per problem; it and every
 right-hand side are checked for non-finite entries before any system is
 assembled, and each Gram matrix before it is factored. A system that is not
 numerically positive definite, or whose solution fails the residual check,
-raises SingularSystemError: its ridge is too small. Assembly, the non-finite
-check and the residual check form their temporaries one strip of rows of at
-most _STRIP entries at a time, so beside the buffer a solve holds only such
-strips and the factor's m x _PANEL panels. Evaluation runs in blocks of
-_CHUNK points.
+raises SingularSystemError: its ridge is too small. Assembly and both
+checks touch the upper triangle only, and form their temporaries one strip
+of rows of at most _STRIP entries at a time, so beside the buffer a solve
+holds only such strips and the factor's m x _PANEL panels. Evaluation runs
+in blocks of _CHUNK points.
 """
 
 from __future__ import annotations
@@ -427,7 +429,8 @@ def _pde_entries(
     out: np.ndarray, problem: CollocationProblem, gram_1d, lam: float, a: np.ndarray, b: np.ndarray
 ) -> None:
     """out[i, j] = A[a_i, b_j], the Gram entries of the PDE functionals at
-    centers a (rows) and b (columns), for the eigenvalue lam."""
+    centers a (rows) and b (columns), for the eigenvalue lam. With a split
+    block's mirror term added, A[a, b] and A[b, a] may differ in rounding."""
     Z, F = problem.centers, problem.center_field
     _, index = problem.lattice
     d = Z.shape[1]
@@ -435,7 +438,6 @@ def _pde_entries(
     Za, Fa, Zb, Fb = Z[a], F[a], Z[b], F[b]
     # out = f(z_a) . f(z_b) / sigma^2 - (T - lambda)(R + lambda) with
     # u = z_a - z_b per axis, T = u . f(z_b) / sigma^2, R = u . f(z_a) / sigma^2.
-    # u_ba = -u_ab exactly, so the mirrored entries are those computed from row b.
     np.multiply.outer(Fa[:, 0], Fb[:, 0], out=out)
     for l in range(1, d):
         out += np.multiply.outer(Fa[:, l], Fb[:, l])
@@ -473,10 +475,10 @@ def _gram(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gram matrix of the eigenvalue lam over the block's functionals, shape
-    (size, size), symmetric with the ridge eta on its diagonal, one strip of
-    PDE rows at a time, each block off the diagonal formed once and
-    mirrored, written into out when given. The full block gives the m x m
-    system."""
+    (size, size), with the ridge eta on its diagonal, written into out when
+    given. Only the upper triangle, diagonal included, is written, one strip
+    of PDE rows at a time, each entry computed once from its own row; nothing
+    below the diagonal is written. The full block gives the m x m system."""
     n, d = problem.centers.shape
     s2 = problem.kernel.sigma**2
     gram_1d = [np.exp(np.subtract.outer(a, a) ** 2 / (-2.0 * s2)) for a in problem.lattice[0]]
@@ -486,28 +488,23 @@ def _gram(
     A = np.empty((k, k)) if out is None else out
     for s, e in _strips(r, r):
         rows = slice(s, e)
-        strip = A[rows, s:r]
+        strip = np.empty((e - s, r - s))
         _pde_entries(strip, problem, gram_1d, lam, rep[rows], rep[s:])
         if mirrors is not None:
             partner = np.empty_like(strip)
             _pde_entries(partner, problem, gram_1d, lam, rep[rows], mirrors[s:])
             partner *= block.parity
             strip += partner
-        A[s:r, rows] = strip.T
+        np.copyto(A[rows, s:r], strip, where=~np.tri(e - s, r - s, -1, dtype=bool))
         values, grads = _origin_columns(problem.centers[rep[rows]], s2)
         cols = np.einsum("cqd,cd->cq", grads, problem.center_field[rep[rows]]) - lam * values
         A[rows, r:] = cols[:, block.origin] * block.scale
 
-    # the origin rows are the origin columns transposed, then the origin
-    # functionals at x = 0; column n mirrors row n, as -x_l K0 / sigma^2 gives
-    # -0.0 where x_l K0 / sigma^2 gives +0.0
+    # the origin functionals at x = 0: row 0 the values, row 1 + l the
+    # x_l-gradients of the origin columns
     values, grads = _origin_columns(np.zeros((1, d)), s2)
-    O = np.empty((d + 1, d + 1))
-    O[0] = values[0]
-    O[1:] = grads[0].T
-    O[1:, 0] = O[0, 1:]
-    A[r:, :r] = A[:r, r:].T
-    A[r:, r:] = O[np.ix_(block.origin, block.origin)]
+    O = np.vstack([values, grads[0].T])[np.ix_(block.origin, block.origin)]
+    np.copyto(A[r:, r:], O, where=~np.tri(len(O), k=-1, dtype=bool))
     if eta:
         A[np.diag_indices(k)] += eta
     return A
@@ -515,10 +512,12 @@ def _gram(
 
 def assemble_system(problem: CollocationProblem):
     """Gram matrices, right-hand sides and ridges of every eigenvalue's
-    system: A (k, m, m), the stacked _gram of each eigenvalue, each A[i] with
-    its ridge eta[i] on the diagonal; b (k, m); eta (k,). solve never holds it."""
+    system: A (k, m, m), the stacked _gram of each eigenvalue with its upper
+    triangle mirrored below the diagonal, each A[i] with its ridge eta[i] on
+    the diagonal; b (k, m); eta (k,). solve never holds it."""
     eta, full = _ridges(problem), _Block.full(*problem.centers.shape)
     A = np.stack([_gram(problem, lam, e, full) for lam, e in zip(problem.lin.eigenvalues, eta)])
+    A = np.where(np.tri(problem.size, k=-1, dtype=bool), A.swapaxes(1, 2), A)
     return A, _rhs(problem), eta
 
 
@@ -599,19 +598,21 @@ class CollocationSolution:
 
 
 def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with A x = b for a symmetric A, factored in place: its Cholesky
-    factor L overwrites the lower triangle, diagonal included, and the strict
-    upper triangle keeps A. Left-looking, one _PANEL-column panel at a time:
-    one product with the columns already factored updates the panel, its
-    diagonal block is factored densely and the rows below are solved against
-    that block. A panel that is not numerically positive definite raises
-    LinAlgError. Forward, then back substitution run in _CHUNK-row blocks,
-    each diagonal block solved densely."""
+    """x with A x = b for the symmetric A held in the upper triangle of A,
+    factored in place: its Cholesky factor L overwrites the lower triangle,
+    diagonal included, and the strict upper triangle keeps A. Left-looking,
+    one _PANEL-column panel at a time: the panel is read as transposed rows
+    of the upper triangle, one product with the columns already factored
+    updates it, its diagonal block is factored densely and the rows below
+    are solved against that block. A panel that is not numerically positive
+    definite raises LinAlgError. Forward, then back substitution run in
+    _CHUNK-row blocks, each diagonal block solved densely."""
     m = len(b)
     for s in range(0, m, _PANEL):
         e = min(s + _PANEL, m)
         P = A[s:, :s] @ A[s:e, :s].T
-        np.subtract(A[s:, s:e], P, out=P)
+        np.subtract(np.triu(A[s:e, s:e]).T, P[: e - s], out=P[: e - s])
+        np.subtract(A[s:e, e:].T, P[e - s :], out=P[e - s :])
         L = np.linalg.cholesky(P[: e - s])
         np.copyto(A[s:e, s:e], L, where=np.tri(e - s, dtype=bool))
         A[e:, s:e] = np.linalg.solve(L, P[e - s :].T).T
@@ -626,31 +627,18 @@ def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _rows(A: np.ndarray, diag: np.ndarray):
-    """(s, e, rows s:e) of the symmetric matrix whose strict upper triangle A
-    holds and whose diagonal is diag, one strip of rows at a time."""
-    m = len(diag)
-    for s, e in _strips(m, m):
-        R = np.hstack([A[:s, s:e].T, A[s:e, s:]])
-        i, j = np.tril_indices(e - s, -1)
-        R[i, s + j] = R[j, s + i]
-        r = np.arange(e - s)
-        R[r, s + r] = diag[s:e]
-        yield s, e, R
-
-
 def _solve_system(A: np.ndarray, b: np.ndarray, lam: float, eta: float) -> np.ndarray:
-    """alpha with A alpha = b, by Cholesky. A is overwritten: the factor
-    takes its lower triangle, and the residual check reads A's rows back from
-    the strict upper triangle and the saved diagonal. A system that does not
-    factor, or whose solution is not finite or leaves a residual above 1e-8
-    of the system's scale ||A|| |alpha| + |b| (max norms), raises
-    SingularSystemError naming lam and eta. That bounds the normwise backward
-    error and guards the hand-written factor; it cannot see a forward error
-    in alpha on these ill-conditioned systems (alpha * 2 passes on the
-    bundled ones). The PDE residual is the accuracy measure."""
+    """alpha with A alpha = b, by Cholesky, for the symmetric A held in the
+    upper triangle of A. The factor takes the lower triangle, and the
+    residual check reads the strict upper one back beside the saved diagonal.
+    A system that does not factor, or whose solution is not finite or leaves
+    a residual above 1e-8 of the system's scale ||A|| |alpha| + |b| (max
+    norms), raises SingularSystemError naming lam and eta. That bounds the
+    normwise backward error and guards the hand-written factor; it cannot
+    see a forward error in alpha on these ill-conditioned systems (alpha * 2
+    passes on the bundled ones). The PDE residual is the accuracy measure."""
     m = len(b)
-    if not all(np.isfinite(A[s:e]).all() for s, e in _strips(m, m)):
+    if not all(np.isfinite(np.triu(A[s:e, s:])).all() for s, e in _strips(m, m)):
         raise CollocationError(f"the Gram system of lambda = {lam:.6g} has {_NON_FINITE}")
     diag = A.diagonal().copy()
     where = f"the Gram system of lambda = {lam:.6g} with eta = {eta:.6g}"
@@ -659,14 +647,19 @@ def _solve_system(A: np.ndarray, b: np.ndarray, lam: float, eta: float) -> np.nd
         alpha = _cholesky_solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"{where} is not numerically positive definite; {advice}") from exc
-    norm, resid = np.max(
-        [
-            (np.abs(R).sum(axis=1).max(), np.max(np.abs(R @ alpha - b[s:e])))
-            for s, e, R in _rows(A, diag)
-        ],
-        axis=0,
-    )
-    scale = float(norm * np.max(np.abs(alpha), initial=0.0) + np.max(np.abs(b), initial=0.0))
+    # A alpha and the row sums of |A|; each strip's entries act as rows and
+    # as columns. A non-finite alpha is reported below, not as numpy warnings
+    Ax, norm = diag * alpha, np.abs(diag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, e in _strips(m, m):
+            U = np.triu(A[s:e, s:], 1)
+            Ax[s:e] += U @ alpha[s:]
+            Ax[s:] += U.T @ alpha[s:e]
+            np.abs(U, out=U)
+            norm[s:e] += U.sum(axis=1)
+            norm[s:] += U.sum(axis=0)
+        resid = np.max(np.abs(Ax - b))
+    scale = float(norm.max() * np.max(np.abs(alpha)) + np.max(np.abs(b)))
     if not np.all(np.isfinite(alpha)) or resid > 1e-8 * max(scale, 1e-300):
         raise SingularSystemError(f"{where} leaves a Cholesky residual of {resid:.3g}; {advice}")
     return alpha

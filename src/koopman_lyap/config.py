@@ -15,7 +15,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field as dc_field
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -222,8 +221,7 @@ def bundled_config_path(name: str) -> Path:
 
     Accepts either the bare name ("example1") or the full file name."""
     fname = name if "." in name else f"{name}.cfg"
-    base = resources.files("koopman_lyap") / "configs" / fname
-    path = Path(str(base))
+    path = Path(__file__).parent / "configs" / fname
     if not path.exists():
         raise ConfigError(f"no bundled config named {name!r}")
     return path

@@ -16,10 +16,14 @@ Two check families make the interpolant a certificate:
 
                   where the curvature term with delta = x_i - x_0 is
 
-                      E_{nu,i} = 1/2 sum_{r,s} B_rs |delta_r| (|delta_s| + |delta_last|)
+                      E_{nu,i} = 1/2 sum_{r,s} B_rs |delta_r| (|delta_s| + ext_s),
 
-                  and B bounds all second partials of the components of f on
-                  the box. E_{nu,0} = 0 by construction.
+                  ext_s = max_k |e_s . (x_k - x_0)| the simplex's extent on
+                  axis s, and B bounds all second partials of the components
+                  of f on the box. E_{nu,0} = 0 by construction. With ext_s
+                  (Giesl & Hafstein, JMAA 410, 2014) E bounds the error
+                  whichever vertex is x_0, so also on the triangles the
+                  builder rotates to put the origin first.
 
 At the origin the decrease inequality cannot be strict (f(0) = 0), so pairs
 whose vertex is the origin are skipped. That exception is only sound when
@@ -91,9 +95,7 @@ def build_triangulation(domain: Box, cells: int) -> Triangulation:
         raise CPAError("need at least 2 cells per axis")
 
     n1 = cells + 1
-    xs, ys = domain.axes(n1)
-    mesh = np.meshgrid(xs, ys, indexing="ij")
-    vertices = np.stack([m.ravel() for m in mesh], axis=-1)
+    vertices = domain.grid(n1)
 
     tol = 1e-9 * float(np.max(domain.widths))
     origin_vertex = None
@@ -117,21 +119,8 @@ def build_triangulation(domain: Box, cells: int) -> Triangulation:
 
     if origin_vertex is not None:
         # Rotate triples so the origin is the base vertex wherever it occurs.
-        # Only the triangles of the (up to four) cells around it can hold it;
-        # argmax is 0 for those that do not.
-        i0, j0 = divmod(origin_vertex, n1)
-        near = [
-            2 * (i * cells + j) + k
-            for i in (i0 - 1, i0)
-            for j in (j0 - 1, j0)
-            if 0 <= i < cells and 0 <= j < cells
-            for k in (0, 1)
-        ]
-        sub = simplices[near]
-        shift = np.argmax(sub == origin_vertex, axis=1)
-        simplices[near] = np.take_along_axis(
-            sub, (np.arange(3) + shift[:, None]) % 3, axis=1
-        )
+        hit, shift = np.nonzero(simplices == origin_vertex)
+        simplices[hit] = np.take_along_axis(simplices[hit], (np.arange(3) + shift[:, None]) % 3, 1)
 
     vertices.setflags(write=False)
     simplices.setflags(write=False)
@@ -218,10 +207,9 @@ def _curvature_corrections(tri: Triangulation, b: BBound, rows=slice(None)) -> n
     vertex, shape (n_rows, 3)."""
     B = b.matrix
     pts = tri.vertices[tri.simplices[rows]]
-    D = np.abs(pts - pts[:, 0:1, :])  # |x_i - x_0|, (ns, 3, 2)
-    quad = np.einsum("sir,ru,siu->si", D, B, D)
-    lin = np.einsum("sir,r->si", D, B.sum(axis=1))
-    return 0.5 * (quad + lin * D[:, :, -1])
+    D = np.abs(pts - pts[:, 0:1, :])  # |delta_i| = |x_i - x_0|, (ns, 3, 2)
+    Y = D + D.max(axis=1, keepdims=True)  # |delta_is| + ext_s
+    return 0.5 * sum(D[:, :, r] * B[r, s] * Y[:, :, s] for r in range(2) for s in range(2))
 
 
 @dataclass(frozen=True)

@@ -600,38 +600,59 @@ def test_nan_right_hand_side_is_not_skipped_as_zero():
             solve(prob)
 
 
-def _upper_mirrored(A):
-    """A read from its upper triangle and diagonal, which is A bit for bit,
-    the zeros' signs of the origin block included."""
-    S = A.copy()
-    i, j = np.tril_indices(len(A), -1)
-    S[i, j] = A[j, i]
-    np.testing.assert_array_equal(_bits(S), _bits(A))
-    return S
-
-
 def test_residual_check_reads_back_the_assembled_rows(setup, monkeypatch):
-    # m = 403, so a strip of 2^15 entries holds 81 rows: the rows come back
-    # from the upper triangle and the saved diagonal after the factor has
-    # overwritten the lower triangle
+    # m = 403, so a strip of 2^15 entries holds 81 rows: after the factor has
+    # overwritten the lower triangle, the check forms A x - b from the strict
+    # upper triangle and the saved diagonal, five strips of rows and columns.
+    # A random x fails it, and the residual it reports is the assembled one
     prob = _two_system_problem(setup, eta=None, n_per_axis=20)
-    A, _, _ = assemble_system(prob)
-    read, rows = [], collocation._rows
+    assert len(collocation._strips(prob.size, prob.size)) == 5
+    A, b, _ = assemble_system(prob)
+    x = np.random.default_rng(4).standard_normal(prob.size)
+    factored = []
+    factor = collocation._cholesky_solve
+    monkeypatch.setattr(
+        collocation, "_cholesky_solve", lambda A, b: (factored.append(factor(A, b)), x)[1]
+    )
+    with pytest.raises(SingularSystemError, match="leaves a Cholesky residual") as err:
+        solve(prob)
+    assert len(factored) == 1
+    assert f"residual of {np.max(np.abs(A[0] @ x - b[0])):.3g};" in str(err.value)
 
-    def recording_rows(*args):
-        read.append([(s, e, R.copy()) for s, e, R in rows(*args)])
-        return read[-1]
 
-    monkeypatch.setattr(collocation, "_rows", recording_rows)
-    sol = solve(prob)
-    assert sol.method == ("cholesky", "cholesky")
-    assert len(read) == 2
-    for Ai, blocks in zip(A, read):
-        assert [(s, e) for s, e, _ in blocks] == [
-            (0, 81), (81, 162), (162, 243), (243, 324), (324, 403)
-        ]
-        S = _upper_mirrored(Ai)
-        np.testing.assert_array_equal(_bits(np.vstack([R for *_, R in blocks])), _bits(S))
+def test_solve_system_reads_only_the_upper_triangle(monkeypatch):
+    # a strict lower triangle of NaN, as the buffer may hold before the
+    # factor writes L there: the non-finite check, the factor and the residual
+    # check read the upper triangle, over ragged strips of 7 rows, and solve
+    # the symmetric system it holds
+    m = 300
+    monkeypatch.setattr(collocation, "_STRIP", 7 * m)
+    rng = np.random.default_rng(5)
+    A0, b = _spd(m, rng), rng.standard_normal(m)
+    A = A0.copy()
+    A[np.tril_indices(m, -1)] = np.nan
+    alpha = collocation._solve_system(A, b, -1.0, 0.0)
+    expected = cho_solve(cho_factor(A0), b)
+    assert np.max(np.abs(alpha - expected)) <= 1e-12 * np.max(np.abs(expected))
+    np.testing.assert_array_equal(_upper(A), _upper(A0))
+
+
+def test_solve_does_not_read_what_its_buffer_held(setup, monkeypatch):
+    # a buffer filled with NaN before each assembly gives the same alpha bit
+    # for bit, for split blocks and for full systems
+    probs = [
+        _problem(setup, eta=None, centers=uniform_centers(setup[2], 12)),
+        _two_system_problem(setup, eta=None, n_per_axis=12),
+    ]
+    expected = [solve(p) for p in probs]
+    assert [sol.symmetry for sol in expected] == [(-1, 1), None]
+    gram = collocation._gram
+    monkeypatch.setattr(
+        collocation, "_gram",
+        lambda prob, lam, eta, block, out: gram(prob, lam, eta, block, out.fill(np.nan) or out),
+    )
+    for prob, sol in zip(probs, expected):
+        np.testing.assert_array_equal(_bits(solve(prob).alpha), _bits(sol.alpha))
 
 
 def test_solve_working_set_is_a_few_row_blocks(setup):
@@ -751,8 +772,9 @@ def _block_basis(block, n, m):
 @pytest.mark.parametrize("parity", [1, -1])
 def test_block_is_the_full_gram_matrix_in_the_mirror_basis(setup, parity, rows, monkeypatch):
     # the block assembled from the representatives' rows equals Q^T A Q of
-    # the full matrix, ridge eta on its diagonal, and is symmetric bit for
-    # bit; the even block holds the value and d/dx2 rows, the odd one d/dx1
+    # the full matrix, ridge eta on its diagonal, read from the upper triangle
+    # that _gram writes, leaving what lies below it untouched; the even block
+    # holds the value and d/dx2 rows, the odd one d/dx1
     prob = _problem(setup, eta=1e-3, centers=uniform_centers(setup[2], 12))
     monkeypatch.setattr(collocation, "_STRIP", rows * prob.n_centers // 2)
     n, m = prob.n_centers, prob.size
@@ -763,11 +785,14 @@ def test_block_is_the_full_gram_matrix_in_the_mirror_basis(setup, parity, rows, 
     block = even if parity == 1 else _Block(even.centers, even.mirrors, -1, np.array([1]))
     A, _, eta = assemble_system(prob)
     lam = prob.lin.eigenvalues[1]
-    K = collocation._gram(prob, lam, eta[1], block)
+    size = n // 2 + len(block.origin)
+    assert block.size == size
+    K = collocation._gram(prob, lam, eta[1], block, np.full((size, size), np.nan))
+    below = np.tri(size, k=-1, dtype=bool)
+    assert np.all(np.isnan(K[below])) and np.all(np.isfinite(K[~below]))
+    K = np.where(below, K.T, K)
     Q = _block_basis(block, n, m)
     np.testing.assert_allclose(Q.T @ Q, np.eye(block.size), atol=1e-15)
-    assert K.shape == (n // 2 + len(block.origin),) * 2
-    np.testing.assert_array_equal(K, K.T)
     assert np.max(np.abs(K - Q.T @ A[1] @ Q)) <= 1e-14 * np.max(np.abs(A[1]))
 
 

@@ -179,14 +179,44 @@ def test_curvature_correction_known_values():
     E = _curvature_corrections(tri, b)
     for s, svtx in enumerate(tri.simplices):
         deltas = tri.vertices[svtx] - tri.vertices[svtx[0]]
+        # every triangle, rotated or not, spans one cell on the x1 axis
+        ext = np.max(np.abs(deltas[:, 0]))
+        assert ext == h
         for i in (1, 2):
             e = E[s, i]
             dx = abs(deltas[i][0])
-            dy = abs(deltas[i][1])
-            # quad term 6 dx^2, linear term 6 dx scaled by the last axis offset
-            assert e == pytest.approx(0.5 * (6 * dx * dx + 6 * dx * dy), abs=1e-15)
-            if (dx, dy) == (h, 0.0):
-                assert e == pytest.approx(3 * h * h, abs=1e-15)
+            # quad term 6 dx^2, linear term 6 dx scaled by the simplex's x1-extent
+            assert e == pytest.approx(0.5 * (6 * dx * dx + 6 * dx * ext), abs=1e-15)
+            if dx == h:
+                assert e == pytest.approx(6 * h * h, abs=1e-15)
+
+
+@pytest.mark.parametrize("cells", [4, 6])
+@pytest.mark.parametrize(
+    "B", [[[0.0, 1.0], [1.0, 0.0]], [[6.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 6.0]],
+          [[2.0, 1.0], [1.0, 4.0]]],
+)
+def test_curvature_correction_bounds_the_interpolation_error(cells, B):
+    # brute force on every simplex the builder makes, the ones rotated to put
+    # the origin first included: for quadratics g with |H_rs| = B_rs under
+    # every sign pattern, |g(x) - sum_i lambda_i g(x_i)| <= sum_i lambda_i E_i
+    # on a grid of barycentric samples lambda
+    tri = build_triangulation(_box(-1.0, 1.0), cells)
+    E = _curvature_corrections(tri, BBound(np.array(B)))
+    q = 40
+    i, j = np.meshgrid(np.arange(q + 1), np.arange(q + 1), indexing="ij")
+    keep = i + j <= q
+    lam = np.stack([q - i[keep] - j[keep], i[keep], j[keep]], axis=1) / q  # (p, 3)
+    X = tri.vertices[tri.simplices]  # (ns, 3, 2)
+    x = np.einsum("pi,sid->spd", lam, X)
+    bound = lam @ E.T  # (p, ns)
+    for signs in np.ndindex(2, 2, 2):
+        s = np.where(np.array(signs) == 1, -1.0, 1.0)
+        H = np.array(B) * np.array([[s[0], s[1]], [s[1], s[2]]])
+        g_x = 0.5 * np.einsum("spd,de,spe->sp", x, H, x)
+        g_v = 0.5 * np.einsum("sid,de,sie->si", X, H, X)
+        err = np.abs(g_x - g_v @ lam.T)  # (ns, p)
+        assert np.max(err - bound.T) <= 1e-14, signs
 
 
 def test_curvature_correction_zero_bound(tri_small):
@@ -368,9 +398,8 @@ def _whole_mesh_margins(tri, vals, fld, b):
     rhs = vals[tri.simplices][:, 1:] - vals[tri.simplices][:, 0:1]
     grads = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
     D = np.abs(pts - pts[:, 0:1, :])
-    quad = np.einsum("sir,ru,siu->si", D, b.matrix, D)
-    lin = np.einsum("sir,r->si", D, b.matrix.sum(axis=1))
-    E = 0.5 * (quad + lin * D[:, :, -1])
+    Y = D + D.max(axis=1, keepdims=True)
+    E = 0.5 * sum(D[:, :, r] * b.matrix[r, s] * Y[:, :, s] for r in range(2) for s in range(2))
     fV = fld.evaluate_at(tri.vertices)
     lhs = (
         np.einsum("sd,sid->si", grads, fV[tri.simplices])
