@@ -5,18 +5,22 @@ sin/cos/exp/tanh, decimal constants, and state variables x1..xd. Division is
 excluded on purpose: every expression evaluates totally on finite inputs.
 
 ASTs are immutable trees. Differentiation is structural (no numerics) and the
-constructors fold constant subtrees, so derivative trees stay small. Node
-evaluation goes through numpy, so a variable may be bound to a scalar or to an
-ndarray; arrays broadcast through every operation.
-Parsed constants, literal or folded, are finite. Parsing, evaluation and
-differentiation recurse once per level, so nesting and tree depth are capped.
+constructors fold constant subtrees, so derivative trees stay small. Each
+expression is lowered once, on first evaluation, to a tree of closures, one
+per node, that apply Python and numpy operators, so a variable may be bound
+to a scalar or to an ndarray; arrays broadcast through every operation.
+Parsed constants, literal or folded, are finite. Parsing, lowering, evaluation
+and differentiation recurse once per level, so nesting and tree depth are
+capped.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,27 +175,36 @@ def _call(name: str, a: _Node) -> _Node:
     return Call(name, a)
 
 
-# --- evaluation / differentiation -----------------------------------------
+# --- lowering / differentiation ---------------------------------------------
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
-def _eval(node: _Node, x):
+def _lower(node: _Node):
+    """node as a function of x, or as its float for a Const, which the parent
+    applies directly. Every other node has an operand that is not a Const,
+    as the folding constructors guarantee. Each closure applies the node's
+    operation to the same operands in the same order as the tree reads, so
+    scalars stay Python floats and arrays stay numpy."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
-        return x[node.index - 1]
+        return operator.itemgetter(node.index - 1)
     if isinstance(node, Neg):
-        return -_eval(node.arg, x)
-    if isinstance(node, Add):
-        return _eval(node.left, x) + _eval(node.right, x)
-    if isinstance(node, Sub):
-        return _eval(node.left, x) - _eval(node.right, x)
-    if isinstance(node, Mul):
-        return _eval(node.left, x) * _eval(node.right, x)
+        f = _lower(node.arg)
+        return lambda x: -f(x)
     if isinstance(node, Pow):
-        return _eval(node.base, x) ** node.exponent
+        f, k = _lower(node.base), node.exponent
+        return lambda x: f(x) ** k
     if isinstance(node, Call):
-        return _FUNCTIONS[node.name][0](_eval(node.arg, x))
-    raise TypeError(f"unknown node {node!r}")
+        f, g = _lower(node.arg), _FUNCTIONS[node.name][0]
+        return lambda x: g(f(x))
+    op, a, b = _BINARY[type(node)], _lower(node.left), _lower(node.right)
+    if isinstance(node.left, Const):
+        return lambda x: op(a, b(x))
+    if isinstance(node.right, Const):
+        return lambda x: op(a(x), b)
+    return lambda x: op(a(x), b(x))
 
 
 def _deriv(node: _Node, var: int) -> _Node:
@@ -241,7 +254,13 @@ class ExprAST:
         """Evaluate with x a sequence of dim scalars or broadcastable arrays."""
         if len(x) != self.dim:
             raise ExprError(f"expected {self.dim} variables, got {len(x)}")
-        return _eval(self.root, x)
+        return self._fn(x)
+
+    @cached_property
+    def _fn(self):
+        # built on first use; not a field, so equality and hashing ignore it
+        f = _lower(self.root)
+        return f if callable(f) else lambda x: f
 
     def derivative(self, var: int) -> "ExprAST":
         """Exact partial derivative with respect to x<var> (1-based)."""
@@ -275,18 +294,22 @@ class VectorField:
         """f(x). For x of shape (d,) returns (d,); for a batch x of shape
         (d,) + S returns (d,) + S, one component written per row."""
         x = np.asarray(x, dtype=float)
+        if len(x) != self.dim:
+            raise ExprError(f"expected {self.dim} variables, got {len(x)}")
         out = np.empty(x.shape)
         for i, comp in enumerate(self.components):
-            out[i] = comp.evaluate(x)
+            out[i] = comp._fn(x)
         return out
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """f at a batch of points of shape (m, d), returned as (m, d)."""
         pts = np.asarray(points, dtype=float)
+        if pts.shape[-1] != self.dim:
+            raise ExprError(f"expected {self.dim} variables, got {pts.shape[-1]}")
         cols = [pts[:, i] for i in range(self.dim)]
         out = np.empty_like(pts)
         for j, comp in enumerate(self.components):
-            out[:, j] = np.broadcast_to(comp.evaluate(cols), (pts.shape[0],))
+            out[:, j] = np.broadcast_to(comp._fn(cols), (pts.shape[0],))
         return out
 
 

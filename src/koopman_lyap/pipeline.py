@@ -17,7 +17,7 @@ Each stage, and run_pipeline, is called as stage(cfg, outdir) and returns
 (result, text): what it computed, and exactly the text the CLI prints for it.
 
 Outputs are deterministic: no timestamps, fixed float formatting, sorted JSON
-keys. Every CSV artifact is written by _write_csv, one np.savetxt call:
+keys. Every CSV artifact is written by _write_csv, in np.savetxt's layout:
 comma-separated columns, floats as %.17g (index columns as %d), and at
 most one header line. The manifest lists every other file in the directory
 with a sha256 checksum.
@@ -107,10 +107,25 @@ def _require(obj, keys, where: str) -> None:
             raise ValueError(f"{where} has no key {key!r}")
 
 
+_CSV_BLOCK = 4096  # rows per % formatting, which bounds the string it builds
+
+
 def _write_csv(path: Path, rows, header: str = "", fmt="%.17g") -> None:
     """rows (2-D, or 1-D for one column) in fmt, one format or one per
-    column, after header as the first line unless it is empty."""
-    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=header, comments="")
+    column, after header as the first line unless it is empty. The bytes
+    are np.savetxt's with delimiter ",", but a block of rows is formatted
+    by one % operation rather than one per row."""
+    rows = np.asarray(rows)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    fmts = [fmt] * rows.shape[1] if isinstance(fmt, str) else fmt
+    line = ",".join(fmts) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(header + "\n")
+        for s in range(0, len(rows), _CSV_BLOCK):
+            block = rows[s : s + _CSV_BLOCK]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, obj) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopman_lyap import cli, collocation, koopman, pipeline
+from koopman_lyap import cli, collocation, expr, koopman, pipeline
 from koopman_lyap.collocation import SingularSystemError
 from koopman_lyap.config import ConfigError, bundled_config_path, load_config
 from koopman_lyap.dynamics import BlowUpError, EquilibriumError, SpectrumError
@@ -266,11 +266,14 @@ def test_oracle_integrates_all_points_and_eigenvalues_in_one_pass(
     tiny_cfg_path, tmp_path, monkeypatch
 ):
     # one path-integral call for every sample point and eigenvalue, and one
-    # RK4 step per time step up to t_max for the whole batch
+    # RK4 step per time step up to t_max for the whole batch. The field is
+    # evaluated 4 times a step, plus once at the origin to linearize and
+    # once at the sample points to start
     cfg = load_config(tiny_cfg_path)
     pipeline.stage_eigenfunctions(cfg, tmp_path)
-    calls, steps = [], []
+    calls, steps, evaluations = [], [], []
     integral, step = pipeline.path_integral_phi, koopman.rk4_step
+    evaluate = expr.VectorField.evaluate
 
     def counting_integral(*args, **kwargs):
         calls.append(args[2])
@@ -280,12 +283,18 @@ def test_oracle_integrates_all_points_and_eigenvalues_in_one_pass(
         steps.append(1)
         return step(*args, **kwargs)
 
+    def counting_evaluate(*args, **kwargs):
+        evaluations.append(1)
+        return evaluate(*args, **kwargs)
+
     monkeypatch.setattr(pipeline, "path_integral_phi", counting_integral)
     monkeypatch.setattr(koopman, "rk4_step", counting_step)
+    monkeypatch.setattr(expr.VectorField, "evaluate", counting_evaluate)
     pipeline.stage_oracle_check(cfg, tmp_path)
     assert len(calls) == 1
     assert len(calls[0]) == cfg.dim
     assert len(steps) == round(cfg.oracle_t_max / cfg.oracle_dt)
+    assert len(evaluations) == 4 * len(steps) + 2
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -860,6 +869,30 @@ def test_csv_writer_layout(tmp_path):
     assert path.read_text() == "\n".join(expected) + "\n"
     pipeline._write_csv(path, np.empty((0, 3)), "x1,x2,v")
     assert path.read_text() == "x1,x2,v\n"
+
+
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.0 / 3.0, 1e300, 2.5])
+
+
+@pytest.mark.parametrize(
+    "rows, header, fmt",
+    [
+        (_SPECIAL, "", "%.17g"),
+        (
+            np.column_stack([np.arange(9) - 1, _SPECIAL, _SPECIAL[::-1]]),
+            "# i,a,b",
+            ["%d", "%.17g", "%.17g"],
+        ),
+        (np.empty((0, 3)), "x1,x2,v", "%.17g"),
+        (np.empty(0), "", "%.17g"),
+        (np.resize(_SPECIAL, (2 * pipeline._CSV_BLOCK + 3, 2)), "x,y", "%.17g"),
+    ],
+    ids=["one-column", "per-column-formats", "no-rows", "no-rows-1d", "over-two-blocks"],
+)
+def test_csv_writer_matches_savetxt(tmp_path, rows, header, fmt):
+    pipeline._write_csv(tmp_path / "a.csv", rows, header, fmt)
+    np.savetxt(tmp_path / "b.csv", rows, fmt=fmt, delimiter=",", header=header, comments="")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_certification_artifacts(finished_run):

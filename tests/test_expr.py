@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from koopman_lyap.expr import (
     parse_vector_field,
 )
 
+import expr_reference
 from fdtools import rel_err
 
 
@@ -148,6 +151,16 @@ def test_deep_nesting_rejected():
         parse_expression("sin(" * 100 + "x1" + ")" * 100, 2)
 
 
+def test_deep_trees_evaluate_at_the_default_recursion_limit():
+    # lowering and evaluating recurse once per level, as the walk did
+    assert sys.getrecursionlimit() == 1000
+    x = (0.5, 0.0)
+    for text in ("sin(" * 99 + "x1" + ")" * 99, "x2" + " + x1" * 99):
+        ast = parse_expression(text, 2)
+        for e in (ast, ast.derivative(1)):
+            assert e.evaluate(x) == expr_reference.evaluate(e.root, x)
+
+
 def test_deep_tree_rejected():
     # a chain of n sums is n levels deep; evaluating and differentiating
     # recurse once per level
@@ -166,6 +179,18 @@ def test_evaluate_wrong_arity():
     ast = parse_expression("x1 + x2", 2)
     with pytest.raises(ExprError, match="expected 2 variables"):
         ast.evaluate((1.0,))
+
+
+def test_vector_field_wrong_arity():
+    # checked once per call: a state of the wrong length would otherwise
+    # leave rows of the output unwritten
+    fld = parse_vector_field(["x2", "-x1"])
+    for bad in (np.zeros((3, 4)), np.zeros((1, 4)), (1.0, 2.0, 3.0)):
+        with pytest.raises(ExprError, match=f"expected 2 variables, got {len(bad)}"):
+            fld.evaluate(bad)
+    for bad in (np.zeros((4, 3)), np.zeros((4, 1))):
+        with pytest.raises(ExprError, match=f"expected 2 variables, got {bad.shape[1]}"):
+            fld.evaluate_at(bad)
 
 
 def test_derivative_index_out_of_range():
@@ -256,6 +281,46 @@ def test_parse_matches_python_arithmetic(text):
         v2 = eval(python, {"__builtins__": {}}, {**_PYTHON_NAMES, "x1": p[0], "x2": p[1]})
         assert np.isfinite(v1)
         assert v1 == pytest.approx(v2, rel=1e-9, abs=1e-9)
+
+
+def _same(a, b):
+    # bitwise: the same type, shape and bytes (so -0.0 differs from 0.0)
+    return (
+        type(a) is type(b)
+        and np.shape(a) == np.shape(b)
+        and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_expr_strings(3))
+def test_lowering_matches_reference_walk_bitwise(text):
+    ast = parse_expression(text, 2)
+    d1 = [ast.derivative(v) for v in (1, 2)]
+    exprs = [ast, *d1, *(e.derivative(v) for e in d1 for v in (1, 2))]
+    states = [tuple(map(float, p)) for p in _PROBES] + list(_PROBES)
+    states += [_PROBES.T, list(_PROBES.T)]  # a (2, c) batch and its columns
+    for e in exprs:
+        for x in states:
+            assert _same(e.evaluate(x), expr_reference.evaluate(e.root, x))
+
+
+def test_constant_expression_evaluates_to_a_float():
+    for ast in (parse_expression("2*3 + 1", 2), parse_expression("x1^2", 2).derivative(2)):
+        for x in ((1.0, 2.0), np.ones((2, 3))):
+            v = ast.evaluate(x)
+            assert type(v) is float and v == expr_reference.evaluate(ast.root, x)
+
+
+def test_evaluated_field_equals_a_fresh_parse():
+    # the lowered closures are cached on the instance, not compared or hashed
+    texts = ["x2", "-3*x2 - x1 - x1^3"]
+    fld = parse_vector_field(texts)
+    fld.evaluate((0.5, 0.25))
+    fld.evaluate_at(np.ones((3, 2)))
+    fresh = parse_vector_field(texts)
+    assert fld == fresh and hash(fld) == hash(fresh)
+    assert fld.components[1].derivative(1) == fresh.components[1].derivative(1)
 
 
 def _poly_strings(depth):
