@@ -1,7 +1,18 @@
-"""Axis-aligned boxes used as computational domains."""
+"""Axis-aligned boxes used as computational domains, and tensor grids of
+points over them.
+
+A grid is the tensor product of coordinate vectors x_1 .. x_d (p_l points
+on axis l) listed first axis slowest, the layout of Box.grid; grid_axes
+reads the vectors back from the points. A sum of functions that factorize
+over the axes, such as Gaussian kernel columns on a lattice of centers, is
+a chain of matrix products with one (p_l, n_l) factor per axis on a grid,
+rather than a contraction per point: grid_contract forms it, and
+collocation evaluates h and grad h this way on every grid.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,3 +72,55 @@ class Box:
         varying slowest."""
         mesh = np.meshgrid(*self.axes(n), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def grid_axes(X: np.ndarray):
+    """The coordinate vectors x_1 .. x_d of which the points X (c, d) are the
+    tensor product, first axis slowest, read from X itself; None if X is no
+    such grid. Exact, in O(c d): the last axis' length p is the least divisor
+    of the leading run of rows sharing X[0]'s other coordinates for which the
+    last column repeats every p rows and the other columns are constant on
+    each block of p rows (a repeated coordinate can make the run several
+    blocks long); the other axes are those of the blocks' first rows."""
+    axes = []
+    for l in reversed(range(1, X.shape[1])):
+        prefix, last, m = X[:, :l], X[:, l], len(X)
+        moved = np.flatnonzero(np.any(prefix != prefix[0], axis=1))
+        run = int(moved[0]) if moved.size else m
+        small = [p for p in range(1, math.isqrt(run) + 1) if run % p == 0]
+        for p in small + [run // p for p in reversed(small) if p * p != run]:
+            if m % p or (m > p and not np.array_equal(last[p : 2 * p], last[:p])):
+                continue  # rejected by the second block alone
+            if np.all(last.reshape(-1, p) == last[:p]) and np.all(
+                prefix.reshape(-1, p, l) == prefix[::p, None]
+            ):
+                break
+        else:
+            return None
+        axes.append(last[:p])
+        X = X[::p, :l]
+    return [X[:, 0], *reversed(axes)]
+
+
+def grid_contract(C: np.ndarray, pairs, out: np.ndarray) -> None:
+    """Write into out (points, k), in grid order, the sum over q of the
+    lattice coefficients C_q (n_1, k n_2 .. n_d), q = 0 .. d, each
+    contracted on axis l with a (p_l, n_l) factor of pairs[l] = (F_l, G_l):
+    G_l for q = l + 1, else F_l. Axis by axis, as matrix products; the last
+    axis in one product of [sum_{q<d} T_q, T_d] with [F_d, G_d]."""
+    *inner, last = pairs
+    n, k = [F.shape[1] for F, _ in pairs], out.shape[1]
+    T = []
+    for q, R in enumerate(C):
+        factors = [G if q == l + 1 else F for l, (F, G) in enumerate(inner)]
+        if not factors:  # d = 1
+            T.append(R.T[None, :, None])
+            continue
+        R = factors[0] @ R
+        for l, F in enumerate(factors[1:], start=1):
+            R = F @ R.reshape(-1, n[l], math.prod(n[l + 1 :]))
+        T.append(R.reshape(len(factors[0]), k, -1, n[-1]))  # (p_1, k, p_2 .. p_{d-1}, n_d)
+    Y = np.concatenate([sum(T[:-1]), T[-1]], axis=-1)
+    Z = (Y.reshape(-1, Y.shape[-1]) @ np.hstack(last).T).reshape(*Y.shape[:-1], -1)
+    # splitting out's first axis leaves a view, also of a strided out
+    out.reshape(-1, *Z.shape[2:], k)[...] = Z.transpose(0, 2, 3, 1)

@@ -52,6 +52,23 @@ Tensor grids, the odd grid's moved center and scattered centers (a sparse
 n^d lattice) take this one path: c (n_1 + .. + n_d + 1) exponentials for c
 points, and no (c, m, d) tensor.
 
+Grid evaluation. Points that are themselves a tensor grid, the product of
+coordinate vectors x_l of p_l points each (box.grid_axes reads them off
+the points; Box.grid and the residual probes build such grids), share
+their factors: K_l and G_l are (p_l, n_l) matrices and, with C_q viewed as
+(n_1, k, n_2),
+
+    h[p_1, p_2] = (K_1 C_0 + G_1 C_1) K_2^T + (K_1 C_2) G_2^T,
+
+a chain of matrix products per C_q (box.grid_contract). The origin
+columns take the same form, a center at 0 holding alpha_n in C_0 and
+alpha_{n+1+l} / sigma^2 in C_l (x_l K0 = g(x_l, 0) prod_{j != l} k(x_j, 0)),
+so each axis gains the coordinate 0: sum_l p_l (n_l + 1) exponentials in
+all, formed once, then strips of first-axis rows whose temporaries hold at
+most _STRIP entries each. A single point and every other batch (scattered
+points, a shuffled grid) take the per-point path above. The two paths sum
+the same terms in other orders and agree to about eps ||alpha_i||_1.
+
 Assembly. With u = z_a - z_b, T = u . f(z_b) / sigma^2, R = u . f(z_a) / sigma^2,
 
     A[a, b] = K(z_a, z_b) (f(z_a) . f(z_b) / sigma^2 - (T - lambda)(R + lambda)),
@@ -111,7 +128,7 @@ raises SingularSystemError: its ridge is too small. Assembly and both
 checks touch the upper triangle only, and form their temporaries one strip
 of rows of at most _STRIP entries at a time, so beside the buffer a solve
 holds only such strips and the factor's m x _PANEL panels. Evaluation runs
-in blocks of _CHUNK points.
+in blocks of _CHUNK points, or in strips of a grid.
 """
 
 from __future__ import annotations
@@ -122,7 +139,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .box import Box
+from .box import Box, grid_axes, grid_contract
 from .dynamics import Linearization
 from .expr import VectorField
 from .kernel import GaussianKernel
@@ -537,29 +554,51 @@ class CollocationSolution:
 
     # -- evaluation ----------------------------------------------------------
 
-    @cached_property
-    def _lattice_coefficients(self) -> np.ndarray:
+    def _coefficients(self, origin: bool) -> np.ndarray:
         """C_0 .. C_d, shape (d + 1, n_1, k n_2 .. n_d): lattice row i_1,
-        then (eigenvalue, i_2, .., i_d) flattened."""
+        then (eigenvalue, i_2, .., i_d) flattened. With origin, every axis
+        gains a last coordinate 0, which holds the origin columns: with
+        g(x_l, 0) = x_l k(x_l, 0), alpha_n in C_0 and alpha_{n+1+l} / sigma^2
+        in C_l."""
         prob = self.problem
         n, d = prob.centers.shape
+        s2 = prob.kernel.sigma**2
         a = self.alpha[:, :n]
         beta = [-prob.lin.eigenvalues[:, None] * a]
-        beta += [a * f / prob.kernel.sigma**2 for f in prob.center_field.T]
-        C = np.zeros((d + 1, len(a), *map(len, prob.lattice[0])))
+        beta += [a * f / s2 for f in prob.center_field.T]
+        C = np.zeros((d + 1, len(a), *(len(ax) + origin for ax in prob.lattice[0])))
         C[(slice(None), slice(None), *prob.lattice[1].T)] = beta
+        if origin:
+            C[(..., *[-1] * d)] = np.vstack([self.alpha[:, n], self.alpha[:, n + 1 :].T / s2])
         return np.moveaxis(C, 2, 1).reshape(d + 1, C.shape[2], len(a) * math.prod(C.shape[3:]))
+
+    @cached_property
+    def _lattice_coefficients(self) -> np.ndarray:
+        return self._coefficients(origin=False)
+
+    @cached_property
+    def _grid_coefficients(self) -> np.ndarray:
+        return self._coefficients(origin=True)
 
     def _evaluate(self, X: np.ndarray, gradients: bool):
         prob = self.problem
-        X = np.asarray(X, dtype=float).reshape(-1, prob.fld.dim)
-        c, d = X.shape
-        k = self.alpha.shape[0]
+        d = prob.fld.dim
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 0 or X.shape[-1] != d:
+            raise CollocationError(
+                f"evaluation points need d = {d} coordinates; got shape {X.shape}"
+            )
+        X = X.reshape(-1, d)
+        c, k = len(X), self.alpha.shape[0]
+        h = np.empty((c, k))
+        grad = np.empty((c, k, d)) if gradients else None
+        axes = grid_axes(X) if c > 1 else None
+        if axes is not None:
+            self._evaluate_grid(axes, h, grad)
+            return h, grad
         s2 = prob.kernel.sigma**2
         C = self._lattice_coefficients
         a0 = self.alpha[:, prob.n_centers :]
-        h = np.empty((c, k))
-        grad = np.empty((c, k, d)) if gradients else None
         for s in range(0, c, _CHUNK):
             rows = slice(s, min(s + _CHUNK, c))
             x = X[rows]
@@ -586,14 +625,41 @@ class CollocationSolution:
             grad[rows] += np.einsum("cqj,kq->ckj", grads, a0)
         return h, grad
 
+    def _evaluate_grid(self, axes, h: np.ndarray, grad: np.ndarray | None) -> None:
+        """h, and grad h unless grad is None, written into h and grad at the
+        tensor grid of the coordinate vectors axes (p_l points on axis l),
+        from per-axis (p_l, n_l + 1) factors and _grid_coefficients, one
+        strip of first-axis rows at a time: each temporary of a strip holds
+        at most _STRIP entries, one row at least."""
+        prob = self.problem
+        s2 = prob.kernel.sigma**2
+        U = [x[:, None] - np.append(a, 0.0) for x, a in zip(axes, prob.lattice[0])]
+        K = [np.exp(u * u / (-2.0 * s2)) for u in U]
+        # per axis l the factors (K_l, G_l), G_l for C_l, and their x-derivatives
+        kg = [(Kl, u * Kl) for u, Kl in zip(U, K)]
+        dkg = [(G / -s2, Kl - u * G / s2) for u, (Kl, G) in zip(U, kg)] if grad is not None else []
+        del U
+        # per first-axis row: the points, and the entries of the largest
+        # partial contraction (doubled on the last axis)
+        p, n = [len(x) for x in axes], [Kl.shape[1] for Kl, _ in kg]
+        inner = math.prod(p[1:])
+        sizes = [math.prod(p[1:l]) * math.prod(n[l:]) for l in range(1, len(p) + 1)]
+        for s, e in _strips(p[0], 2 * h.shape[1] * max(sizes)):
+            pts = slice(s * inner, e * inner)
+            jobs = [(h[pts], kg)]
+            jobs += [(grad[pts, :, j], kg[:j] + [dp] + kg[j + 1 :]) for j, dp in enumerate(dkg)]
+            for out, ((F, G), *rest) in jobs:
+                grid_contract(self._grid_coefficients, [(F[s:e], G[s:e]), *rest], out)
+
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """h_i(x_p) at [p, i] for a batch of points, shape (c, d) -> (c, k);
-        no gradients formed."""
+        """h_i(x_p) at [p, i] for a batch of points, shape (c, d) -> (c, k),
+        or one point of shape (d,); no gradients formed. Points whose last
+        axis is not d raise CollocationError."""
         return self._evaluate(X, gradients=False)[0]
 
     def evaluate_with_gradient(self, X: np.ndarray):
         """h and grad h at a batch of points, shape (c, d) -> ((c, k),
-        (c, k, d)), from one set of 1-D kernel factors per chunk."""
+        (c, k, d)), from one set of 1-D kernel factors per chunk or grid."""
         return self._evaluate(X, gradients=True)
 
 

@@ -31,8 +31,10 @@ the origin is the designated first vertex of every triangle containing it;
 the builder rotates vertex triples to guarantee it.
 
 All checks are pure arithmetic on per-simplex rows, evaluated vectorized
-over blocks of _CHUNK rows, so that the memory certify needs beyond its
-report does not grow with the mesh.
+over blocks of _CHUNK rows with f read from one evaluation per vertex (nv x
+2 floats, fewer than the ns x 3 margins, formed _CHUNK vertices at a time),
+so that beyond its report and those values the memory certify needs does
+not grow with the mesh.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ __all__ = [
     "certify",
 ]
 
-_CHUNK = 1024  # simplex rows per block of certify
+_CHUNK = 1024  # simplex rows, or vertices, per block of certify
 _B_PROBES = 201  # probe-grid nodes per axis of estimate_b_bound
 
 
@@ -298,15 +300,18 @@ def certify(
     if tri.origin_vertex is not None:
         vertex_ok[tri.origin_vertex] = abs(vals[tri.origin_vertex]) <= 1e-10
 
+    # f once per vertex, (nv, 2), evaluated _CHUNK vertices at a time so
+    # that the field's temporaries stay block-sized
+    f_all = np.empty((tri.n_vertices, 2))
+    for s in range(0, tri.n_vertices, _CHUNK):
+        f_all[s : s + _CHUNK] = fld.evaluate_at(tri.vertices[s : s + _CHUNK])
     ns = tri.n_simplices
     lhs = np.empty((ns, 3))
     checked = np.ones((ns, 3), dtype=bool)
     for s in range(0, ns, _CHUNK):
         rows = slice(s, min(s + _CHUNK, ns))
         S = tri.simplices[rows]
-        # f on the block's contiguous range of vertex indices only
-        lo = int(S.min())
-        fV = fld.evaluate_at(tri.vertices[lo : int(S.max()) + 1])[S - lo]
+        fV = f_all[S]
         grads = _simplex_gradients(tri, vals, rows)
         lhs[rows] = (
             np.einsum("sd,sid->si", grads, fV)

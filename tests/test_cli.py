@@ -848,6 +848,31 @@ def test_certify_exponentials_scale_with_axis_lengths(tiny_cfg_path, tmp_path, m
     assert 0 < sum(exp_elements) <= points[0] * (sum(axis_lengths) + 1)
 
 
+def test_certify_exponentials_scale_with_grid_axes(tiny_cfg_path, tmp_path, monkeypatch):
+    # the CPA vertices are a tensor grid, so phi there comes from the 1-D
+    # kernel factors of each vertex axis against each center axis: (cells +
+    # 1) (n_1 + n_2) exponentials, and at most (cells + 1)^2 more for the
+    # origin terms, not one per vertex and center axis
+    cfg = load_config(tiny_cfg_path)
+    pipeline.stage_eigenfunctions(cfg, tmp_path)
+    centers = np.loadtxt(tmp_path / "centers.csv", delimiter=",")
+    axis_lengths = [len(np.unique(col)) for col in centers.T]
+    exp_elements = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            exp_elements.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(collocation, "np", CountingNumpy())
+    pipeline.stage_certify(cfg, tmp_path)
+    vertices = cfg.cpa_cells + 1
+    assert 0 < sum(exp_elements) <= vertices * sum(axis_lengths) + vertices**2
+
+
 def test_surface_csv_headers_follow_test_grid(finished_run):
     head = (finished_run / "V.csv").read_text().split("\n", 1)[0]
     assert head == "# domain -1 1 -1 1; resolution 9 9; quantity V"

@@ -25,6 +25,7 @@ from koopman_lyap.config import bundled_config_path, load_config
 from koopman_lyap.dynamics import linearize
 from koopman_lyap.expr import parse_vector_field
 from koopman_lyap.kernel import GaussianKernel
+from koopman_lyap.koopman import EigenfunctionSet
 
 import kernel_reference as kr
 from fdtools import fd_gradient, rel_err
@@ -481,6 +482,88 @@ def test_batch_eval_matches_pointwise(solved):
         np.testing.assert_allclose(vals[i], val[0], rtol=0, atol=tol)
         np.testing.assert_allclose(vals[i], solved.evaluate_many(row)[0], rtol=0, atol=tol)
         np.testing.assert_allclose(grads[i], grad[0], atol=tol)
+
+
+def test_points_of_another_dimension_are_rejected(setup, solved):
+    # a (c, 4) batch at d = 2 is no set of points: it raises naming d rather
+    # than being reshaped into 2c made-up ones; one point of shape (d,) is a
+    # batch of one
+    for evaluate in (solved.evaluate_many, solved.evaluate_with_gradient):
+        for X in (np.zeros((3, 4)), np.zeros(3), np.float64(0.5)):
+            with pytest.raises(CollocationError, match="d = 2"):
+                evaluate(X)
+    eigs = EigenfunctionSet(setup[1], solved)
+    with pytest.raises(CollocationError, match="d = 2"):
+        eigs.value_many(np.zeros((3, 4)))
+    x = np.array([0.3, -1.2])
+    np.testing.assert_array_equal(solved.evaluate_many(x), solved.evaluate_many(x[None, :]))
+
+
+_GRID_FIELDS = {
+    1: ["-2*x1 + x1^2"],
+    2: ["-2*x1 + x2^2", "-3*(x2 - x1^2)"],
+    3: ["-2*x1 + x2*x3", "-3*x2 + x1^2", "-5*x3 + x1*x2"],
+}
+# per d the coordinate vectors of a grid: descending axes, a repeated
+# coordinate (leading, so a run of equal leading coordinates spans several
+# blocks) and, at d = 3, an axis of length 1
+_GRID_AXES = {
+    1: [[1.5, 0.7, 0.7, -0.2, -1.9]],
+    2: [[1.7, 0.9, -0.4, -1.3, -1.8], [-1.1, -1.1, 0.3, 1.6]],
+    3: [[0.4, 0.4, -1.0], [1.2, 0.1, -0.6, -1.5], [0.25]],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_evaluation_matches_the_point_path(d, monkeypatch):
+    # a tensor grid is read off its points and evaluated from per-axis
+    # factors; the same points shuffled, or with one point moved, are no grid
+    # (every 1-D batch is one, so there the point path is forced) and take
+    # the per-point path. The
+    # two sum the same terms in other orders: they agree to a few
+    # eps ||alpha_i||_1 per eigenvalue, and on the grid the values-only and
+    # the joint call agree bitwise
+    fld = parse_vector_field(_GRID_FIELDS[d])
+    box = Box(np.full(d, -2.0), np.full(d, 2.0))
+    centers = uniform_centers(box, {1: 12, 2: 7, 3: 4}[d])
+    sol = solve(CollocationProblem(GaussianKernel(sigma=1.0), fld, linearize(fld), centers, box))
+    axes = [np.array(a) for a in _GRID_AXES[d]]
+    X = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    perm = np.random.default_rng(d).permutation(len(X))
+    assert [a.tolist() for a in collocation.grid_axes(X)] == [a.tolist() for a in axes]
+    moved = X.copy()
+    moved[-1, 0] += 0.5  # the last point leaves the grid; its block's last column still repeats
+    assert d == 1 or collocation.grid_axes(X[perm]) is None and collocation.grid_axes(moved) is None
+
+    h, grad = sol.evaluate_with_gradient(X)
+    np.testing.assert_array_equal(_bits(sol.evaluate_many(X)), _bits(h))
+    monkeypatch.setattr(collocation, "grid_axes", lambda X: None)
+    h_points, grad_points = (a[np.argsort(perm)] for a in sol.evaluate_with_gradient(X[perm]))
+    tol = 4 * np.finfo(float).eps * np.abs(sol.alpha).sum(axis=1)
+    assert np.all(tol <= 1e-6 * np.max(np.abs(h), axis=0))
+    assert np.all(np.max(np.abs(h - h_points), axis=0) <= tol)
+    assert np.all(np.max(np.abs(grad - grad_points), axis=(0, 2)) <= tol)
+
+
+def test_grid_evaluation_working_set_is_a_few_strips(setup):
+    # h on the 145 x 145 vertices of a 144-cell mesh from 40 x 40 centers:
+    # beside its (c, k) output, evaluate_many holds the (145, 41) factors of
+    # each axis and strip-sized temporaries, not a row per point of origin
+    # columns or kernel factors
+    fld, lin = setup[0], setup[1]
+    box = Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+    prob = CollocationProblem(GaussianKernel(sigma=2.0), fld, lin, uniform_centers(box, 40), box)
+    alpha = np.random.default_rng(4).standard_normal((2, prob.size))
+    sol = collocation.CollocationSolution(prob, alpha, np.zeros(2), ("cholesky",) * 2)
+    X = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0])).grid(145)
+    sol.evaluate_many(X[:2])  # the lattice and the coefficients are cached
+    tracemalloc.start()
+    try:
+        h = sol.evaluate_many(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - h.nbytes <= 3 * 8 * collocation._STRIP
 
 
 def test_ill_conditioned_solve_is_silent(setup):

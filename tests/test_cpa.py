@@ -443,7 +443,8 @@ def test_blockwise_certify_matches_whole_mesh(chunk, monkeypatch, tmp_path):
 
 
 def test_certify_working_set_does_not_grow_with_mesh():
-    # beyond its report, certify holds one block of simplex rows at a time
+    # beyond its report and f at the vertices (nv x 2 floats, fewer than the
+    # ns x 3 margins), certify holds one block of simplex rows at a time
     fld = parse_vector_field(["x2", "-3*x2 - 1*x1 - 1*x1^3"])
     b = BBound(np.array([[12.0, 0.0], [0.0, 0.0]]))
     extra = {}
@@ -457,5 +458,5 @@ def test_certify_working_set_does_not_grow_with_mesh():
         finally:
             tracemalloc.stop()
         held = sum(a.nbytes for a in (report.vertex_ok, report.lc2_margins, report.lc2_checked))
-        extra[cells] = peak - held
+        extra[cells] = peak - held - 16 * tri.n_vertices
     assert extra[256] - extra[64] <= 1 << 20, extra
