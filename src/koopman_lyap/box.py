@@ -5,9 +5,9 @@ A grid is the tensor product of coordinate vectors x_1 .. x_d (p_l points
 on axis l) listed first axis slowest, the layout of Box.grid; grid_axes
 reads the vectors back from the points. A sum of functions that factorize
 over the axes, such as Gaussian kernel columns on a lattice of centers, is
-a chain of matrix products with one (p_l, n_l) factor per axis on a grid,
-rather than a contraction per point: grid_contract forms it, and
-collocation evaluates h and grad h this way on every grid.
+a contraction of one factor per axis with the lattice of coefficients:
+grid_contract forms it, as matrix products on a grid and row by row at
+points that are none, and collocation evaluates h and grad h this way.
 """
 
 from __future__ import annotations
@@ -102,12 +102,16 @@ def grid_axes(X: np.ndarray):
     return [X[:, 0], *reversed(axes)]
 
 
-def grid_contract(C: np.ndarray, pairs, out: np.ndarray) -> None:
-    """Write into out (points, k), in grid order, the sum over q of the
-    lattice coefficients C_q (n_1, k n_2 .. n_d), q = 0 .. d, each
-    contracted on axis l with a (p_l, n_l) factor of pairs[l] = (F_l, G_l):
-    G_l for q = l + 1, else F_l. Axis by axis, as matrix products; the last
-    axis in one product of [sum_{q<d} T_q, T_d] with [F_d, G_d]."""
+def grid_contract(C: np.ndarray, pairs, out: np.ndarray, more=(), rowwise: bool = False) -> None:
+    """Write into out (points, k) the sum over q of the lattice coefficients
+    C_q (n_1, k n_2 .. n_d), q = 0 .. d, each contracted on axis l with an
+    (r_l, n_l) factor of pairs[l] = (F_l, G_l): G_l for q = l + 1, else F_l;
+    the last axis as [sum_{q<d} T_q, T_d] with [F_d, G_d]. Each (pair, o) of
+    more is another last-axis pair, written to o from the same contraction
+    of the other axes. On a grid r_l = p_l and out is in grid order, each
+    axis a matrix product; rowwise, r_l is the number of points, each with
+    its own row of every factor: a matrix product on the first axis, a
+    product along the point axis on the others."""
     *inner, last = pairs
     n, k = [F.shape[1] for F, _ in pairs], out.shape[1]
     T = []
@@ -118,9 +122,18 @@ def grid_contract(C: np.ndarray, pairs, out: np.ndarray) -> None:
             continue
         R = factors[0] @ R
         for l, F in enumerate(factors[1:], start=1):
-            R = F @ R.reshape(-1, n[l], math.prod(n[l + 1 :]))
-        T.append(R.reshape(len(factors[0]), k, -1, n[-1]))  # (p_1, k, p_2 .. p_{d-1}, n_d)
+            if rowwise:
+                R = np.einsum("crjs,cj->crs", R.reshape(len(F), k, n[l], -1), F)
+            else:
+                R = F @ R.reshape(-1, n[l], math.prod(n[l + 1 :]))
+        T.append(R.reshape(len(factors[0]), k, -1, n[-1]))  # (r_1, k, p_2 .. p_{d-1}, n_d)
     Y = np.concatenate([sum(T[:-1]), T[-1]], axis=-1)
-    Z = (Y.reshape(-1, Y.shape[-1]) @ np.hstack(last).T).reshape(*Y.shape[:-1], -1)
-    # splitting out's first axis leaves a view, also of a strided out
-    out.reshape(-1, *Z.shape[2:], k)[...] = Z.transpose(0, 2, 3, 1)
+    del T  # each pass below holds Y and its own product only
+    for (F, G), o in [(last, out), *more]:
+        if rowwise:
+            o[...] = np.einsum("ckj,cj->ck", Y.reshape(len(Y), k, -1), np.hstack([F, G]))
+            continue
+        Z = (Y.reshape(-1, Y.shape[-1]) @ np.hstack([F, G]).T).reshape(*Y.shape[:-1], -1)
+        # splitting o's first axis leaves a view, also of a strided o
+        o.reshape(-1, *Z.shape[2:], k)[...] = Z.transpose(0, 2, 3, 1)
+        del Z  # before the next pass forms its own

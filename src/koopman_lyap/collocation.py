@@ -31,7 +31,7 @@ S = u . f(z_b) / sigma^2 - lambda, the m = n + 1 + d basis functions
     n                 K0                  -x K0 / sigma^2
     n + 1 + l         x_l K0 / sigma^2    (e_l - x_l x / sigma^2) K0 / sigma^2
 
-Separable evaluation. The Gaussian factorizes, K = prod_l k(x_l, z_bl) with
+Evaluation. The Gaussian factorizes, K = prod_l k(x_l, z_bl) with
 k(s, t) = exp(-(s - t)^2 / (2 sigma^2)); with g(s, t) = (s - t) k(s, t),
 
     h(x) = sum_b [beta^0_b prod_l k(x_l, z_bl) + sum_l beta^l_b g(x_l, z_bl)
@@ -39,35 +39,31 @@ k(s, t) = exp(-(s - t)^2 / (2 sigma^2)); with g(s, t) = (s - t) k(s, t),
     beta^0_b = -lambda alpha_b,    beta^l_b = alpha_b f_l(z_b) / sigma^2.
 
 The centers lie on the lattice of each axis' sorted unique coordinates a_l
-(n_l of them); C_q is beta^q scattered onto it, zero elsewhere. With d = 2,
-K_l[p, i] = k(x_pl, a_li), G_l[p, i] = g(x_pl, a_li) and U_l = x_pl - a_li,
+(n_l of them), and the origin terms take the same form: a center at 0
+holds alpha_n in C_0 and alpha_{n+1+l} / sigma^2 in C_l
+(x_l K0 = g(x_l, 0) prod_{j != l} k(x_j, 0)), so each axis gains the
+coordinate 0. C_q is beta^q scattered onto that lattice, zero elsewhere.
+With K_l[p, i] = k(x_pl, a_li) and G_l[p, i] = g(x_pl, a_li), and C_q
+viewed as (n_1, k, n_2), for d = 2
 
-    h = rowsum(K_2 o (K_1 C_0 + G_1 C_1 + U_2 o (K_1 C_2))) + origin terms:
+    h = (K_1 C_0 + G_1 C_1) . K_2 + (K_1 C_2) . G_2,
 
-a matrix product per lattice, an elementwise contraction per further axis,
-and the sum formed before the last factor. Gradients substitute
-dk/ds = -g / sigma^2 and dg/ds = k - U g / sigma^2 on their axis. u stays
-formed per entry, so a PDE column is exactly -lambda at its own center.
-Tensor grids, the odd grid's moved center and scattered centers (a sparse
-n^d lattice) take this one path: c (n_1 + .. + n_d + 1) exponentials for c
-points, and no (c, m, d) tensor.
-
-Grid evaluation. Points that are themselves a tensor grid, the product of
-coordinate vectors x_l of p_l points each (box.grid_axes reads them off
-the points; Box.grid and the residual probes build such grids), share
-their factors: K_l and G_l are (p_l, n_l) matrices and, with C_q viewed as
-(n_1, k, n_2),
-
-    h[p_1, p_2] = (K_1 C_0 + G_1 C_1) K_2^T + (K_1 C_2) G_2^T,
-
-a chain of matrix products per C_q (box.grid_contract). The origin
-columns take the same form, a center at 0 holding alpha_n in C_0 and
-alpha_{n+1+l} / sigma^2 in C_l (x_l K0 = g(x_l, 0) prod_{j != l} k(x_j, 0)),
-so each axis gains the coordinate 0: sum_l p_l (n_l + 1) exponentials in
-all, formed once, then strips of first-axis rows whose temporaries hold at
-most _STRIP entries each. A single point and every other batch (scattered
-points, a shuffled grid) take the per-point path above. The two paths sum
-the same terms in other orders and agree to about eps ||alpha_i||_1.
+where . contracts the last lattice axis, the sum formed before it;
+gradients substitute dk/ds = -g / sigma^2 and dg/ds = k - (s - t) g / sigma^2
+on their axis. One engine, box.grid_contract, forms it in two modes.
+Points that are a tensor grid, the product of coordinate vectors x_l of
+p_l points each (box.grid_axes reads them off the points; Box.grid and
+the residual probes build such grids), share their factors: K_l and G_l
+are (p_l, n_l) matrices and . is a matrix product with K_2^T or G_2^T,
+from sum_l p_l (n_l + 1) exponentials. Any other batch, single points
+included, is contracted row-wise: each point brings its own row of every
+factor, the first axis is one matrix product, and each further axis and
+. a product along the point axis. The value and the last gradient
+component share the contraction of the other axes. Both modes run in
+strips (of first-axis rows, or of points) whose temporaries hold at most
+_STRIP entries each, and they sum the same terms in other orders, so they
+agree to about eps ||alpha_i||_1. u = x - a_li stays formed per entry, so
+a PDE column is exactly -lambda at its own center.
 
 Assembly. With u = z_a - z_b, T = u . f(z_b) / sigma^2, R = u . f(z_a) / sigma^2,
 
@@ -127,8 +123,7 @@ numerically positive definite, or whose solution fails the residual check,
 raises SingularSystemError: its ridge is too small. Assembly and both
 checks touch the upper triangle only, and form their temporaries one strip
 of rows of at most _STRIP entries at a time, so beside the buffer a solve
-holds only such strips and the factor's m x _PANEL panels. Evaluation runs
-in blocks of _CHUNK points, or in strips of a grid.
+holds only such strips and the factor's m x _PANEL panels.
 """
 
 from __future__ import annotations
@@ -155,7 +150,7 @@ __all__ = [
     "solve",
 ]
 
-_CHUNK = 128  # evaluation points, or substitution rows of L, per block
+_CHUNK = 128  # substitution rows of L per block
 _PANEL = 64
 _STRIP = 2**15  # entries of one row strip of a temporary beside a Gram matrix (256 KB)
 _NON_FINITE = "non-finite entries; is the field finite at every collocation center?"
@@ -292,20 +287,6 @@ def fill_distance(centers: np.ndarray, domain: Box, probe_resolution: int = 201)
         d2 = sum((p[:, j] - keys[:, j, None]) ** 2 for j in range(keys.shape[1]))
         worst = max(worst, float(np.max(np.min(d2 + dz2[:, at[s : s + rows]], axis=0))))
     return float(np.sqrt(worst))
-
-
-def _partial(C: np.ndarray, factors, k: int) -> np.ndarray:
-    """C (n_1, k n_2 .. n_d) contracted with the 1-D factors (c, n_l) of all
-    lattice axes but the last, shape (c, k, n_d)."""
-    if not factors:
-        return C.T[None]
-    c = factors[0].shape[0]
-    if not C.size:  # no centers
-        return np.zeros((c, k, 0))
-    R = factors[0] @ C
-    for l, K in enumerate(factors[1:], start=2):
-        R = np.einsum("crjs,cj->crs", R.reshape(c, k, K.shape[1], -1), K)
-    return R.reshape(c, k, -1)
 
 
 def _origin_columns(X: np.ndarray, s2: float):
@@ -554,10 +535,11 @@ class CollocationSolution:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _coefficients(self, origin: bool) -> np.ndarray:
-        """C_0 .. C_d, shape (d + 1, n_1, k n_2 .. n_d): lattice row i_1,
-        then (eigenvalue, i_2, .., i_d) flattened. With origin, every axis
-        gains a last coordinate 0, which holds the origin columns: with
+    @cached_property
+    def _coefficients(self) -> np.ndarray:
+        """C_0 .. C_d, shape (d + 1, n_1 + 1, k (n_2 + 1) .. (n_d + 1)):
+        lattice row i_1, then (eigenvalue, i_2, .., i_d) flattened. Every
+        axis ends with the coordinate 0, which holds the origin columns: with
         g(x_l, 0) = x_l k(x_l, 0), alpha_n in C_0 and alpha_{n+1+l} / sigma^2
         in C_l."""
         prob = self.problem
@@ -566,21 +548,28 @@ class CollocationSolution:
         a = self.alpha[:, :n]
         beta = [-prob.lin.eigenvalues[:, None] * a]
         beta += [a * f / s2 for f in prob.center_field.T]
-        C = np.zeros((d + 1, len(a), *(len(ax) + origin for ax in prob.lattice[0])))
+        C = np.zeros((d + 1, len(a), *(len(ax) + 1 for ax in prob.lattice[0])))
         C[(slice(None), slice(None), *prob.lattice[1].T)] = beta
-        if origin:
-            C[(..., *[-1] * d)] = np.vstack([self.alpha[:, n], self.alpha[:, n + 1 :].T / s2])
+        C[(..., *[-1] * d)] = np.vstack([self.alpha[:, n], self.alpha[:, n + 1 :].T / s2])
         return np.moveaxis(C, 2, 1).reshape(d + 1, C.shape[2], len(a) * math.prod(C.shape[3:]))
 
-    @cached_property
-    def _lattice_coefficients(self) -> np.ndarray:
-        return self._coefficients(origin=False)
-
-    @cached_property
-    def _grid_coefficients(self) -> np.ndarray:
-        return self._coefficients(origin=True)
+    def _factors(self, coords, gradients: bool):
+        """Per axis l the factors K_l[p, i] = k(x_p, a_li) and G_l = (x_p - a_li) K_l
+        of the coordinates x = coords[l] against the lattice coordinates a_l
+        and 0, shape (len(coords[l]), n_l + 1), and with gradients their
+        x-derivatives dK_l and dG_l: (K_l, G_l[, dK_l, dG_l]) per axis."""
+        s2 = self.problem.kernel.sigma**2
+        factors = []
+        for x, a in zip(coords, self.problem.lattice[0]):
+            u = x[:, None] - np.append(a, 0.0)
+            K = np.exp(u * u / (-2.0 * s2))
+            G = u * K
+            factors.append((K, G, G / -s2, K - u * G / s2) if gradients else (K, G))
+        return factors
 
     def _evaluate(self, X: np.ndarray, gradients: bool):
+        """h, and grad h with gradients (else None), at the points X: on a
+        grid or row-wise (module docstring, Evaluation), one strip at a time."""
         prob = self.problem
         d = prob.fld.dim
         X = np.asarray(X, dtype=float)
@@ -593,63 +582,27 @@ class CollocationSolution:
         h = np.empty((c, k))
         grad = np.empty((c, k, d)) if gradients else None
         axes = grid_axes(X) if c > 1 else None
-        if axes is not None:
-            self._evaluate_grid(axes, h, grad)
-            return h, grad
-        s2 = prob.kernel.sigma**2
-        C = self._lattice_coefficients
-        a0 = self.alpha[:, prob.n_centers :]
-        for s in range(0, c, _CHUNK):
-            rows = slice(s, min(s + _CHUNK, c))
-            x = X[rows]
-            U = [x[:, l, None] - a for l, a in enumerate(prob.lattice[0])]
-            K = [np.exp(u * u / (-2.0 * s2)) for u in U]
-            G = [u * kl for u, kl in zip(U, K)]
-            # factors of C_q on the axes but the last: G_l on axis l = q - 1
-            fs = [[G[l] if l == q - 1 else K[l] for l in range(d - 1)] for q in range(d + 1)]
-            u = U[-1][:, None, :]
-            R = [_partial(Cq, f, k) for Cq, f in zip(C, fs)]
-            values, grads = _origin_columns(x, s2)
-            h[rows] = np.einsum("ckj,cj->ck", sum(R[:-1]) + u * R[-1], K[-1]) + values @ a0.T
-            if not gradients:
-                continue
-            for j in range(d - 1):
-                dK, dG = G[j] / -s2, K[j] - U[j] * G[j] / s2
-                dR = [
-                    _partial(Cq, f[:j] + [dG if q == j + 1 else dK] + f[j + 1 :], k)
-                    for q, (Cq, f) in enumerate(zip(C, fs))
-                ]
-                grad[rows, :, j] = np.einsum("ckj,cj->ck", sum(dR[:-1]) + u * dR[-1], K[-1])
-            dR = sum(R[:-1]) * (u / -s2) + R[-1] * (1.0 - u * u / s2)
-            grad[rows, :, -1] = np.einsum("ckj,cj->ck", dR, K[-1])
-            grad[rows] += np.einsum("cqj,kq->ckj", grads, a0)
-        return h, grad
-
-    def _evaluate_grid(self, axes, h: np.ndarray, grad: np.ndarray | None) -> None:
-        """h, and grad h unless grad is None, written into h and grad at the
-        tensor grid of the coordinate vectors axes (p_l points on axis l),
-        from per-axis (p_l, n_l + 1) factors and _grid_coefficients, one
-        strip of first-axis rows at a time: each temporary of a strip holds
-        at most _STRIP entries, one row at least."""
-        prob = self.problem
-        s2 = prob.kernel.sigma**2
-        U = [x[:, None] - np.append(a, 0.0) for x, a in zip(axes, prob.lattice[0])]
-        K = [np.exp(u * u / (-2.0 * s2)) for u in U]
-        # per axis l the factors (K_l, G_l), G_l for C_l, and their x-derivatives
-        kg = [(Kl, u * Kl) for u, Kl in zip(U, K)]
-        dkg = [(G / -s2, Kl - u * G / s2) for u, (Kl, G) in zip(U, kg)] if grad is not None else []
-        del U
-        # per first-axis row: the points, and the entries of the largest
-        # partial contraction (doubled on the last axis)
-        p, n = [len(x) for x in axes], [Kl.shape[1] for Kl, _ in kg]
+        rowwise = axes is None
+        grid = None if rowwise else self._factors(axes, gradients)
+        # per strip row, a first-axis row of a grid or a point: its points and
+        # the entries of its largest partial contraction, doubled on the last axis
+        p = [c] + [1] * (d - 1) if rowwise else [len(x) for x in axes]
+        n = [len(a) + 1 for a in prob.lattice[0]]
         inner = math.prod(p[1:])
-        sizes = [math.prod(p[1:l]) * math.prod(n[l:]) for l in range(1, len(p) + 1)]
-        for s, e in _strips(p[0], 2 * h.shape[1] * max(sizes)):
+        sizes = [math.prod(p[1:l]) * math.prod(n[l:]) for l in range(1, d + 1)]
+        for s, e in _strips(p[0], 2 * k * max(sizes)):
             pts = slice(s * inner, e * inner)
-            jobs = [(h[pts], kg)]
-            jobs += [(grad[pts, :, j], kg[:j] + [dp] + kg[j + 1 :]) for j, dp in enumerate(dkg)]
-            for out, ((F, G), *rest) in jobs:
-                grid_contract(self._grid_coefficients, [(F[s:e], G[s:e]), *rest], out)
+            if rowwise:
+                factors = self._factors(X[pts].T, gradients)
+            else:
+                factors = [tuple(A[s:e] for A in grid[0]), *grid[1:]]
+            kg = [f[:2] for f in factors]
+            more = [(factors[-1][2:], grad[pts, :, -1])] if gradients else []
+            grid_contract(self._coefficients, kg, h[pts], more, rowwise)
+            for j in range(d - 1) if gradients else ():
+                pairs = kg[:j] + [factors[j][2:]] + kg[j + 1 :]
+                grid_contract(self._coefficients, pairs, grad[pts, :, j], rowwise=rowwise)
+        return h, grad
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         """h_i(x_p) at [p, i] for a batch of points, shape (c, d) -> (c, k),
@@ -659,7 +612,7 @@ class CollocationSolution:
 
     def evaluate_with_gradient(self, X: np.ndarray):
         """h and grad h at a batch of points, shape (c, d) -> ((c, k),
-        (c, k, d)), from one set of 1-D kernel factors per chunk or grid."""
+        (c, k, d)), from one set of 1-D kernel factors per strip."""
         return self._evaluate(X, gradients=True)
 
 

@@ -171,8 +171,9 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
     coefficients, and report each eigenfunction's PDE residual
     |grad phi . f - lambda phi| on the residual probe grid of the test
     window. The eigenfunction set, and as text the fill distance and each
-    eigenvalue's ridge, largest residual and solver (cholesky, zero), and
-    for a solved one its unknowns and the mirror split they come from.
+    eigenvalue's ridge, largest residual to 3 digits beside its rounding
+    floor eps ||alpha_i||_1, and solver (cholesky, zero), and for a solved
+    one its unknowns and the mirror split they come from.
     Nothing but linearization.json is written until the solve and the
     residuals succeed, so a failed stage leaves the previous solution's
     centers, coefficients and eigenfunctions.json together."""
@@ -216,11 +217,14 @@ def stage_eigenfunctions(cfg: RunConfig, outdir: Path):
         ],
     }
     _write_json(outdir / _EIGENFUNCTIONS, meta)
+    # the residual is a difference of terms rounded to about eps ||alpha_i||_1
+    floors = np.finfo(float).eps * np.abs(sol.alpha).sum(axis=1)
     lines = [f"fill distance: {rho:.12g}"]
     lines += [
-        f"eigenvalue {e['eigenvalue']:.6g}: eta = {e['eta_used']:.6g}, max PDE "
-        f"residual = {e['pde_residual_max']:.6e} ({e['method']}){_split_text(e, sol.problem.size)}"
-        for e in meta["eigenfunctions"]
+        f"eigenvalue {e['eigenvalue']:.6g}: eta = {e['eta_used']:.6g}, max PDE residual = "
+        f"{e['pde_residual_max']:.2e} (rounding floor {floor:.1e}) ({e['method']})"
+        f"{_split_text(e, sol.problem.size)}"
+        for e, floor in zip(meta["eigenfunctions"], floors)
     ]
     return eigset, "\n".join(lines) + "\n"
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -8,7 +10,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import cKDTree
 
 from koopman_lyap import collocation
-from koopman_lyap.box import Box
+from koopman_lyap.box import Box, grid_contract
 from koopman_lyap.collocation import (
     CollocationError,
     _Block,
@@ -467,21 +469,38 @@ def test_gradient_matches_finite_difference(solved):
         assert rel_err(fd, grad[0, 1]) <= 1e-6
 
 
+_GRID_FIELDS = {
+    1: ["-2*x1 + x1^2"],
+    2: ["-2*x1 + x2^2", "-3*(x2 - x1^2)"],
+    3: ["-2*x1 + x2*x3", "-3*x2 + x1^2", "-5*x3 + x1*x2"],
+}
+
+
+def _solve_grid_field(d):
+    fld = parse_vector_field(_GRID_FIELDS[d])
+    box = Box(np.full(d, -2.0), np.full(d, 2.0))
+    centers = uniform_centers(box, {1: 12, 2: 7, 3: 4}[d])
+    return solve(CollocationProblem(GaussianKernel(sigma=1.0), fld, linearize(fld), centers, box))
+
+
 def test_batch_eval_matches_pointwise(solved):
-    # the values-only and the joint path contract the same basis values, so
-    # they agree bitwise; batch BLAS products accumulate in a different order
-    # than single rows, so a 1-row batch agrees near machine precision
-    X = np.random.default_rng(3).uniform(-2, 2, size=(17, 2))
-    vals, grads = solved.evaluate_with_gradient(X)
-    assert vals.shape == (17, 2) and grads.shape == (17, 2, 2)
-    np.testing.assert_array_equal(solved.evaluate_many(X), vals)
-    tol = 1e-12 * np.max(np.abs(solved.alpha))
-    for i in range(X.shape[0]):
-        row = X[i : i + 1]
-        val, grad = solved.evaluate_with_gradient(row)
-        np.testing.assert_allclose(vals[i], val[0], rtol=0, atol=tol)
-        np.testing.assert_allclose(vals[i], solved.evaluate_many(row)[0], rtol=0, atol=tol)
-        np.testing.assert_allclose(grads[i], grad[0], atol=tol)
+    # the values-only and the joint call contract the same factors, so they
+    # agree bitwise; a row alone sums its terms in another order than inside
+    # a batch (at d = 1 the batch is a grid, the row is not), so the two agree
+    # to about eps ||alpha_i||_1 per eigenvalue (measured up to 0.52)
+    for sol in (_solve_grid_field(1), solved, _solve_grid_field(3)):
+        d = sol.problem.fld.dim
+        X = np.random.default_rng(3).uniform(-2, 2, size=(17, d))
+        vals, grads = sol.evaluate_with_gradient(X)
+        assert vals.shape == (17, sol.alpha.shape[0]) and grads.shape == (*vals.shape, d)
+        np.testing.assert_array_equal(sol.evaluate_many(X), vals)
+        tol = 2 * np.finfo(float).eps * np.abs(sol.alpha).sum(axis=1)
+        for i in range(X.shape[0]):
+            row = X[i : i + 1]
+            val, grad = sol.evaluate_with_gradient(row)
+            assert np.all(np.abs(vals[i] - val[0]) <= tol)
+            assert np.all(np.abs(vals[i] - sol.evaluate_many(row)[0]) <= tol)
+            assert np.all(np.abs(grads[i] - grad[0]) <= tol[:, None])
 
 
 def test_points_of_another_dimension_are_rejected(setup, solved):
@@ -499,11 +518,6 @@ def test_points_of_another_dimension_are_rejected(setup, solved):
     np.testing.assert_array_equal(solved.evaluate_many(x), solved.evaluate_many(x[None, :]))
 
 
-_GRID_FIELDS = {
-    1: ["-2*x1 + x1^2"],
-    2: ["-2*x1 + x2^2", "-3*(x2 - x1^2)"],
-    3: ["-2*x1 + x2*x3", "-3*x2 + x1^2", "-5*x3 + x1*x2"],
-}
 # per d the coordinate vectors of a grid: descending axes, a repeated
 # coordinate (leading, so a run of equal leading coordinates spans several
 # blocks) and, at d = 3, an axis of length 1
@@ -518,15 +532,12 @@ _GRID_AXES = {
 def test_grid_evaluation_matches_the_point_path(d, monkeypatch):
     # a tensor grid is read off its points and evaluated from per-axis
     # factors; the same points shuffled, or with one point moved, are no grid
-    # (every 1-D batch is one, so there the point path is forced) and take
-    # the per-point path. The
-    # two sum the same terms in other orders: they agree to a few
-    # eps ||alpha_i||_1 per eigenvalue, and on the grid the values-only and
-    # the joint call agree bitwise
-    fld = parse_vector_field(_GRID_FIELDS[d])
-    box = Box(np.full(d, -2.0), np.full(d, 2.0))
-    centers = uniform_centers(box, {1: 12, 2: 7, 3: 4}[d])
-    sol = solve(CollocationProblem(GaussianKernel(sigma=1.0), fld, linearize(fld), centers, box))
+    # (every 1-D batch is one, so there the row-wise mode is forced) and are
+    # contracted row-wise, each point with its own factors. The two modes sum
+    # the same terms in other orders: they agree to a few eps ||alpha_i||_1
+    # per eigenvalue, and on the grid the values-only and the joint call
+    # agree bitwise
+    sol = _solve_grid_field(d)
     axes = [np.array(a) for a in _GRID_AXES[d]]
     X = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     perm = np.random.default_rng(d).permutation(len(X))
@@ -564,6 +575,72 @@ def test_grid_evaluation_working_set_is_a_few_strips(setup):
     finally:
         tracemalloc.stop()
     assert peak - h.nbytes <= 3 * 8 * collocation._STRIP
+
+
+def test_scattered_evaluation_working_set_is_a_few_strips(setup):
+    # h, and h with grad h, at 2000 scattered points from 60 x 60 centers
+    # (m = 3603): beside the outputs each strip of points holds its own
+    # (rows, 61) factors per axis and strip-sized partial contractions, not
+    # the factors of every point at once (about 5 MB, 20 _STRIPs, per axis).
+    # Measured 4.0 and 6.0 _STRIPs
+    fld, lin = setup[0], setup[1]
+    box = Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+    prob = CollocationProblem(GaussianKernel(sigma=2.0), fld, lin, uniform_centers(box, 60), box)
+    alpha = np.random.default_rng(4).standard_normal((2, prob.size))
+    sol = collocation.CollocationSolution(prob, alpha, np.zeros(2), ("cholesky",) * 2)
+    X = np.random.default_rng(5).uniform(-2, 2, size=(2000, 2))
+    assert collocation.grid_axes(X) is None
+    sol.evaluate_many(X[:3])  # the lattice and the coefficients are cached
+    for evaluate, strips in ((sol.evaluate_many, 5), (sol.evaluate_with_gradient, 7)):
+        tracemalloc.start()
+        try:
+            out = evaluate(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+        assert peak - held <= strips * 8 * collocation._STRIP
+
+
+def _lattice_sum(C, pairs, k):
+    """The sum grid_contract forms, term by term over the lattice: row c of
+    C_q's entry at (i_1, .., i_d) times, per axis l, row c of G_l for
+    q = l + 1, else of F_l."""
+    n = [F.shape[1] for F, _ in pairs]
+    L = C.reshape(len(C), n[0], k, *n[1:])
+    out = np.zeros((len(pairs[0][0]), k))
+    for q in range(len(C)):
+        for idx in itertools.product(*map(range, n)):
+            w = np.prod([pairs[l][1 if q == l + 1 else 0][:, i] for l, i in enumerate(idx)], axis=0)
+            out += w[:, None] * L[(q, idx[0], slice(None), *idx[1:])]
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_contract_matches_a_lattice_sum(d):
+    # row-wise, each point with its own row of every factor, and on a grid
+    # of p_l coordinates per axis, an axis of one lattice coordinate (and at
+    # d = 3 of one grid coordinate) included. A last-axis pair passed with
+    # another gives bitwise what it gives alone: the value and the last
+    # gradient component share one inner contraction, and grid artifacts
+    # stay byte for byte those of separate calls
+    rng = np.random.default_rng(d)
+    k, n, p = 2, {1: [3], 2: [3, 1], 3: [2, 3, 1]}[d], {1: [4], 2: [3, 2], 3: [2, 3, 1]}[d]
+    C = rng.standard_normal((d + 1, n[0], k * math.prod(n[1:])))
+    grid = [tuple(rng.standard_normal((2, pl, nl))) for pl, nl in zip(p, n)]
+    rows = [(F[j], G[j]) for (F, G), j in zip(grid, np.indices(p).reshape(d, -1))]
+    expected = _lattice_sum(C, rows, k)
+    for pairs, rowwise in ((rows, True), (grid, False)):
+        out = np.empty((math.prod(p), k))
+        grid_contract(C, pairs, out, rowwise=rowwise)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+    last = tuple(rng.standard_normal((2, p[-1], n[-1])))
+    out, shared, alone = (np.empty((math.prod(p), k)) for _ in range(3))
+    grid_contract(C, grid, out, [(last, shared)])
+    grid_contract(C, [*grid[:-1], last], alone)
+    np.testing.assert_array_equal(_bits(shared), _bits(alone))
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_ill_conditioned_solve_is_silent(setup):
