@@ -583,19 +583,18 @@ class CollocationSolution:
         grad = np.empty((c, k, d)) if gradients else None
         axes = grid_axes(X) if c > 1 else None
         rowwise = axes is None
-        grid = None if rowwise else self._factors(axes, gradients)
+        # the first axis' factors are formed per strip, a grid's others once
+        grid = [] if rowwise else self._factors(axes[1:], gradients)
         # per strip row, a first-axis row of a grid or a point: its points and
-        # the entries of its largest partial contraction, doubled on the last axis
+        # the entries of its widest factor or of its largest partial
+        # contraction, doubled on the last axis
         p = [c] + [1] * (d - 1) if rowwise else [len(x) for x in axes]
         n = [len(a) + 1 for a in prob.lattice[0]]
         inner = math.prod(p[1:])
         sizes = [math.prod(p[1:l]) * math.prod(n[l:]) for l in range(1, d + 1)]
-        for s, e in _strips(p[0], 2 * k * max(sizes)):
+        for s, e in _strips(p[0], max(2 * k * max(sizes), *n)):
             pts = slice(s * inner, e * inner)
-            if rowwise:
-                factors = self._factors(X[pts].T, gradients)
-            else:
-                factors = [tuple(A[s:e] for A in grid[0]), *grid[1:]]
+            factors = self._factors(X[pts].T if rowwise else [axes[0][s:e]], gradients) + grid
             kg = [f[:2] for f in factors]
             more = [(factors[-1][2:], grad[pts, :, -1])] if gradients else []
             grid_contract(self._coefficients, kg, h[pts], more, rowwise)

@@ -1,9 +1,13 @@
 """Continuous piecewise affine certification on a triangulated 2-D box.
 
-The box is split into cells x cells squares, each cut along the diagonal
-from its bottom-left to its top-right corner, giving 2 * cells^2 congruent
-triangles over (cells + 1)^2 vertices. The candidate function is sampled at
-the vertices; on each triangle it is replaced by the affine interpolant.
+Layout. The box is split into cells x cells rectangles over the n1^2 vertices
+of Box.grid(n1), n1 = cells + 1. Cell c = i * cells + j has corner v00 =
+i * n1 + j, v10 = v00 + n1, v01 = v00 + 1, v11 = v10 + 1 and widths w (the
+np.diff of Box.axes); its simplices are 2c = (v00, v10, v11) and 2c + 1 =
+(v00, v11, v01). The candidate function is sampled at the vertices; on each
+triangle its affine interpolant has per axis one edge difference over w_s
+as gradient: x1 from v00 -> v10 or v01 -> v11, x2 from v10 -> v11 or
+v00 -> v01. Rotating a triple (below) keeps its edges.
 
 Two check families make the interpolant a certificate:
 
@@ -20,10 +24,11 @@ Two check families make the interpolant a certificate:
 
                   ext_s = max_k |e_s . (x_k - x_0)| the simplex's extent on
                   axis s, and B bounds all second partials of the components
-                  of f on the box. E_{nu,0} = 0 by construction. With ext_s
-                  (Giesl & Hafstein, JMAA 410, 2014) E bounds the error
-                  whichever vertex is x_0, so also on the triangles the
-                  builder rotates to put the origin first.
+                  of f on the box. With ext_s (Giesl & Hafstein, JMAA 410,
+                  2014) E bounds the error whichever vertex is x_0. A
+                  triangle spans its cell, so ext_s = w_s whichever vertex is
+                  first, and |delta_s| is w_s if the edge x_0 x_i crosses
+                  axis s (index step n1 or n1 + 1 on x1, 1 or n1 + 1 on x2).
 
 At the origin the decrease inequality cannot be strict (f(0) = 0), so pairs
 whose vertex is the origin are skipped. That exception is only sound when
@@ -67,8 +72,9 @@ class CPAError(ValueError):
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Regular triangulation of a 2-D box; simplices store vertex indices
-    with the designated base vertex first."""
+    """Regular triangulation of a 2-D box in the module docstring's Layout,
+    which certify reads: a simplex's index gives its cell, widths and edges,
+    and rotating the triples at the origin keeps them."""
 
     domain: Box
     cells: int
@@ -110,14 +116,9 @@ def build_triangulation(domain: Box, cells: int) -> Triangulation:
             )
         origin_vertex = int(hits[0])
 
-    # cell (i, j) in row-major order gives triangles (v00, v10, v11) and
-    # (v00, v11, v01), with vid(i, j) = i * n1 + j; v10 = v00 + n1,
-    # v11 = v00 + n1 + 1 and v01 = v00 + 1
+    # the module docstring's Layout
     v00 = (np.arange(cells, dtype=np.int64)[:, None] * n1 + np.arange(cells)).ravel()
-    simplices = np.empty((cells * cells, 6), dtype=np.int64)
-    for col, offset in enumerate((0, n1, n1 + 1, 0, n1 + 1, 1)):
-        np.add(v00, offset, out=simplices[:, col])
-    simplices = simplices.reshape(2 * cells * cells, 3)
+    simplices = (v00[:, None] + np.array([0, n1, n1 + 1, 0, n1 + 1, 1])).reshape(-1, 3)
 
     if origin_vertex is not None:
         # Rotate triples so the origin is the base vertex wherever it occurs.
@@ -135,18 +136,27 @@ def build_triangulation(domain: Box, cells: int) -> Triangulation:
     )
 
 
+def _cells(tri: Triangulation, rows):
+    """Per simplex of rows (module docstring, Layout): its cell's v00, 1 on
+    an upper triangle (else 0), and the cell's widths, shape (n_rows, 2)."""
+    r = range(tri.n_simplices)[rows]
+    cell, upper = np.divmod(np.arange(r.start, r.stop, r.step), 2)
+    i, j = np.divmod(cell, tri.cells)
+    w1, w2 = (np.diff(a) for a in tri.domain.axes(tri.cells + 1))
+    return i * (tri.cells + 1) + j, upper, np.stack([w1[i], w2[j]], axis=1)
+
+
 def _simplex_gradients(
     tri: Triangulation, vertex_values: np.ndarray, rows=slice(None)
 ) -> np.ndarray:
     """Affine-interpolant gradient on the simplices of rows (all by default),
-    shape (n_rows, 2), from the (n_vertices,) vertex values."""
-    S = tri.simplices[rows]
-    pts = tri.vertices[S]  # (ns, 3, 2)
-    M = pts[:, 1:, :] - pts[:, 0:1, :]  # (ns, 2, 2)
-    v = vertex_values[S]
-    rhs = v[:, 1:] - v[:, 0:1]
-    # trailing axis keeps numpy's stacked-solve from reading rhs as one matrix
-    return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    shape (n_rows, 2), from the (n_vertices,) vertex values: per axis one
+    edge difference over the cell's width."""
+    v00, upper, w = _cells(tri, rows)
+    n1, V = tri.cells + 1, vertex_values
+    a = v00 + upper  # x1 edge: v00 -> v10 (lower), v01 -> v11 (upper)
+    b = v00 + n1 * (1 - upper)  # x2 edge: v10 -> v11 (lower), v00 -> v01 (upper)
+    return np.stack([V[a + n1] - V[a], V[b + 1] - V[b]], axis=1) / w
 
 
 @dataclass(frozen=True)
@@ -206,11 +216,12 @@ def estimate_b_bound(
 
 def _curvature_corrections(tri: Triangulation, b: BBound, rows=slice(None)) -> np.ndarray:
     """E_{nu,i} for the simplices of rows (all by default) and each local
-    vertex, shape (n_rows, 3)."""
-    B = b.matrix
-    pts = tri.vertices[tri.simplices[rows]]
-    D = np.abs(pts - pts[:, 0:1, :])  # |delta_i| = |x_i - x_0|, (ns, 3, 2)
-    Y = D + D.max(axis=1, keepdims=True)  # |delta_is| + ext_s
+    vertex, shape (n_rows, 3), from the cell widths (module docstring)."""
+    B, n1, S = b.matrix, tri.cells + 1, tri.simplices[rows]
+    step = np.abs(S - S[:, :1])
+    w = _cells(tri, rows)[2][:, None]  # ext_s
+    D = w * np.stack([step >= n1, step % n1 == 1], axis=2)  # |delta_is|
+    Y = D + w
     return 0.5 * sum(D[:, :, r] * B[r, s] * Y[:, :, s] for r in range(2) for s in range(2))
 
 
@@ -305,25 +316,14 @@ def certify(
     f_all = np.empty((tri.n_vertices, 2))
     for s in range(0, tri.n_vertices, _CHUNK):
         f_all[s : s + _CHUNK] = fld.evaluate_at(tri.vertices[s : s + _CHUNK])
-    ns = tri.n_simplices
-    lhs = np.empty((ns, 3))
-    checked = np.ones((ns, 3), dtype=bool)
-    for s in range(0, ns, _CHUNK):
-        rows = slice(s, min(s + _CHUNK, ns))
-        S = tri.simplices[rows]
-        fV = f_all[S]
+    lhs = np.empty((tri.n_simplices, 3))
+    for s in range(0, len(lhs), _CHUNK):
+        rows = slice(s, s + _CHUNK)
         grads = _simplex_gradients(tri, vals, rows)
         lhs[rows] = (
-            np.einsum("sd,sid->si", grads, fV)
+            np.einsum("sd,sid->si", grads, f_all[tri.simplices[rows]])
             + np.abs(grads).sum(axis=1)[:, None] * _curvature_corrections(tri, b, rows)
         )
-        if tri.origin_vertex is not None:
-            checked[rows] = S != tri.origin_vertex
-
-    return CertificationReport(
-        tri=tri,
-        vertex_ok=vertex_ok,
-        lc2_margins=lhs,
-        lc2_checked=checked,
-        vertex_values=vals,
-    )
+    ov = tri.origin_vertex
+    checked = np.ones_like(lhs, dtype=bool) if ov is None else tri.simplices != ov
+    return CertificationReport(tri, vertex_ok, lhs, checked, vals)

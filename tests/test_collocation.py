@@ -602,6 +602,29 @@ def test_scattered_evaluation_working_set_is_a_few_strips(setup):
         assert peak - held <= strips * 8 * collocation._STRIP
 
 
+def test_one_dimensional_evaluation_working_set_is_a_few_strips():
+    # every 1-D batch is a grid; h, and h with grad h, at 20 000 points from
+    # 60 centers: beside the outputs each strip holds its own (rows, 61)
+    # first-axis factors, not those of every point at once (136 and 223
+    # _STRIPs). Measured 5.0 and 10.0 _STRIPs
+    fld = parse_vector_field(["-2*x1 + x1^3"])
+    box = Box(np.array([-3.0]), np.array([3.0]))
+    prob = CollocationProblem(GaussianKernel(sigma=2.0), fld, linearize(fld), uniform_centers(box, 60), box)
+    alpha = np.random.default_rng(4).standard_normal((1, prob.size))
+    sol = collocation.CollocationSolution(prob, alpha, np.zeros(1), ("cholesky",))
+    X = np.random.default_rng(5).uniform(-2, 2, size=(20000, 1))
+    sol.evaluate_many(X[:3])  # the lattice and the coefficients are cached
+    for evaluate, strips in ((sol.evaluate_many, 6), (sol.evaluate_with_gradient, 12)):
+        tracemalloc.start()
+        try:
+            out = evaluate(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+        assert peak - held <= strips * 8 * collocation._STRIP
+
+
 def _lattice_sum(C, pairs, k):
     """The sum grid_contract forms, term by term over the lattice: row c of
     C_q's entry at (i_1, .., i_d) times, per axis l, row c of G_l for

@@ -368,7 +368,7 @@ def _unrotated_simplices(cells):
     return np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(2 * cells * cells, 3)
 
 
-@pytest.mark.parametrize(
+_MESHES = pytest.mark.parametrize(
     "lo, hi, cells",
     [
         (-1.0, 1.0, 2), (-1.0, 1.0, 4), (-2.0, 2.0, 10),
@@ -376,6 +376,9 @@ def _unrotated_simplices(cells):
     ],
     ids=["sym2", "sym4", "sym10", "origin_lower_corner", "origin_upper_corner", "no_origin"],
 )
+
+
+@_MESHES
 def test_triangulation_rotation_matches_full_rotation(lo, hi, cells):
     tri = build_triangulation(_box(lo, hi), cells)
     plain = _unrotated_simplices(cells)
@@ -391,15 +394,61 @@ def test_triangulation_rotation_matches_full_rotation(lo, hi, cells):
     assert np.all(np.any(plain[changed] == ov, axis=1))
 
 
-def _whole_mesh_margins(tri, vals, fld, b):
-    # the formulas of the whole-mesh certify, one pass over every simplex
+def _reference_gradients(tri, vals):
+    # the general formula: per simplex, the 2 x 2 system of its edge vectors
     pts = tri.vertices[tri.simplices]
     M = pts[:, 1:, :] - pts[:, 0:1, :]
     rhs = vals[tri.simplices][:, 1:] - vals[tri.simplices][:, 0:1]
-    grads = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+
+
+def _reference_corrections(tri, B):
+    # the general formula: |delta_i| and ext_s from the vertex coordinates
+    pts = tri.vertices[tri.simplices]
     D = np.abs(pts - pts[:, 0:1, :])
     Y = D + D.max(axis=1, keepdims=True)
-    E = 0.5 * sum(D[:, :, r] * b.matrix[r, s] * Y[:, :, s] for r in range(2) for s in range(2))
+    return 0.5 * sum(D[:, :, r] * B[r, s] * Y[:, :, s] for r in range(2) for s in range(2))
+
+
+@_MESHES
+def test_cell_formulas_match_the_general_simplex_formulas(lo, hi, cells):
+    # the rotated triangles at the origin included; a box with unequal
+    # widths per axis, so that w_1 != w_2
+    tri = build_triangulation(Box(np.array([lo, 1.5 * lo]), np.array([hi, 1.5 * hi])), cells)
+    rng = np.random.default_rng(cells)
+    A = rng.uniform(0, 5, (2, 2))
+    for B in (np.array([[12.0, 0.5], [0.5, 1.0]]), A + A.T):
+        np.testing.assert_array_equal(
+            _curvature_corrections(tri, BBound(B)).view(np.uint64),
+            _reference_corrections(tri, B).view(np.uint64),
+        )
+    # each component is a difference over a width on both sides, the
+    # reference's solve rounds a few times more: within 4 eps max|V| / min w
+    # (measured 1.4 here, 2.2 at most on meshes of up to 144 cells)
+    w = min(np.diff(a).min() for a in tri.domain.axes(cells + 1))
+    for scale in (1e-3, 1.0, 1e3):
+        vals = scale * rng.standard_normal(tri.n_vertices)
+        err = np.abs(_simplex_gradients(tri, vals) - _reference_gradients(tri, vals))
+        assert err.max() <= 4 * np.finfo(float).eps * np.abs(vals).max() / w
+
+
+def _whole_mesh_margins(tri, vals, fld, b):
+    # the formulas of the whole-mesh certify, one pass over every simplex:
+    # the gradients as whole-array slices of the (n1, n1) vertex values, the
+    # lower triangle's edges v00 -> v10 and v10 -> v11 and the upper's
+    # v01 -> v11 and v00 -> v01, each over its cell's width
+    V = vals.reshape(tri.cells + 1, -1)
+    w1, w2 = (np.diff(a) for a in tri.domain.axes(tri.cells + 1))
+    grads = np.stack(
+        [
+            (V[1:, :-1] - V[:-1, :-1]) / w1[:, None],
+            (V[1:, 1:] - V[1:, :-1]) / w2,
+            (V[1:, 1:] - V[:-1, 1:]) / w1[:, None],
+            (V[:-1, 1:] - V[:-1, :-1]) / w2,
+        ],
+        axis=2,
+    ).reshape(-1, 2)
+    E = _reference_corrections(tri, b.matrix)
     fV = fld.evaluate_at(tri.vertices)
     lhs = (
         np.einsum("sd,sid->si", grads, fV[tri.simplices])
