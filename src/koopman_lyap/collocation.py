@@ -553,14 +553,14 @@ class CollocationSolution:
         C[(..., *[-1] * d)] = np.vstack([self.alpha[:, n], self.alpha[:, n + 1 :].T / s2])
         return np.moveaxis(C, 2, 1).reshape(d + 1, C.shape[2], len(a) * math.prod(C.shape[3:]))
 
-    def _factors(self, coords, gradients: bool):
-        """Per axis l the factors K_l[p, i] = k(x_p, a_li) and G_l = (x_p - a_li) K_l
-        of the coordinates x = coords[l] against the lattice coordinates a_l
-        and 0, shape (len(coords[l]), n_l + 1), and with gradients their
-        x-derivatives dK_l and dG_l: (K_l, G_l[, dK_l, dG_l]) per axis."""
+    def _factors(self, coords, gradients: bool, first: int = 0):
+        """Per axis l >= first the factors K_l[p, i] = k(x_p, a_li) and G_l =
+        (x_p - a_li) K_l of x = coords[l - first] against the lattice
+        coordinates a_l and 0, shape (len(x), n_l + 1), and with gradients
+        their x-derivatives dK_l and dG_l: (K_l, G_l[, dK_l, dG_l]) per axis."""
         s2 = self.problem.kernel.sigma**2
         factors = []
-        for x, a in zip(coords, self.problem.lattice[0]):
+        for x, a in zip(coords, self.problem.lattice[0][first:]):
             u = x[:, None] - np.append(a, 0.0)
             K = np.exp(u * u / (-2.0 * s2))
             G = u * K
@@ -584,10 +584,9 @@ class CollocationSolution:
         axes = grid_axes(X) if c > 1 else None
         rowwise = axes is None
         # the first axis' factors are formed per strip, a grid's others once
-        grid = [] if rowwise else self._factors(axes[1:], gradients)
-        # per strip row, a first-axis row of a grid or a point: its points and
-        # the entries of its widest factor or of its largest partial
-        # contraction, doubled on the last axis
+        grid = [] if rowwise else self._factors(axes[1:], gradients, first=1)
+        # per strip row, a grid's first-axis row or a point: its points, and the entries
+        # of its widest factor or of its largest partial contraction, doubled on the last axis
         p = [c] + [1] * (d - 1) if rowwise else [len(x) for x in axes]
         n = [len(a) + 1 for a in prob.lattice[0]]
         inner = math.prod(p[1:])

@@ -35,11 +35,10 @@ whose vertex is the origin are skipped. That exception is only sound when
 the origin is the designated first vertex of every triangle containing it;
 the builder rotates vertex triples to guarantee it.
 
-All checks are pure arithmetic on per-simplex rows, evaluated vectorized
-over blocks of _CHUNK rows with f read from one evaluation per vertex (nv x
-2 floats, fewer than the ns x 3 margins, formed _CHUNK vertices at a time),
-so that beyond its report and those values the memory certify needs does
-not grow with the mesh.
+All checks are vectorized over blocks of _CHUNK simplex rows, with f read
+from one evaluation per vertex (nv x 2 floats, fewer than the ns x 3 margins,
+formed _CHUNK vertices at a time), so that beyond its report and those values
+the memory certify needs does not grow with the mesh.
 """
 
 from __future__ import annotations
@@ -73,8 +72,7 @@ class CPAError(ValueError):
 @dataclass(frozen=True)
 class Triangulation:
     """Regular triangulation of a 2-D box in the module docstring's Layout,
-    which certify reads: a simplex's index gives its cell, widths and edges,
-    and rotating the triples at the origin keeps them."""
+    which certify reads from simplex indices: make it with build_triangulation."""
 
     domain: Box
     cells: int
@@ -118,7 +116,10 @@ def build_triangulation(domain: Box, cells: int) -> Triangulation:
 
     # the module docstring's Layout
     v00 = (np.arange(cells, dtype=np.int64)[:, None] * n1 + np.arange(cells)).ravel()
-    simplices = (v00[:, None] + np.array([0, n1, n1 + 1, 0, n1 + 1, 1])).reshape(-1, 3)
+    simplices = np.empty((cells * cells, 6), dtype=np.int64)
+    for col, offset in enumerate((0, n1, n1 + 1, 0, n1 + 1, 1)):
+        np.add(v00, offset, out=simplices[:, col])
+    simplices = simplices.reshape(2 * cells * cells, 3)
 
     if origin_vertex is not None:
         # Rotate triples so the origin is the base vertex wherever it occurs.
@@ -139,8 +140,7 @@ def build_triangulation(domain: Box, cells: int) -> Triangulation:
 def _cells(tri: Triangulation, rows):
     """Per simplex of rows (module docstring, Layout): its cell's v00, 1 on
     an upper triangle (else 0), and the cell's widths, shape (n_rows, 2)."""
-    r = range(tri.n_simplices)[rows]
-    cell, upper = np.divmod(np.arange(r.start, r.stop, r.step), 2)
+    cell, upper = np.divmod(np.arange(*rows.indices(tri.n_simplices)), 2)
     i, j = np.divmod(cell, tri.cells)
     w1, w2 = (np.diff(a) for a in tri.domain.axes(tri.cells + 1))
     return i * (tri.cells + 1) + j, upper, np.stack([w1[i], w2[j]], axis=1)
@@ -326,4 +326,6 @@ def certify(
         )
     ov = tri.origin_vertex
     checked = np.ones_like(lhs, dtype=bool) if ov is None else tri.simplices != ov
-    return CertificationReport(tri, vertex_ok, lhs, checked, vals)
+    return CertificationReport(
+        tri=tri, vertex_ok=vertex_ok, lc2_margins=lhs, lc2_checked=checked, vertex_values=vals
+    )

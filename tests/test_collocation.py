@@ -476,9 +476,10 @@ _GRID_FIELDS = {
 }
 
 
-def _solve_grid_field(d):
+def _solve_grid_field(d, stretch=0.0):
+    # stretch widens axis l by stretch * l on each side
     fld = parse_vector_field(_GRID_FIELDS[d])
-    box = Box(np.full(d, -2.0), np.full(d, 2.0))
+    box = Box(np.full(d, -2.0) - stretch * np.arange(d), np.full(d, 2.0) + stretch * np.arange(d))
     centers = uniform_centers(box, {1: 12, 2: 7, 3: 4}[d])
     return solve(CollocationProblem(GaussianKernel(sigma=1.0), fld, linearize(fld), centers, box))
 
@@ -536,8 +537,9 @@ def test_grid_evaluation_matches_the_point_path(d, monkeypatch):
     # contracted row-wise, each point with its own factors. The two modes sum
     # the same terms in other orders: they agree to a few eps ||alpha_i||_1
     # per eigenvalue, and on the grid the values-only and the joint call
-    # agree bitwise
-    sol = _solve_grid_field(d)
+    # agree bitwise. A box with another width on each axis gives each axis
+    # other lattice coordinates, so a grid axis paired with another axis'
+    # lattice shows
     axes = [np.array(a) for a in _GRID_AXES[d]]
     X = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     perm = np.random.default_rng(d).permutation(len(X))
@@ -546,14 +548,17 @@ def test_grid_evaluation_matches_the_point_path(d, monkeypatch):
     moved[-1, 0] += 0.5  # the last point leaves the grid; its block's last column still repeats
     assert d == 1 or collocation.grid_axes(X[perm]) is None and collocation.grid_axes(moved) is None
 
-    h, grad = sol.evaluate_with_gradient(X)
-    np.testing.assert_array_equal(_bits(sol.evaluate_many(X)), _bits(h))
-    monkeypatch.setattr(collocation, "grid_axes", lambda X: None)
-    h_points, grad_points = (a[np.argsort(perm)] for a in sol.evaluate_with_gradient(X[perm]))
-    tol = 4 * np.finfo(float).eps * np.abs(sol.alpha).sum(axis=1)
-    assert np.all(tol <= 1e-6 * np.max(np.abs(h), axis=0))
-    assert np.all(np.max(np.abs(h - h_points), axis=0) <= tol)
-    assert np.all(np.max(np.abs(grad - grad_points), axis=(0, 2)) <= tol)
+    grid_axes = collocation.grid_axes
+    for sol in (_solve_grid_field(d), _solve_grid_field(d, stretch=0.5)):
+        h, grad = sol.evaluate_with_gradient(X)
+        np.testing.assert_array_equal(_bits(sol.evaluate_many(X)), _bits(h))
+        monkeypatch.setattr(collocation, "grid_axes", lambda X: None)
+        h_points, grad_points = (a[np.argsort(perm)] for a in sol.evaluate_with_gradient(X[perm]))
+        monkeypatch.setattr(collocation, "grid_axes", grid_axes)
+        tol = 4 * np.finfo(float).eps * np.abs(sol.alpha).sum(axis=1)
+        assert np.all(tol <= 1e-6 * np.max(np.abs(h), axis=0))
+        assert np.all(np.max(np.abs(h - h_points), axis=0) <= tol)
+        assert np.all(np.max(np.abs(grad - grad_points), axis=(0, 2)) <= tol)
 
 
 def test_grid_evaluation_working_set_is_a_few_strips(setup):
