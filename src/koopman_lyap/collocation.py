@@ -198,8 +198,8 @@ class CollocationProblem:
         object.__setattr__(self, "centers", centers)
         if n > 1 and _has_close_pair(self.lattice, centers, 1e-12):
             raise CollocationError("collocation centers must be pairwise distinct")
-        if self.eta is not None and self.eta < 0:
-            raise CollocationError("eta must be nonnegative")
+        if self.eta is not None and not 0 <= self.eta < math.inf:
+            raise CollocationError(f"eta must be finite and nonnegative, got {self.eta}")
 
     @property
     def n_centers(self) -> int:

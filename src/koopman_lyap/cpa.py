@@ -33,7 +33,7 @@ Two check families make the interpolant a certificate:
 At the origin the decrease inequality cannot be strict (f(0) = 0), so pairs
 whose vertex is the origin are skipped. That exception is only sound when
 the origin is the designated first vertex of every triangle containing it;
-the builder rotates vertex triples to guarantee it.
+Triangulation rotates vertex triples to guarantee it.
 
 All checks are vectorized over blocks of _CHUNK simplex rows, with f read
 from one evaluation per vertex (nv x 2 floats, fewer than the ns x 3 margins,
@@ -43,7 +43,7 @@ the memory certify needs does not grow with the mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -72,13 +72,58 @@ class CPAError(ValueError):
 @dataclass(frozen=True)
 class Triangulation:
     """Regular triangulation of a 2-D box in the module docstring's Layout,
-    which certify reads from simplex indices: make it with build_triangulation."""
+    which certify reads from simplex indices: vertices, simplices,
+    origin_vertex and cell_widths are built from domain and cells. If the
+    origin lies in the box it must be a grid vertex; an even cell count on
+    a symmetric box guarantees that."""
 
     domain: Box
     cells: int
-    vertices: np.ndarray  # ((cells+1)^2, 2)
-    simplices: np.ndarray  # (2*cells^2, 3) int
-    origin_vertex: int | None
+    vertices: np.ndarray = field(init=False)  # ((cells+1)^2, 2)
+    simplices: np.ndarray = field(init=False)  # (2*cells^2, 3) int
+    origin_vertex: int | None = field(init=False)
+    cell_widths: np.ndarray = field(init=False, repr=False)  # (2, cells)
+
+    def __post_init__(self):
+        domain, cells = self.domain, self.cells
+        if domain.dim != 2:
+            raise CPAError("triangulation is 2-D only")
+        if cells < 2:
+            raise CPAError("need at least 2 cells per axis")
+
+        n1 = cells + 1
+        vertices = domain.grid(n1)
+
+        tol = 1e-9 * float(np.max(domain.widths))
+        origin_vertex = None
+        if domain.contains(np.zeros(2)):
+            hits = np.nonzero(np.max(np.abs(vertices), axis=1) <= tol)[0]
+            if hits.size == 0:
+                raise CPAError(
+                    "origin lies in the domain but is not a grid vertex; "
+                    "use an even cell count on a symmetric box"
+                )
+            origin_vertex = int(hits[0])
+
+        # the module docstring's Layout
+        v00 = (np.arange(cells, dtype=np.int64)[:, None] * n1 + np.arange(cells)).ravel()
+        simplices = np.empty((cells * cells, 6), dtype=np.int64)
+        for col, offset in enumerate((0, n1, n1 + 1, 0, n1 + 1, 1)):
+            np.add(v00, offset, out=simplices[:, col])
+        simplices = simplices.reshape(2 * cells * cells, 3)
+
+        if origin_vertex is not None:
+            # Rotate triples so the origin is the base vertex wherever it occurs.
+            hit, shift = np.nonzero(simplices == origin_vertex)
+            simplices[hit] = np.take_along_axis(simplices[hit], (np.arange(3) + shift[:, None]) % 3, 1)
+
+        cell_widths = np.diff(domain.axes(n1), axis=1)
+        for a in (vertices, simplices, cell_widths):
+            a.setflags(write=False)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "simplices", simplices)
+        object.__setattr__(self, "origin_vertex", origin_vertex)
+        object.__setattr__(self, "cell_widths", cell_widths)
 
     @property
     def n_vertices(self) -> int:
@@ -90,51 +135,8 @@ class Triangulation:
 
 
 def build_triangulation(domain: Box, cells: int) -> Triangulation:
-    """Two congruent triangles per cell, diagonal bottom-left to top-right.
-
-    If the origin lies in the box it must land exactly on a grid vertex;
-    pick an even cell count on a symmetric box to guarantee that.
-    """
-    if domain.dim != 2:
-        raise CPAError("triangulation is 2-D only")
-    if cells < 2:
-        raise CPAError("need at least 2 cells per axis")
-
-    n1 = cells + 1
-    vertices = domain.grid(n1)
-
-    tol = 1e-9 * float(np.max(domain.widths))
-    origin_vertex = None
-    if domain.contains(np.zeros(2)):
-        hits = np.nonzero(np.max(np.abs(vertices), axis=1) <= tol)[0]
-        if hits.size == 0:
-            raise CPAError(
-                "origin lies in the domain but is not a grid vertex; "
-                "use an even cell count on a symmetric box"
-            )
-        origin_vertex = int(hits[0])
-
-    # the module docstring's Layout
-    v00 = (np.arange(cells, dtype=np.int64)[:, None] * n1 + np.arange(cells)).ravel()
-    simplices = np.empty((cells * cells, 6), dtype=np.int64)
-    for col, offset in enumerate((0, n1, n1 + 1, 0, n1 + 1, 1)):
-        np.add(v00, offset, out=simplices[:, col])
-    simplices = simplices.reshape(2 * cells * cells, 3)
-
-    if origin_vertex is not None:
-        # Rotate triples so the origin is the base vertex wherever it occurs.
-        hit, shift = np.nonzero(simplices == origin_vertex)
-        simplices[hit] = np.take_along_axis(simplices[hit], (np.arange(3) + shift[:, None]) % 3, 1)
-
-    vertices.setflags(write=False)
-    simplices.setflags(write=False)
-    return Triangulation(
-        domain=domain,
-        cells=cells,
-        vertices=vertices,
-        simplices=simplices,
-        origin_vertex=origin_vertex,
-    )
+    """The Triangulation of domain with cells x cells cells."""
+    return Triangulation(domain, cells)
 
 
 def _cells(tri: Triangulation, rows):
@@ -142,7 +144,7 @@ def _cells(tri: Triangulation, rows):
     an upper triangle (else 0), and the cell's widths, shape (n_rows, 2)."""
     cell, upper = np.divmod(np.arange(*rows.indices(tri.n_simplices)), 2)
     i, j = np.divmod(cell, tri.cells)
-    w1, w2 = (np.diff(a) for a in tri.domain.axes(tri.cells + 1))
+    w1, w2 = tri.cell_widths
     return i * (tri.cells + 1) + j, upper, np.stack([w1[i], w2[j]], axis=1)
 
 

@@ -4,11 +4,15 @@ The grammar covers +, -, *, integer ^, unary minus, parentheses, the functions
 sin/cos/exp/tanh, decimal constants, and state variables x1..xd. Division is
 excluded on purpose: every expression evaluates totally on finite inputs.
 
-ASTs are immutable trees. Differentiation is structural (no numerics) and the
-constructors fold constant subtrees, so derivative trees stay small. Each
-expression is lowered once, on first evaluation, to a tree of closures, one
-per node, that apply Python and numpy operators, so a variable may be bound
-to a scalar or to an ndarray; arrays broadcast through every operation.
+An expression tree is nested tuples (op, *operands): ("const", v), ("var", i)
+with i 1-based, ("pow", base, k) with k a nonnegative integer, and
+(op, a[, b]) for "neg", "add", "sub", "mul" and each function name. One
+constructor, _node, builds every inner node: it folds constant operands and
+drops the zeros and ones that drop out, so derivative trees stay small.
+Differentiation is structural (no numerics). Each expression is lowered
+once, on first evaluation, to a tree of closures, one per node, that apply
+Python and numpy operators, so a variable may be bound to a scalar or to an
+ndarray; arrays broadcast through every operation.
 Parsed constants, literal or folded, are finite. Parsing, lowering, evaluation
 and differentiation recurse once per level, so nesting and tree depth are
 capped.
@@ -37,11 +41,12 @@ _MAX_DEPTH = 100
 _TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
 _OUT_OF_RANGE = "constant outside the floating-point range"
 
+# name: (numpy function, math function, derivative rule d name(a) / da)
 _FUNCTIONS = {
-    "sin": (np.sin, math.sin),
-    "cos": (np.cos, math.cos),
-    "exp": (np.exp, math.exp),
-    "tanh": (np.tanh, math.tanh),
+    "sin": (np.sin, math.sin, lambda a: _node("cos", a)),
+    "cos": (np.cos, math.cos, lambda a: _node("neg", _node("sin", a))),
+    "exp": (np.exp, math.exp, lambda a: _node("exp", a)),
+    "tanh": (np.tanh, math.tanh, lambda a: _node("sub", _ONE, _node("pow", _node("tanh", a), 2))),
 }
 
 
@@ -55,189 +60,91 @@ class ParseError(ExprError):
         self.position = position
 
 
-# --- AST nodes -------------------------------------------------------------
+# --- nodes -----------------------------------------------------------------
+
+_ZERO, _ONE = ("const", 0.0), ("const", 1.0)
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_FOLD = {"neg": operator.neg, **_BINARY, **{k: f[1] for k, f in _FUNCTIONS.items()}}
 
 
-@dataclass(frozen=True)
-class _Node:
-    pass
-
-
-@dataclass(frozen=True)
-class Const(_Node):
-    value: float
-
-
-@dataclass(frozen=True)
-class Var(_Node):
-    index: int  # 1-based, matching the surface syntax x1..xd
-
-
-@dataclass(frozen=True)
-class Neg(_Node):
-    arg: _Node
-
-
-@dataclass(frozen=True)
-class Add(_Node):
-    left: _Node
-    right: _Node
-
-
-@dataclass(frozen=True)
-class Sub(_Node):
-    left: _Node
-    right: _Node
-
-
-@dataclass(frozen=True)
-class Mul(_Node):
-    left: _Node
-    right: _Node
-
-
-@dataclass(frozen=True)
-class Pow(_Node):
-    base: _Node
-    exponent: int  # nonnegative integer
-
-
-@dataclass(frozen=True)
-class Call(_Node):
-    name: str
-    arg: _Node
-
-
-# Folding constructors. Exact float arithmetic, hence deterministic.
-
-
-def _const(v) -> Const:
-    return Const(float(v))
-
-
-def _add(a: _Node, b: _Node) -> _Node:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value + b.value)
-    if isinstance(a, Const) and a.value == 0.0:
-        return b
-    if isinstance(b, Const) and b.value == 0.0:
-        return a
-    return Add(a, b)
-
-
-def _sub(a: _Node, b: _Node) -> _Node:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value - b.value)
-    if isinstance(b, Const) and b.value == 0.0:
-        return a
-    if isinstance(a, Const) and a.value == 0.0:
-        return _neg(b)
-    return Sub(a, b)
-
-
-def _neg(a: _Node) -> _Node:
-    if isinstance(a, Const):
-        return _const(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
-
-
-def _mul(a: _Node, b: _Node) -> _Node:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value * b.value)
-    if isinstance(a, Const):
-        if a.value == 0.0:
-            return _const(0.0)
-        if a.value == 1.0:
-            return b
-    if isinstance(b, Const):
-        if b.value == 0.0:
-            return _const(0.0)
-        if b.value == 1.0:
+def _node(op: str, a: tuple, b=None) -> tuple:
+    """The node (op, a[, b]), b the integer exponent of a "pow". Constant
+    operands fold in exact Python and math arithmetic, hence
+    deterministically, and the zeros and ones that drop out are dropped."""
+    if op == "pow":
+        if b == 0:
+            return _ONE
+        if b == 1:
             return a
-    return Mul(a, b)
-
-
-def _pow(base: _Node, k: int) -> _Node:
-    if k == 0:
-        return _const(1.0)
-    if k == 1:
-        return base
-    if isinstance(base, Const):
-        return _const(base.value**k)
-    return Pow(base, k)
-
-
-def _call(name: str, a: _Node) -> _Node:
-    if isinstance(a, Const):
-        return _const(_FUNCTIONS[name][1](a.value))
-    return Call(name, a)
+        return ("const", a[1] ** b) if a[0] == "const" else (op, a, b)
+    args = (a,) if b is None else (a, b)
+    if all(n[0] == "const" for n in args):
+        return ("const", float(_FOLD[op](*(n[1] for n in args))))
+    if op == "neg" and a[0] == "neg":
+        return a[1]
+    if op == "add" and _ZERO in args:
+        return b if a == _ZERO else a
+    if op == "sub" and _ZERO in args:
+        return a if b == _ZERO else _node("neg", b)
+    if op == "mul":
+        if _ZERO in args:
+            return _ZERO
+        if _ONE in args:
+            return b if a == _ONE else a
+    return (op, *args)
 
 
 # --- lowering / differentiation ---------------------------------------------
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
-
-def _lower(node: _Node):
-    """node as a function of x, or as its float for a Const, which the parent
-    applies directly. Every other node has an operand that is not a Const,
-    as the folding constructors guarantee. Each closure applies the node's
-    operation to the same operands in the same order as the tree reads, so
-    scalars stay Python floats and arrays stay numpy."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return operator.itemgetter(node.index - 1)
-    if isinstance(node, Neg):
-        f = _lower(node.arg)
+def _lower(node: tuple):
+    """node as a function of x, or as its float for a "const", which the
+    parent applies directly. Every other node has an operand that is not a
+    "const", as _node guarantees. Each closure applies the node's operation
+    to the same operands in the same order as the tree reads, so scalars
+    stay Python floats and arrays stay numpy."""
+    op = node[0]
+    if op == "const":
+        return node[1]
+    if op == "var":
+        return operator.itemgetter(node[1] - 1)
+    f = _lower(node[1])
+    if op == "neg":
         return lambda x: -f(x)
-    if isinstance(node, Pow):
-        f, k = _lower(node.base), node.exponent
+    if op == "pow":
+        k = node[2]
         return lambda x: f(x) ** k
-    if isinstance(node, Call):
-        f, g = _lower(node.arg), _FUNCTIONS[node.name][0]
+    if op in _FUNCTIONS:
+        g = _FUNCTIONS[op][0]
         return lambda x: g(f(x))
-    op, a, b = _BINARY[type(node)], _lower(node.left), _lower(node.right)
-    if isinstance(node.left, Const):
+    op, a, b = _BINARY[op], f, _lower(node[2])
+    if node[1][0] == "const":
         return lambda x: op(a, b(x))
-    if isinstance(node.right, Const):
+    if node[2][0] == "const":
         return lambda x: op(a(x), b)
     return lambda x: op(a(x), b(x))
 
 
-def _deriv(node: _Node, var: int) -> _Node:
-    if isinstance(node, Const):
-        return _const(0.0)
-    if isinstance(node, Var):
-        return _const(1.0 if node.index == var else 0.0)
-    if isinstance(node, Neg):
-        return _neg(_deriv(node.arg, var))
-    if isinstance(node, Add):
-        return _add(_deriv(node.left, var), _deriv(node.right, var))
-    if isinstance(node, Sub):
-        return _sub(_deriv(node.left, var), _deriv(node.right, var))
-    if isinstance(node, Mul):
-        return _add(
-            _mul(_deriv(node.left, var), node.right),
-            _mul(node.left, _deriv(node.right, var)),
-        )
-    if isinstance(node, Pow):
-        inner = _mul(_const(node.exponent), _pow(node.base, node.exponent - 1))
-        return _mul(inner, _deriv(node.base, var))
-    if isinstance(node, Call):
-        da = _deriv(node.arg, var)
-        if node.name == "sin":
-            outer = _call("cos", node.arg)
-        elif node.name == "cos":
-            outer = _neg(_call("sin", node.arg))
-        elif node.name == "exp":
-            outer = _call("exp", node.arg)
-        else:  # tanh
-            outer = _sub(_const(1.0), _pow(_call("tanh", node.arg), 2))
-        return _mul(outer, da)
-    raise TypeError(f"unknown node {node!r}")
+def _deriv(node: tuple, var: int) -> tuple:
+    op = node[0]
+    if op == "const":
+        return _ZERO
+    if op == "var":
+        return _ONE if node[1] == var else _ZERO
+    a = node[1]
+    if op == "pow":
+        k = node[2]
+        inner = _node("mul", ("const", float(k)), _node("pow", a, k - 1))
+        return _node("mul", inner, _deriv(a, var))
+    da = _deriv(a, var)
+    if op == "neg":
+        return _node("neg", da)
+    if op in _FUNCTIONS:
+        return _node("mul", _FUNCTIONS[op][2](a), da)
+    b = node[2]
+    if op == "mul":
+        return _node("add", _node("mul", da, b), _node("mul", a, _deriv(b, var)))
+    return _node(op, da, _deriv(b, var))  # add, sub
 
 
 # --- public wrapper types ---------------------------------------------------
@@ -247,7 +154,7 @@ def _deriv(node: _Node, var: int) -> _Node:
 class ExprAST:
     """A parsed scalar expression in dim state variables."""
 
-    root: _Node
+    root: tuple
     dim: int
 
     def evaluate(self, x):
@@ -368,53 +275,53 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         self.advance()
 
-    def parse(self) -> _Node:
+    def parse(self) -> tuple:
         node = self.expression()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {value!r}", pos)
         return node
 
-    def expression(self) -> _Node:
+    def expression(self) -> tuple:
         node = self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
-                node = _add(node, rhs) if value == "+" else _sub(node, rhs)
+                node = _node("add" if value == "+" else "sub", node, rhs)
             else:
                 return node
 
-    def term(self) -> _Node:
+    def term(self) -> tuple:
         node = self.unary()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                node = _mul(node, self.unary())
+                node = _node("mul", node, self.unary())
             else:
                 return node
 
-    def unary(self) -> _Node:
+    def unary(self) -> tuple:
         kind, value, pos = self.peek()
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise ParseError(_TOO_DEEP, pos)
         if kind == "op" and value == "-":
             self.advance()
-            node = _neg(self.unary())
+            node = _node("neg", self.unary())
         else:
             node = self.power()
         self.depth -= 1
         return node
 
-    def power(self) -> _Node:
+    def power(self) -> tuple:
         node = self.atom()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            node = _pow(node, self.exponent())
+            node = _node("pow", node, self.exponent())
             kind, value, pos = self.peek()
             if kind == "op" and value == "^":
                 raise ParseError("chained ^ needs parentheses", pos)
@@ -427,10 +334,10 @@ class _Parser:
         self.advance()
         return int(value)
 
-    def atom(self) -> _Node:
+    def atom(self) -> tuple:
         kind, value, pos = self.advance()
         if kind == "number":
-            return _const(float(value))
+            return ("const", float(value))
         if kind == "ident":
             m = _VAR_RE.match(value)
             if m:
@@ -439,12 +346,12 @@ class _Parser:
                     raise ParseError(
                         f"variable x{index} out of range x1..x{self.dim}", pos
                     )
-                return Var(index)
+                return ("var", index)
             if value in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expression()
                 self.expect_op(")")
-                return _call(value, arg)
+                return _node(value, arg)
             raise ParseError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
             node = self.expression()
@@ -467,9 +374,9 @@ def parse_expression(text: str, dim: int) -> ExprAST:
         raise ExprError(_OUT_OF_RANGE) from None
     level = [root]  # the tree, one level at a time
     for _ in range(_MAX_DEPTH):
-        if any(isinstance(n, Const) and not math.isfinite(n.value) for n in level):
+        if any(n[0] == "const" and not math.isfinite(n[1]) for n in level):
             raise ExprError(_OUT_OF_RANGE)
-        level = [c for n in level for c in vars(n).values() if isinstance(c, _Node)]
+        level = [c for n in level for c in n[1:] if type(c) is tuple]
         if not level:
             return ExprAST(root, dim)
     raise ExprError(_TOO_DEEP)

@@ -414,18 +414,27 @@ def _sigma_infinite(outdir):
     return path
 
 
+def _eta_config_nan(outdir):
+    path = outdir / "eigenfunctions.json"
+    meta = json.loads(path.read_text())
+    meta["eta_config"] = math.nan
+    path.write_text(json.dumps(meta))
+    return path
+
+
 @pytest.mark.parametrize(
     "damage, stages, message",
     [
         (_sigma_infinite, ["lyapunov", "certify"], "sigma must be positive and finite"),
+        (_eta_config_nan, ["lyapunov", "certify"], "eta must be finite and nonnegative"),
     ],
-    ids=["sigma-inf"],
+    ids=["sigma-inf", "eta-nan"],
 )
 def test_non_finite_persisted_numbers_exit_1(
     tiny_cfg_path, finished_run, tmp_path, capsys, damage, stages, message
 ):
     # json reads Infinity and NaN; an infinite sigma would otherwise evaluate
-    # a flat kernel and exit 0
+    # a flat kernel and exit 0, and a NaN eta would load and exit 0
     shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
     damage(tmp_path)
     for stage in stages:

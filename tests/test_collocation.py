@@ -209,8 +209,9 @@ def test_center_outside_domain_rejected(setup):
 
 
 def test_negative_eta_rejected(setup):
-    with pytest.raises(CollocationError, match="eta"):
-        _problem(setup, eta=-1e-3)
+    for eta in (-1e-3, math.nan, math.inf):
+        with pytest.raises(CollocationError, match="eta"):
+            _problem(setup, eta=eta)
 
 
 def test_dimension_mismatch_rejected(setup):

@@ -8,6 +8,7 @@ from koopman_lyap.box import Box
 from koopman_lyap.cpa import (
     BBound,
     CPAError,
+    Triangulation,
     _curvature_corrections,
     _simplex_gradients,
     build_triangulation,
@@ -84,6 +85,13 @@ def test_triangulation_is_two_dimensional_only():
     dom = Box(np.array([-1.0]), np.array([1.0]))
     with pytest.raises(CPAError, match="2-D"):
         build_triangulation(dom, 2)
+
+
+def test_triangulation_arrays_are_built_not_passed(tri_small):
+    # certify reads the layout from simplex indices, so no caller may
+    # supply arrays that disagree with it
+    with pytest.raises(TypeError):
+        Triangulation(_box(-1.0, 1.0), 2, simplices=tri_small.simplices)
 
 
 # --- affine gradients ------------------------------------------------------------

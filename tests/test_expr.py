@@ -90,6 +90,33 @@ def test_evaluate_and_derivative_of_a_square():
     assert ast.derivative(1).evaluate((3.0,)) == 6.0
 
 
+_X1 = ("var", 1)
+
+
+@pytest.mark.parametrize(
+    "text, root",
+    [
+        *((t, ("const", 0.0)) for t in ("0*x1", "x1*0", "sin(0)")),
+        *((t, _X1) for t in ("1*x1", "x1*1", "x1+0", "0+x1", "x1-0", "--x1", "x1^1")),
+        ("0-x1", ("neg", _X1)),
+        ("x1^0", ("const", 1.0)),
+        ("2*3+1", ("const", 7.0)),
+        ("2^3*x1", ("mul", ("const", 8.0), _X1)),
+    ],
+)
+def test_constructor_folds_constants_zeros_and_ones(text, root):
+    assert parse_expression(text, 2).root == root
+
+
+def test_duffing_derivative_trees():
+    # estimate_b_bound differentiates f2 twice
+    d1 = parse_expression("-3*x2 - x1 - x1^3", 2).derivative(1)
+    three = ("const", 3.0)
+    assert d1.root == ("sub", ("const", -1.0), ("mul", three, ("pow", _X1, 2)))
+    d11 = d1.derivative(1).root
+    assert d11 == ("neg", ("mul", three, ("mul", ("const", 2.0), _X1)))
+
+
 # --- parser error handling --------------------------------------------------
 
 
