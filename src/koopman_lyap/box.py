@@ -73,6 +73,17 @@ class Box:
         mesh = np.meshgrid(*self.axes(n), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def origin_node(self, n: int) -> int | None:
+        """Row of grid(n) at the origin (within 1e-9 of the widest width), None
+        if the origin lies outside the box; a ValueError if no node is there."""
+        if not self.contains(np.zeros(self.dim)):
+            return None
+        hits = [np.flatnonzero(np.abs(a) <= 1e-9 * np.max(self.widths)) for a in self.axes(n)]
+        if not all(h.size for h in hits):
+            raise ValueError("origin lies in the domain but is not a grid vertex; "
+                             "use an even cell count on a symmetric box")
+        return int(np.ravel_multi_index([h[0] for h in hits], (n,) * self.dim))
+
 
 def grid_axes(X: np.ndarray):
     """The coordinate vectors x_1 .. x_d of which the points X (c, d) are the

@@ -213,6 +213,10 @@ def load_config(path) -> RunConfig:
     cfg = RunConfig(**kwargs)
     if not math.isfinite(cfg.oracle_t_max / cfg.oracle_dt):
         raise ConfigError("oracle.t_max / oracle.dt must be finite")
+    try:  # the CPA vertices are the grid of cells + 1 nodes per axis
+        cfg.cpa_domain.origin_node(cfg.cpa_cells + 1)
+    except ValueError as exc:
+        raise ConfigError(f"[cpa] cells = {cfg.cpa_cells}: {exc}") from None
     return cfg
 
 

@@ -33,18 +33,17 @@ Two check families make the interpolant a certificate:
 At the origin the decrease inequality cannot be strict (f(0) = 0), so pairs
 whose vertex is the origin are skipped. That exception is only sound when
 the origin is the designated first vertex of every triangle containing it;
-Triangulation rotates vertex triples to guarantee it.
+_layout rotates vertex triples to guarantee it.
 
-All checks are vectorized over blocks of _CHUNK simplex rows, with f read
-from one evaluation per vertex (nv x 2 floats, fewer than the ns x 3 margins,
-formed _CHUNK vertices at a time), so that beyond its report and those values
-the memory certify needs does not grow with the mesh.
+No simplex table is stored: _layout gives the vertices of any simplices.
+certify forms the margins per block of _CHUNK simplices from f evaluated
+once per vertex, _CHUNK vertices at a time, and keeps of each block only the
+count of checked pairs and the failed ones: nv x 2 values and the failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -71,16 +70,14 @@ class CPAError(ValueError):
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Regular triangulation of a 2-D box in the module docstring's Layout,
-    which certify reads from simplex indices: vertices, simplices,
-    origin_vertex and cell_widths are built from domain and cells. If the
-    origin lies in the box it must be a grid vertex; an even cell count on
-    a symmetric box guarantees that."""
+    """Regular triangulation of a 2-D box in the module docstring's Layout:
+    vertices, origin_vertex and cell_widths are built from domain and cells,
+    _layout gives the vertices of any simplex. The origin, if in the box,
+    must be a grid vertex (an even cell count on a symmetric box is)."""
 
     domain: Box
     cells: int
     vertices: np.ndarray = field(init=False)  # ((cells+1)^2, 2)
-    simplices: np.ndarray = field(init=False)  # (2*cells^2, 3) int
     origin_vertex: int | None = field(init=False)
     cell_widths: np.ndarray = field(init=False, repr=False)  # (2, cells)
 
@@ -90,38 +87,16 @@ class Triangulation:
             raise CPAError("triangulation is 2-D only")
         if cells < 2:
             raise CPAError("need at least 2 cells per axis")
-
         n1 = cells + 1
+        try:
+            origin_vertex = domain.origin_node(n1)
+        except ValueError as exc:
+            raise CPAError(str(exc)) from None
         vertices = domain.grid(n1)
-
-        tol = 1e-9 * float(np.max(domain.widths))
-        origin_vertex = None
-        if domain.contains(np.zeros(2)):
-            hits = np.nonzero(np.max(np.abs(vertices), axis=1) <= tol)[0]
-            if hits.size == 0:
-                raise CPAError(
-                    "origin lies in the domain but is not a grid vertex; "
-                    "use an even cell count on a symmetric box"
-                )
-            origin_vertex = int(hits[0])
-
-        # the module docstring's Layout
-        v00 = (np.arange(cells, dtype=np.int64)[:, None] * n1 + np.arange(cells)).ravel()
-        simplices = np.empty((cells * cells, 6), dtype=np.int64)
-        for col, offset in enumerate((0, n1, n1 + 1, 0, n1 + 1, 1)):
-            np.add(v00, offset, out=simplices[:, col])
-        simplices = simplices.reshape(2 * cells * cells, 3)
-
-        if origin_vertex is not None:
-            # Rotate triples so the origin is the base vertex wherever it occurs.
-            hit, shift = np.nonzero(simplices == origin_vertex)
-            simplices[hit] = np.take_along_axis(simplices[hit], (np.arange(3) + shift[:, None]) % 3, 1)
-
         cell_widths = np.diff(domain.axes(n1), axis=1)
-        for a in (vertices, simplices, cell_widths):
+        for a in (vertices, cell_widths):
             a.setflags(write=False)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "origin_vertex", origin_vertex)
         object.__setattr__(self, "cell_widths", cell_widths)
 
@@ -131,7 +106,7 @@ class Triangulation:
 
     @property
     def n_simplices(self) -> int:
-        return self.simplices.shape[0]
+        return 2 * self.cells * self.cells
 
 
 def build_triangulation(domain: Box, cells: int) -> Triangulation:
@@ -139,26 +114,32 @@ def build_triangulation(domain: Box, cells: int) -> Triangulation:
     return Triangulation(domain, cells)
 
 
-def _cells(tri: Triangulation, rows):
-    """Per simplex of rows (module docstring, Layout): its cell's v00, 1 on
-    an upper triangle (else 0), and the cell's widths, shape (n_rows, 2)."""
-    cell, upper = np.divmod(np.arange(*rows.indices(tri.n_simplices)), 2)
-    i, j = np.divmod(cell, tri.cells)
-    w1, w2 = tri.cell_widths
-    return i * (tri.cells + 1) + j, upper, np.stack([w1[i], w2[j]], axis=1)
-
-
-def _simplex_gradients(
-    tri: Triangulation, vertex_values: np.ndarray, rows=slice(None)
-) -> np.ndarray:
-    """Affine-interpolant gradient on the simplices of rows (all by default),
-    shape (n_rows, 2), from the (n_vertices,) vertex values: per axis one
-    edge difference over the cell's width."""
-    v00, upper, w = _cells(tri, rows)
-    n1, V = tri.cells + 1, vertex_values
+def _layout(tri: Triangulation, s: np.ndarray):
+    """Per simplex index of s (module docstring, Layout): its vertex indices
+    (n, 3), a triple holding the origin rotated to put it first; the first
+    vertices a of its x1 edge and b of its x2 edge; its cell's widths."""
+    upper = s & 1
+    i, j = np.divmod(s >> 1, tri.cells)
+    n1 = tri.cells + 1
+    v00 = i * n1 + j
     a = v00 + upper  # x1 edge: v00 -> v10 (lower), v01 -> v11 (upper)
     b = v00 + n1 * (1 - upper)  # x2 edge: v10 -> v11 (lower), v00 -> v01 (upper)
-    return np.stack([V[a + n1] - V[a], V[b + 1] - V[b]], axis=1) / w
+    S = np.stack([v00, a + n1, b + 1], axis=1)  # (v00, v10, v11) or (v00, v11, v01)
+    hit = S == tri.origin_vertex  # all False without the origin
+    if hit.any():
+        rows, shift = np.nonzero(hit)
+        S[rows] = np.take_along_axis(S[rows], (np.arange(3) + shift[:, None]) % 3, 1)
+    w1, w2 = tri.cell_widths
+    return S, a, b, (w1[i], w2[j])
+
+
+def _simplex_gradients(tri: Triangulation, vertex_values: np.ndarray, layout) -> np.ndarray:
+    """Affine-interpolant gradient on the simplices of a _layout, shape
+    (n, 2), from the (n_vertices,) vertex values: per axis one edge
+    difference over the cell's width."""
+    _, a, b, (w1, w2) = layout
+    n1, V = tri.cells + 1, vertex_values
+    return np.stack([(V[a + n1] - V[a]) / w1, (V[b + 1] - V[b]) / w2], axis=1)
 
 
 @dataclass(frozen=True)
@@ -194,7 +175,8 @@ def estimate_b_bound(
     if safety < 1.0:
         raise CPAError("safety factor must be at least 1")
     d = fld.dim
-    cols = [c for c in domain.grid(_B_PROBES).T]
+    # the nodes of axis l along array axis l broadcast to the grid's values
+    cols = [a.reshape(-1, *[1] * (d - 1 - l)) for l, a in enumerate(domain.axes(_B_PROBES))]
     probe_max = np.zeros((d, d))
     for r in range(d):
         for s in range(r, d):
@@ -216,48 +198,57 @@ def estimate_b_bound(
     return BBound(safety * probe_max)
 
 
-def _curvature_corrections(tri: Triangulation, b: BBound, rows=slice(None)) -> np.ndarray:
-    """E_{nu,i} for the simplices of rows (all by default) and each local
-    vertex, shape (n_rows, 3), from the cell widths (module docstring)."""
-    B, n1, S = b.matrix, tri.cells + 1, tri.simplices[rows]
+def _curvature_corrections(tri: Triangulation, b: BBound, layout) -> np.ndarray:
+    """E_{nu,i} for the simplices of a _layout and each local vertex, shape
+    (n, 3), from the cell widths (module docstring)."""
+    S, _, _, (w1, w2) = layout
+    B, n1 = b.matrix, tri.cells + 1
     step = np.abs(S - S[:, :1])
-    w = _cells(tri, rows)[2][:, None]  # ext_s
-    D = w * np.stack([step >= n1, step % n1 == 1], axis=2)  # |delta_is|
-    Y = D + w
-    return 0.5 * sum(D[:, :, r] * B[r, s] * Y[:, :, s] for r in range(2) for s in range(2))
+    ext = w1[:, None], w2[:, None]  # ext_s
+    D = ext[0] * (step >= n1), ext[1] * (step % n1 == 1)  # |delta_is|
+    Y = D[0] + ext[0], D[1] + ext[1]
+    return 0.5 * sum(D[r] * B[r, s] * Y[s] for r in range(2) for s in range(2))
+
+
+def _margins(tri: Triangulation, vertex_values: np.ndarray, f: np.ndarray, b: BBound, s):
+    """Decrease left-hand sides (n, 3) of the simplices s, from the vertex
+    values and f (n_vertices, 2) at every vertex, and their vertex indices."""
+    layout = _layout(tri, s)
+    grads = _simplex_gradients(tri, vertex_values, layout)
+    lhs = (
+        np.einsum("sd,sid->si", grads, f[layout[0]])
+        + np.abs(grads).sum(axis=1)[:, None] * _curvature_corrections(tri, b, layout)
+    )
+    return lhs, layout[0]
 
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of the vertex and per-pair checks.
-
-    lc2_margins holds the decrease left-hand sides (negative = pass); pairs
-    at the origin vertex are exempt and masked out of lc2_checked.
-    """
+    """Outcome of the vertex and per-pair checks: positivity per vertex; the
+    count of checked pairs (those at the origin vertex are exempt) and the
+    failed ones, in simplex then local vertex order. A pair passes only on a
+    negative margin (the decrease left-hand side), so NaN fails."""
 
     tri: Triangulation
     vertex_ok: np.ndarray  # (nv,) bool, positivity
-    lc2_margins: np.ndarray  # (ns, 3) float
-    lc2_checked: np.ndarray  # (ns, 3) bool
-    vertex_values: np.ndarray
+    vertex_values: np.ndarray  # (nv,)
+    n_pairs_checked: int
+    failed_pairs: np.ndarray  # (nf, 2) int: simplex, local vertex
+    failed_margins: np.ndarray  # (nf,) float
 
-    @cached_property
-    def lc2_failed(self) -> np.ndarray:
-        """(ns, 3) bool: checked pairs whose decrease margin is not negative,
-        NaN included."""
-        return self.lc2_checked & ~(self.lc2_margins < 0.0)
+    @property
+    def failed_vertices(self) -> np.ndarray:
+        """(nf,) the vertex index of each failed pair."""
+        s, i = self.failed_pairs.T
+        return _layout(self.tri, s)[0][np.arange(len(s)), i]
 
     @property
     def n_lc1_failures(self) -> int:
         return int(np.sum(~self.vertex_ok))
 
     @property
-    def n_pairs_checked(self) -> int:
-        return int(np.sum(self.lc2_checked))
-
-    @property
     def n_lc2_failures(self) -> int:
-        return int(np.sum(self.lc2_failed))
+        return len(self.failed_margins)
 
     @property
     def pair_pass_fraction(self) -> float:
@@ -271,15 +262,8 @@ class CertificationReport:
     @property
     def failure_radius(self) -> float:
         """Largest ||x|| over vertices involved in any failed check."""
-        radii = [0.0]
-        bad_v = np.nonzero(~self.vertex_ok)[0]
-        if bad_v.size:
-            radii.append(float(np.max(np.linalg.norm(self.tri.vertices[bad_v], axis=1))))
-        bad_s, bad_i = np.nonzero(self.lc2_failed)
-        if bad_s.size:
-            pts = self.tri.vertices[self.tri.simplices[bad_s, bad_i]]
-            radii.append(float(np.max(np.linalg.norm(pts, axis=1))))
-        return max(radii)
+        bad = np.concatenate([np.flatnonzero(~self.vertex_ok), self.failed_vertices])
+        return float(np.max(np.linalg.norm(self.tri.vertices[bad], axis=1), initial=0.0))
 
     def summary_text(self) -> str:
         lines = [
@@ -318,16 +302,16 @@ def certify(
     f_all = np.empty((tri.n_vertices, 2))
     for s in range(0, tri.n_vertices, _CHUNK):
         f_all[s : s + _CHUNK] = fld.evaluate_at(tri.vertices[s : s + _CHUNK])
-    lhs = np.empty((tri.n_simplices, 3))
-    for s in range(0, len(lhs), _CHUNK):
-        rows = slice(s, s + _CHUNK)
-        grads = _simplex_gradients(tri, vals, rows)
-        lhs[rows] = (
-            np.einsum("sd,sid->si", grads, f_all[tri.simplices[rows]])
-            + np.abs(grads).sum(axis=1)[:, None] * _curvature_corrections(tri, b, rows)
-        )
-    ov = tri.origin_vertex
-    checked = np.ones_like(lhs, dtype=bool) if ov is None else tri.simplices != ov
+    n_checked, failed, margins = 0, [], []
+    for start in range(0, tri.n_simplices, _CHUNK):
+        s = np.arange(start, min(start + _CHUNK, tri.n_simplices))
+        lhs, S = _margins(tri, vals, f_all, b, s)
+        checked = S != tri.origin_vertex  # every pair if the box has no origin
+        n_checked += int(np.count_nonzero(checked))
+        bad_s, bad_i = np.nonzero(checked & ~(lhs < 0.0))
+        failed.append(np.stack([s[bad_s], bad_i], axis=1))
+        margins.append(lhs[bad_s, bad_i])
     return CertificationReport(
-        tri=tri, vertex_ok=vertex_ok, lc2_margins=lhs, lc2_checked=checked, vertex_values=vals
+        tri=tri, vertex_ok=vertex_ok, vertex_values=vals, n_pairs_checked=n_checked,
+        failed_pairs=np.concatenate(failed), failed_margins=np.concatenate(margins),
     )

@@ -76,12 +76,11 @@ _MODEL = "model.json"
 _MANIFEST = "manifest.json"
 
 # Keys the later stages read from eigenfunctions.json and from each of its
-# eigenfunction entries.
-_EIGENFUNCTIONS_KEYS = (
-    "alpha_files", "centers_file", "eigenfunctions", "eta_config", "fill_distance", "sigma",
-    "system",
-)
-_ENTRY_KEYS = ("eta_used", "method")
+# eigenfunction entries, with the types each value may have (None: any).
+_EIGENFUNCTIONS_KEYS = dict.fromkeys(("alpha_files", "centers_file", "eigenfunctions", "system")) | {
+    "eta_config": (int, float, type(None)), "fill_distance": (int, float), "sigma": (int, float),
+}
+_ENTRY_KEYS = {"eta_used": (int, float), "method": None}
 
 
 class MissingArtifactError(OSError):
@@ -101,10 +100,13 @@ def ensure_output_dir(path) -> Path:
 
 def _require(obj, keys, where: str) -> None:
     """A ValueError naming where (the file, and the entry in it) for the
-    first of keys that obj, read from a persisted artifact, lacks."""
-    for key in keys:
+    first of keys that obj, read from a persisted artifact, lacks or types
+    otherwise than keys allows (exactly: a bool is no int)."""
+    for key, types in keys.items():
         if key not in obj:
             raise ValueError(f"{where} has no key {key!r}")
+        if types and type(obj[key]) not in types:
+            raise ValueError(f"{where} {key} must be a number, got {obj[key]!r}")
 
 
 _CSV_BLOCK = 4096  # rows per % formatting, which bounds the string it builds
@@ -324,14 +326,13 @@ def _write_failures(path: Path, report) -> None:
     """One row per failed check: simplex_index, vertex_index, x1, x2,
     lhs_margin. Positivity failures come first, with simplex index -1, the
     global vertex index and the offending V as the margin."""
-    tri = report.tri
     bad_v = np.nonzero(~report.vertex_ok)[0]
-    bad_s, bad_i = np.nonzero(report.lc2_failed)
+    bad_s, bad_i = report.failed_pairs.T
     rows = np.column_stack([
         np.concatenate([np.full(bad_v.size, -1), bad_s]),
         np.concatenate([bad_v, bad_i]),
-        tri.vertices[np.concatenate([bad_v, tri.simplices[bad_s, bad_i]])],
-        np.concatenate([report.vertex_values[bad_v], report.lc2_margins[bad_s, bad_i]]),
+        report.tri.vertices[np.concatenate([bad_v, report.failed_vertices])],
+        np.concatenate([report.vertex_values[bad_v], report.failed_margins]),
     ])
     header = "simplex_index,vertex_index,x1,x2,lhs_margin"
     _write_csv(path, rows, header, ["%d", "%d", "%.17g", "%.17g", "%.17g"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,13 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from koopman_lyap import cli, collocation, expr, koopman, pipeline
+from koopman_lyap import cli, collocation, cpa, expr, koopman, pipeline
 from koopman_lyap.collocation import SingularSystemError
 from koopman_lyap.config import ConfigError, bundled_config_path, load_config
 from koopman_lyap.dynamics import BlowUpError, EquilibriumError, SpectrumError
@@ -406,40 +408,60 @@ def test_malformed_coefficients_exit_1(tiny_cfg_path, finished_run, tmp_path, ca
     assert str(path) in capsys.readouterr().err
 
 
-def _sigma_infinite(outdir):
-    path = outdir / "eigenfunctions.json"
-    meta = json.loads(path.read_text())
-    meta["sigma"] = math.inf
-    path.write_text(json.dumps(meta))
-    return path
+def _persisted(key, value, entry=None):
+    """Damage that sets key of eigenfunctions.json, or of its eigenfunction
+    entry, to value."""
+    def damage(outdir):
+        path = outdir / "eigenfunctions.json"
+        meta = json.loads(path.read_text())
+        (meta if entry is None else meta["eigenfunctions"][entry])[key] = value
+        path.write_text(json.dumps(meta))
+        return path
+    return damage
 
 
-def _eta_config_nan(outdir):
-    path = outdir / "eigenfunctions.json"
-    meta = json.loads(path.read_text())
-    meta["eta_config"] = math.nan
-    path.write_text(json.dumps(meta))
-    return path
+_NOT_A_NUMBER = "eigenfunctions.json {} must be a number, got {!r}"
 
 
 @pytest.mark.parametrize(
     "damage, stages, message",
     [
-        (_sigma_infinite, ["lyapunov", "certify"], "sigma must be positive and finite"),
-        (_eta_config_nan, ["lyapunov", "certify"], "eta must be finite and nonnegative"),
+        (_persisted("sigma", math.inf), ["lyapunov", "certify"],
+         "sigma must be positive and finite"),
+        (_persisted("eta_config", math.nan), ["lyapunov", "certify"],
+         "eta must be finite and nonnegative"),
+        (_persisted("sigma", "3"), ["lyapunov", "certify"], _NOT_A_NUMBER.format("sigma", "3")),
+        (_persisted("eta_config", "1e-8"), ["lyapunov", "certify"],
+         _NOT_A_NUMBER.format("eta_config", "1e-8")),
+        (_persisted("fill_distance", "0.5"), ["lyapunov", "certify"],
+         _NOT_A_NUMBER.format("fill_distance", "0.5")),
+        (_persisted("sigma", True), ["lyapunov"], _NOT_A_NUMBER.format("sigma", True)),
+        (_persisted("sigma", None), ["lyapunov"], _NOT_A_NUMBER.format("sigma", None)),
+        (_persisted("eta_used", "0", entry=1), ["lyapunov", "certify"],
+         "eigenfunctions.json eigenfunctions[1] eta_used must be a number, got '0'"),
     ],
-    ids=["sigma-inf", "eta-nan"],
+    ids=["sigma-inf", "eta-nan", "sigma-string", "eta-string", "fill_distance-string",
+         "sigma-bool", "sigma-null", "eta_used-string"],
 )
 def test_non_finite_persisted_numbers_exit_1(
     tiny_cfg_path, finished_run, tmp_path, capsys, damage, stages, message
 ):
     # json reads Infinity and NaN; an infinite sigma would otherwise evaluate
-    # a flat kernel and exit 0, and a NaN eta would load and exit 0
+    # a flat kernel and exit 0, and a NaN eta would load and exit 0. A string
+    # would fail on a comparison that names neither the file nor the key, or
+    # as a fill distance load and exit 0
     shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
     damage(tmp_path)
     for stage in stages:
         assert cli.main([stage, str(tiny_cfg_path), "--output-dir", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_null_eta_config_loads(tiny_cfg_path, finished_run, tmp_path, capsys):
+    # an unset collocation.eta persists as null, the automatic ridge
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    _persisted("eta_config", None)(tmp_path)
+    assert cli.main(["lyapunov", str(tiny_cfg_path), "--output-dir", str(tmp_path)]) == 0
 
 
 def _unfactorable(tmp_path, name, box="lower = -2 -2\nupper = 2 2"):
@@ -745,12 +767,22 @@ def test_thread_count_changes_results_within_stated_tolerance(tmp_path):
         a, b = (np.loadtxt(r / name, delimiter=",", comments="#")[:, 2] for r in runs)
         assert np.max(np.abs(a - b)) <= THREAD_RTOL * np.max(np.abs(a)), name
 
-    # only failed checks are on disk, so every pair's margin is recomputed
-    # here, at one thread count, from each run's persisted eigenfunctions
+    # only failed checks are on disk and in the report, so every pair's
+    # margin is recomputed here, at one thread count, from each run's V at
+    # the vertices by certify's margin function over the whole mesh
     cfg = load_config(cfg_path)
-    reports = [pipeline.stage_certify(cfg, r)[0] for r in runs]
-    assert np.array_equal(reports[0].lc2_checked, reports[1].lc2_checked)
-    m1, m2 = (np.where(r.lc2_checked, r.lc2_margins, 0.0) for r in reports)
+    fld = expr.parse_vector_field(cfg.system)
+    b = cpa.estimate_b_bound(fld, cfg.cpa_domain, cfg.cpa_safety, cfg.cpa_b_override)
+    margins = []
+    for r in runs:
+        report = pipeline.stage_certify(cfg, r)[0]
+        tri = report.tri
+        lhs, S = cpa._margins(
+            tri, report.vertex_values, fld.evaluate_at(tri.vertices), b, np.arange(tri.n_simplices)
+        )
+        assert np.count_nonzero(S != tri.origin_vertex) == report.n_pairs_checked
+        margins.append(np.where(S != tri.origin_vertex, lhs, 0.0))
+    m1, m2 = margins
     assert np.max(np.abs(m1 - m2)) <= MARGIN_RTOL * np.max(np.abs(m1))
 
 
@@ -881,6 +913,28 @@ def test_certify_exponentials_scale_with_grid_axes(tiny_cfg_path, tmp_path, monk
     pipeline.stage_certify(cfg, tmp_path)
     vertices = cfg.cpa_cells + 1
     assert 0 < sum(exp_elements) <= vertices * sum(axis_lengths) + vertices**2
+
+
+def test_certify_stage_working_set_grows_with_vertices_only(tiny_cfg_path, finished_run, tmp_path):
+    # the triangulation, B, V at the vertices, certify and the failures CSV
+    # together: per vertex its coordinates, V, f (2 floats each) and the
+    # positivity flag, 41 bytes; no per-simplex table, margin or mask, and
+    # B's probe grid no larger at any mesh. V certifies at both meshes here.
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    cfg = load_config(tiny_cfg_path)
+    pipeline.stage_certify(cfg, tmp_path)  # first-call caches out of the peaks
+    peaks, vertices = [], []
+    for cells in (32, 128):
+        sized = dataclasses.replace(cfg, cpa_cells=cells)
+        tracemalloc.start()
+        try:
+            report, _ = pipeline.stage_certify(sized, tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.certified
+        vertices.append(report.tri.n_vertices)
+    assert peaks[1] - peaks[0] <= 48 * (vertices[1] - vertices[0]), peaks
 
 
 def test_surface_csv_headers_follow_test_grid(finished_run):

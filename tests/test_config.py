@@ -217,6 +217,8 @@ def test_windowed_sections_require_bounds(tmp_path):
         ("cpa", _BOUNDS + "safety = 0.9", "at least 1"),
         ("cpa", _BOUNDS + "b_override = 6 0 0 -1", "nonnegative"),
         ("cpa", _BOUNDS + "b_override = 6 1 0 0", "symmetric"),
+        # before any stage runs, not after eigenfunctions and lyapunov
+        ("cpa", _BOUNDS + "cells = 71", r"cells = 71: origin lies in the domain but is not a grid"),
         ("oracle", "t_max = 0", "positive"),
         ("oracle", "dt = -0.1", "positive"),
         ("oracle", "dt = 1e-320", r"t_max / oracle\.dt must be finite"),
@@ -277,7 +279,7 @@ resolution = 11
 [cpa]
 lower = -1.5 -1
 upper = 1 1.5
-cells = 12
+cells = 10
 safety = 1.25
 b_override = 1 2 2 4
 

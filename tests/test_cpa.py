@@ -10,6 +10,8 @@ from koopman_lyap.cpa import (
     CPAError,
     Triangulation,
     _curvature_corrections,
+    _layout,
+    _margins,
     _simplex_gradients,
     build_triangulation,
     certify,
@@ -20,6 +22,39 @@ from koopman_lyap.expr import parse_vector_field
 
 def _box(lo, hi):
     return Box(np.array([lo, lo], dtype=float), np.array([hi, hi], dtype=float))
+
+
+def _reference_simplices(domain, cells):
+    # the table the triangulation once stored: per cell (v00, v10, v11) and
+    # (v00, v11, v01), then every triple holding the origin vertex rotated
+    # to put it first
+    n1 = cells + 1
+    v00 = (np.arange(cells, dtype=np.int64)[:, None] * n1 + np.arange(cells)).ravel()
+    simplices = np.empty((cells * cells, 6), dtype=np.int64)
+    for col, offset in enumerate((0, n1, n1 + 1, 0, n1 + 1, 1)):
+        np.add(v00, offset, out=simplices[:, col])
+    simplices = simplices.reshape(2 * cells * cells, 3)
+    vertices = domain.grid(n1)
+    tol = 1e-9 * float(np.max(domain.widths))
+    if domain.contains(np.zeros(2)):
+        hits = np.nonzero(np.max(np.abs(vertices), axis=1) <= tol)[0]
+        if hits.size == 0:
+            raise CPAError("origin lies in the domain but is not a grid vertex")
+        hit, shift = np.nonzero(simplices == hits[0])
+        simplices[hit] = np.take_along_axis(simplices[hit], (np.arange(3) + shift[:, None]) % 3, 1)
+    return simplices
+
+
+def _every(tri):
+    # the layout of every simplex, as certify's blocks see theirs
+    return _layout(tri, np.arange(tri.n_simplices))
+
+
+def _all_margins(tri, vals, fld, b):
+    # every pair's margin from certify's per-block margin function, one
+    # block for the whole mesh, and whether the pair is checked
+    lhs, S = _margins(tri, vals, fld.evaluate_at(tri.vertices), b, np.arange(tri.n_simplices))
+    return lhs, S != tri.origin_vertex
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +85,7 @@ def test_origin_vertex_identified(tri_small):
 
 def test_origin_is_base_vertex_everywhere(tri_small):
     ov = tri_small.origin_vertex
-    touching = [s for s in tri_small.simplices if ov in s]
+    touching = [s for s in _every(tri_small)[0] if ov in s]
     # an interior vertex of this mesh belongs to six triangles
     assert len(touching) == 6
     for s in touching:
@@ -58,7 +93,7 @@ def test_origin_is_base_vertex_everywhere(tri_small):
 
 
 def test_every_simplex_has_positive_area(tri_small):
-    pts = tri_small.vertices[tri_small.simplices]
+    pts = tri_small.vertices[_every(tri_small)[0]]
     e1 = pts[:, 1] - pts[:, 0]
     e2 = pts[:, 2] - pts[:, 0]
     areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
@@ -91,7 +126,7 @@ def test_triangulation_arrays_are_built_not_passed(tri_small):
     # certify reads the layout from simplex indices, so no caller may
     # supply arrays that disagree with it
     with pytest.raises(TypeError):
-        Triangulation(_box(-1.0, 1.0), 2, simplices=tri_small.simplices)
+        Triangulation(_box(-1.0, 1.0), 2, vertices=tri_small.vertices)
 
 
 # --- affine gradients ------------------------------------------------------------
@@ -99,7 +134,7 @@ def test_triangulation_arrays_are_built_not_passed(tri_small):
 
 def test_simplex_gradient_reproduces_affine(tri_small):
     vals = 2.0 * tri_small.vertices[:, 0] + 3.0 * tri_small.vertices[:, 1] + 7.0
-    grads = _simplex_gradients(tri_small, vals)
+    grads = _simplex_gradients(tri_small, vals, _every(tri_small))
     for s in range(tri_small.n_simplices):
         np.testing.assert_allclose(grads[s], [2.0, 3.0], rtol=1e-13)
 
@@ -109,9 +144,9 @@ def test_simplex_gradient_of_square_term():
     # of x1^2 has gradient (h, 0) with h the cell width
     tri = build_triangulation(Box(np.zeros(2), np.ones(2)), 2)
     vals = tri.vertices[:, 0] ** 2
-    base = tri.simplices[0]
+    base = _layout(tri, np.arange(1))[0][0]
     np.testing.assert_array_equal(tri.vertices[base[0]], [0.0, 0.0])
-    np.testing.assert_allclose(_simplex_gradients(tri, vals)[0], [0.5, 0.0], atol=1e-15)
+    np.testing.assert_allclose(_simplex_gradients(tri, vals, _every(tri))[0], [0.5, 0.0], atol=1e-15)
 
 
 def test_gradient_rejects_wrong_value_count(tri_small):
@@ -175,7 +210,7 @@ def test_estimate_b_bound_safety_floor():
 
 
 def test_curvature_correction_base_vertex_is_zero(tri_small):
-    E = _curvature_corrections(tri_small, BBound(np.array([[6.0, 0.0], [0.0, 0.0]])))
+    E = _curvature_corrections(tri_small, BBound(np.array([[6.0, 0.0], [0.0, 0.0]])), _every(tri_small))
     for s in range(tri_small.n_simplices):
         assert E[s, 0] == 0.0
 
@@ -184,8 +219,8 @@ def test_curvature_correction_known_values():
     tri = build_triangulation(_box(-1.0, 1.0), 4)  # h = 0.5
     b = BBound(np.array([[6.0, 0.0], [0.0, 0.0]]))
     h = 0.5
-    E = _curvature_corrections(tri, b)
-    for s, svtx in enumerate(tri.simplices):
+    E = _curvature_corrections(tri, b, _every(tri))
+    for s, svtx in enumerate(_reference_simplices(tri.domain, 4)):
         deltas = tri.vertices[svtx] - tri.vertices[svtx[0]]
         # every triangle, rotated or not, spans one cell on the x1 axis
         ext = np.max(np.abs(deltas[:, 0]))
@@ -210,12 +245,12 @@ def test_curvature_correction_bounds_the_interpolation_error(cells, B):
     # every sign pattern, |g(x) - sum_i lambda_i g(x_i)| <= sum_i lambda_i E_i
     # on a grid of barycentric samples lambda
     tri = build_triangulation(_box(-1.0, 1.0), cells)
-    E = _curvature_corrections(tri, BBound(np.array(B)))
+    E = _curvature_corrections(tri, BBound(np.array(B)), _every(tri))
     q = 40
     i, j = np.meshgrid(np.arange(q + 1), np.arange(q + 1), indexing="ij")
     keep = i + j <= q
     lam = np.stack([q - i[keep] - j[keep], i[keep], j[keep]], axis=1) / q  # (p, 3)
-    X = tri.vertices[tri.simplices]  # (ns, 3, 2)
+    X = tri.vertices[_reference_simplices(tri.domain, cells)]  # (ns, 3, 2)
     x = np.einsum("pi,sid->spd", lam, X)
     bound = lam @ E.T  # (p, ns)
     for signs in np.ndindex(2, 2, 2):
@@ -228,7 +263,7 @@ def test_curvature_correction_bounds_the_interpolation_error(cells, B):
 
 
 def test_curvature_correction_zero_bound(tri_small):
-    E = _curvature_corrections(tri_small, BBound(np.zeros((2, 2))))
+    E = _curvature_corrections(tri_small, BBound(np.zeros((2, 2))), _every(tri_small))
     for s in range(tri_small.n_simplices):
         for i in range(3):
             assert E[s, i] == 0.0
@@ -240,8 +275,8 @@ def test_curvature_scales_quadratically_with_mesh():
     dom = Box(np.zeros(2), 2.0 * np.ones(2))
     coarse = build_triangulation(dom, 2)
     fine = build_triangulation(dom, 4)
-    e_coarse = _curvature_corrections(coarse, b)
-    e_fine = _curvature_corrections(fine, b)
+    e_coarse = _curvature_corrections(coarse, b, _every(coarse))
+    e_fine = _curvature_corrections(fine, b, _every(fine))
     for i in (1, 2):
         assert e_coarse[0, i] > 0.0
         assert e_fine[0, i] == pytest.approx(e_coarse[0, i] / 4.0, rel=1e-14)
@@ -275,10 +310,11 @@ def test_certify_clean_case(radial_setup):
 
 def test_certify_margins_strictly_negative(radial_setup):
     fld, tri, vals = radial_setup
-    report = certify(tri, vals, fld, BBound(np.zeros((2, 2))))
-    checked = report.lc2_margins[report.lc2_checked]
+    b = BBound(np.zeros((2, 2)))
+    assert certify(tri, vals, fld, b).n_lc2_failures == 0
+    lhs, checked = _all_margins(tri, vals, fld, b)
     # h = 0.25; the tightest checked margin is -h^2
-    assert np.max(checked) == pytest.approx(-0.0625, abs=1e-12)
+    assert np.max(lhs[checked]) == pytest.approx(-0.0625, abs=1e-12)
 
 
 def test_certify_curvature_bound_fails_near_origin(radial_setup):
@@ -294,8 +330,8 @@ def test_certify_curvature_bound_fails_near_origin(radial_setup):
 
 def test_certify_margins_monotone_in_b(radial_setup):
     fld, tri, vals = radial_setup
-    m1 = certify(tri, vals, fld, BBound(3.0 * np.eye(2))).lc2_margins
-    m2 = certify(tri, vals, fld, BBound(6.0 * np.eye(2))).lc2_margins
+    m1 = _all_margins(tri, vals, fld, BBound(3.0 * np.eye(2)))[0]
+    m2 = _all_margins(tri, vals, fld, BBound(6.0 * np.eye(2)))[0]
     assert np.all(m2 >= m1 - 1e-15)
 
 
@@ -316,9 +352,12 @@ def test_nan_margin_counts_as_failure():
     tri = build_triangulation(_box(-1.0, 1.0), 4)
     vals = np.sum(tri.vertices**2, axis=1)
     vals[np.flatnonzero(np.all(tri.vertices == [0.5, 0.5], axis=1))] = np.nan
-    report = certify(tri, vals, fld, BBound(np.zeros((2, 2))))
-    nan_pairs = int(np.sum(report.lc2_checked & np.isnan(report.lc2_margins)))
+    b = BBound(np.zeros((2, 2)))
+    report = certify(tri, vals, fld, b)
+    lhs, checked = _all_margins(tri, vals, fld, b)
+    nan_pairs = int(np.sum(checked & np.isnan(lhs)))
     assert nan_pairs > 0
+    assert np.all(np.isnan(report.failed_margins))
     # every other checked margin is negative (f = -x, V = ||x||^2, B = 0)
     assert report.n_lc2_failures == nan_pairs
     assert report.pair_pass_fraction == 1.0 - nan_pairs / report.n_pairs_checked
@@ -352,10 +391,12 @@ def test_failures_csv_format(tmp_path, radial_setup):
     x1, x2 = tri.vertices[victim]
     assert lines[1] == f"-1,{victim},{x1:.17g},{x2:.17g},-1"
     # decrease rows: simplex index, local vertex index, the vertex, the margin
-    bad_s, bad_i = np.nonzero(report.lc2_failed)
+    lhs, checked = _all_margins(tri, bad, fld, BBound(40.0 * np.eye(2)))
+    bad_s, bad_i = np.nonzero(checked & ~(lhs < 0.0))
+    table = _reference_simplices(tri.domain, tri.cells)
     for line, s, i in zip(lines[2:], bad_s, bad_i, strict=True):
-        x1, x2 = tri.vertices[tri.simplices[s, i]]
-        assert line == f"{s},{i},{x1:.17g},{x2:.17g},{report.lc2_margins[s, i]:.17g}"
+        x1, x2 = tri.vertices[table[s, i]]
+        assert line == f"{s},{i},{x1:.17g},{x2:.17g},{lhs[s, i]:.17g}"
 
 
 def test_certify_input_validation(radial_setup):
@@ -392,27 +433,57 @@ def test_triangulation_rotation_matches_full_rotation(lo, hi, cells):
     plain = _unrotated_simplices(cells)
     ov = tri.origin_vertex
     if ov is None:
-        np.testing.assert_array_equal(tri.simplices, plain)
+        np.testing.assert_array_equal(_every(tri)[0], plain)
         return
     # the reference: every triple rotated so the origin comes first
     shift = np.argmax(plain == ov, axis=1)
     full = np.take_along_axis(plain, (np.arange(3) + shift[:, None]) % 3, axis=1)
-    np.testing.assert_array_equal(tri.simplices, full)
-    changed = np.any(tri.simplices != plain, axis=1)
+    np.testing.assert_array_equal(_every(tri)[0], full)
+    changed = np.any(_every(tri)[0] != plain, axis=1)
     assert np.all(np.any(plain[changed] == ov, axis=1))
+
+
+def _layout_boxes(cells):
+    # per axis: symmetric (the origin a vertex for an even cell count only),
+    # no origin, and asymmetric with the origin a vertex (x1 one cell past
+    # the lower end, x2 one cell before the upper end, unequal widths)
+    return {
+        "symmetric": _box(-1.0, 1.0),
+        "no_origin": Box(np.array([0.5, -3.0]), np.array([1.5, -1.0])),
+        "asymmetric": Box(np.array([-1.0, 0.5 - 0.5 * cells]), np.array([cells - 1.0, 0.5])),
+    }
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "no_origin", "asymmetric"])
+@pytest.mark.parametrize("cells", [2, 3, 10, 11])
+def test_layout_matches_the_reference_table(cells, kind):
+    box = _layout_boxes(cells)[kind]
+    if kind == "symmetric" and cells % 2:
+        for build in (Triangulation, _reference_simplices):
+            with pytest.raises(CPAError, match="not a grid vertex"):
+                build(box, cells)
+        return
+    tri = Triangulation(box, cells)
+    table = _reference_simplices(box, cells)
+    assert (tri.origin_vertex is None) == (kind == "no_origin")
+    np.testing.assert_array_equal(_every(tri)[0], table)
+    # any simplex indices, in any order and repeated, not only a whole block
+    s = np.random.default_rng(cells).integers(0, tri.n_simplices, 50)
+    np.testing.assert_array_equal(_layout(tri, s)[0], table[s])
 
 
 def _reference_gradients(tri, vals):
     # the general formula: per simplex, the 2 x 2 system of its edge vectors
-    pts = tri.vertices[tri.simplices]
+    S = _reference_simplices(tri.domain, tri.cells)
+    pts = tri.vertices[S]
     M = pts[:, 1:, :] - pts[:, 0:1, :]
-    rhs = vals[tri.simplices][:, 1:] - vals[tri.simplices][:, 0:1]
+    rhs = vals[S][:, 1:] - vals[S][:, 0:1]
     return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
 
 
 def _reference_corrections(tri, B):
     # the general formula: |delta_i| and ext_s from the vertex coordinates
-    pts = tri.vertices[tri.simplices]
+    pts = tri.vertices[_reference_simplices(tri.domain, tri.cells)]
     D = np.abs(pts - pts[:, 0:1, :])
     Y = D + D.max(axis=1, keepdims=True)
     return 0.5 * sum(D[:, :, r] * B[r, s] * Y[:, :, s] for r in range(2) for s in range(2))
@@ -427,7 +498,7 @@ def test_cell_formulas_match_the_general_simplex_formulas(lo, hi, cells):
     A = rng.uniform(0, 5, (2, 2))
     for B in (np.array([[12.0, 0.5], [0.5, 1.0]]), A + A.T):
         np.testing.assert_array_equal(
-            _curvature_corrections(tri, BBound(B)).view(np.uint64),
+            _curvature_corrections(tri, BBound(B), _every(tri)).view(np.uint64),
             _reference_corrections(tri, B).view(np.uint64),
         )
     # each component is a difference over a width on both sides, the
@@ -436,7 +507,7 @@ def test_cell_formulas_match_the_general_simplex_formulas(lo, hi, cells):
     w = min(np.diff(a).min() for a in tri.domain.axes(cells + 1))
     for scale in (1e-3, 1.0, 1e3):
         vals = scale * rng.standard_normal(tri.n_vertices)
-        err = np.abs(_simplex_gradients(tri, vals) - _reference_gradients(tri, vals))
+        err = np.abs(_simplex_gradients(tri, vals, _every(tri)) - _reference_gradients(tri, vals))
         assert err.max() <= 4 * np.finfo(float).eps * np.abs(vals).max() / w
 
 
@@ -458,12 +529,13 @@ def _whole_mesh_margins(tri, vals, fld, b):
     ).reshape(-1, 2)
     E = _reference_corrections(tri, b.matrix)
     fV = fld.evaluate_at(tri.vertices)
+    S = _reference_simplices(tri.domain, tri.cells)
     lhs = (
-        np.einsum("sd,sid->si", grads, fV[tri.simplices])
+        np.einsum("sd,sid->si", grads, fV[S])
         + np.abs(grads).sum(axis=1)[:, None] * E
     )
     checked = np.ones_like(lhs, dtype=bool)
-    checked[tri.simplices == tri.origin_vertex] = False
+    checked[S == tri.origin_vertex] = False
     return lhs, checked
 
 
@@ -477,31 +549,49 @@ def test_blockwise_certify_matches_whole_mesh(chunk, monkeypatch, tmp_path):
     b = BBound(np.array([[12.0, 0.5], [0.5, 1.0]]))
     ref_lhs, ref_checked = _whole_mesh_margins(tri, vals, fld, b)
 
-    monkeypatch.setattr(cpa, "_CHUNK", chunk)
-    report = certify(tri, vals, fld, b)
-
+    # the per-block margin function over the whole mesh, bitwise
+    lhs, checked = _all_margins(tri, vals, fld, b)
     # A NaN's sign bit depends on which of numpy's loops produced it (a vector
     # body or a tail), so NaN margins are compared by position only.
     nan = np.isnan(ref_lhs)
     assert 0 < nan.sum() < nan.size
-    np.testing.assert_array_equal(np.isnan(report.lc2_margins), nan)
-    np.testing.assert_array_equal(
-        report.lc2_margins[~nan].view(np.uint64), ref_lhs[~nan].view(np.uint64)
-    )
-    np.testing.assert_array_equal(report.lc2_checked, ref_checked)
+    np.testing.assert_array_equal(np.isnan(lhs), nan)
+    np.testing.assert_array_equal(lhs[~nan].view(np.uint64), ref_lhs[~nan].view(np.uint64))
+    np.testing.assert_array_equal(checked, ref_checked)
 
-    ref = cpa.CertificationReport(tri, report.vertex_ok, ref_lhs, ref_checked, vals)
-    for attr in ("n_lc1_failures", "n_pairs_checked", "n_lc2_failures"):
-        assert getattr(report, attr) == getattr(ref, attr), attr
+    # certify block by block keeps the count of checked pairs and the
+    # failed ones, in the whole mesh's row-major order
+    monkeypatch.setattr(cpa, "_CHUNK", chunk)
+    report = certify(tri, vals, fld, b)
+    ref_failed = ref_checked & ~(ref_lhs < 0.0)
+    ref_pairs = np.argwhere(ref_failed)
+    np.testing.assert_array_equal(report.failed_pairs, ref_pairs)
+    ref_margins = ref_lhs[ref_failed]
+    bad_nan = np.isnan(ref_margins)
+    np.testing.assert_array_equal(np.isnan(report.failed_margins), bad_nan)
+    np.testing.assert_array_equal(
+        report.failed_margins[~bad_nan].view(np.uint64), ref_margins[~bad_nan].view(np.uint64)
+    )
+    assert report.n_pairs_checked == int(ref_checked.sum())
     assert 0 < report.n_lc2_failures < report.n_pairs_checked
+    assert 0 < bad_nan.sum() < bad_nan.size
+
+    ref = cpa.CertificationReport(
+        tri, report.vertex_ok, vals, int(ref_checked.sum()), ref_pairs, ref_margins
+    )
     pipeline._write_failures(tmp_path / "blocks.csv", report)
     pipeline._write_failures(tmp_path / "whole.csv", ref)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    # the failed vertices, from the layout of the failed pairs alone
+    np.testing.assert_array_equal(
+        report.failed_vertices, _reference_simplices(tri.domain, tri.cells)[ref_failed]
+    )
 
 
 def test_certify_working_set_does_not_grow_with_mesh():
-    # beyond its report and f at the vertices (nv x 2 floats, fewer than the
-    # ns x 3 margins), certify holds one block of simplex rows at a time
+    # beyond vertex_ok, f at the vertices (nv x 2 floats) and the failed
+    # pairs (16% of them here, held twice while the blocks' pieces are
+    # joined), certify holds one block of simplex rows at a time
     fld = parse_vector_field(["x2", "-3*x2 - 1*x1 - 1*x1^3"])
     b = BBound(np.array([[12.0, 0.0], [0.0, 0.0]]))
     extra = {}
@@ -514,6 +604,6 @@ def test_certify_working_set_does_not_grow_with_mesh():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(a.nbytes for a in (report.vertex_ok, report.lc2_margins, report.lc2_checked))
-        extra[cells] = peak - held - 16 * tri.n_vertices
+        failures = report.failed_pairs.nbytes + report.failed_margins.nbytes
+        extra[cells] = peak - report.vertex_ok.nbytes - 2 * failures - 16 * tri.n_vertices
     assert extra[256] - extra[64] <= 1 << 20, extra
